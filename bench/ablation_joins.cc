@@ -1,9 +1,8 @@
 // Ablation benchmarks for the engine design choices DESIGN.md calls out
 // (beyond the paper's own experiments):
 //
-//  1. join algorithm on ongoing relations — nested-loop vs hash vs
-//     sort-merge on the same equi+temporal predicate (the hash/merge
-//     asymmetry explains the Fig. 11 amortization slope);
+//  1. join algorithm on ongoing relations — nested-loop vs hash on the
+//     same equi+temporal predicate;
 //  2. the Sec. VIII conjunctive-predicate split — evaluating the fixed
 //     part as a plain filter and only the ongoing part against RT,
 //     vs evaluating the whole conjunction as one ongoing predicate;
@@ -241,8 +240,8 @@ void JoinAlgorithmAblation(BenchJsonWriter* json) {
   std::printf("\n(1) Join algorithms on ongoing relations "
               "(L.K = R.K AND L.VT overlaps R.VT)\n");
   TablePrinter table;
-  table.SetHeader({"# tuples/side", "nested-loop [ms]", "hash [ms]",
-                   "sort-merge [ms]", "result"});
+  table.SetHeader(
+      {"# tuples/side", "nested-loop [ms]", "hash [ms]", "result"});
   for (int64_t base : {1000, 2000, 4000}) {
     const int64_t n = Scaled(base);
     datasets::SyntheticOptions options;
@@ -262,20 +261,15 @@ void JoinAlgorithmAblation(BenchJsonWriter* json) {
     double hash = MedianSeconds([&] {
                     (void)*HashJoin(r, s, pred, "L", "R");
                   }) * 1e3;
-    double merge = MedianSeconds([&] {
-                     (void)*SortMergeJoin(r, s, pred, "L", "R");
-                   }) * 1e3;
     table.AddRow({std::to_string(n), FormatDouble(nl, 2),
-                  FormatDouble(hash, 2), FormatDouble(merge, 2),
-                  std::to_string(out)});
+                  FormatDouble(hash, 2), std::to_string(out)});
     const std::string size = std::to_string(n) + "x" + std::to_string(n);
     json->AddMs("join_algorithm/nested_loop/" + size, nl);
     json->AddMs("join_algorithm/hash/" + size, hash);
-    json->AddMs("join_algorithm/sort_merge/" + size, merge);
   }
   table.Print();
-  std::printf("hash/merge prune non-matching key pairs before touching "
-              "any ongoing predicate.\n");
+  std::printf("hash prunes non-matching key pairs before touching any "
+              "ongoing predicate.\n");
 }
 
 void PredicateSplitAblation(BenchJsonWriter* json) {

@@ -28,7 +28,7 @@
 //
 // Memory accounting is engine-side arena accounting, not allocator
 // interception: operators charge the bytes of state they materialize
-// (join build sides, sort-merge inputs, drained results) batch by batch
+// (hash build sides, nested-loop inners, drained results) batch by batch
 // via MemoryCharge, using the same per-tuple estimate the TupleBatch
 // arena recycles. The opt-in counting allocator (util/alloc_counter.h)
 // stays the measurement tool that validates the estimate in benches.

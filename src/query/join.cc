@@ -129,21 +129,11 @@ bool JoinKeysEqual(const Tuple& a, const std::vector<size_t>& a_indices,
   return true;
 }
 
-int CompareJoinKeys(const Tuple& a, const std::vector<size_t>& a_indices,
-                    const Tuple& b, const std::vector<size_t>& b_indices) {
-  for (size_t c = 0; c < a_indices.size(); ++c) {
-    if (int cmp = ValueCompare(a.value(a_indices[c]), b.value(b_indices[c]));
-        cmp != 0) {
-      return cmp;
-    }
-  }
-  return 0;
-}
-
 namespace {
 
-// All three relation-level joins run the batched physical operator over
-// borrowed scans of the inputs and drain it into a result relation.
+// The relation-level joins lower a Join(Scan, Scan) plan with the
+// algorithm forced and drain it into a result relation; the ongoing
+// scans lend the inputs to the join without copying them.
 Result<OngoingRelation> RunJoin(JoinAlgorithm algorithm,
                                 const OngoingRelation& left,
                                 const OngoingRelation& right,
@@ -152,9 +142,9 @@ Result<OngoingRelation> RunJoin(JoinAlgorithm algorithm,
                                 const std::string& right_prefix) {
   ONGOINGDB_ASSIGN_OR_RETURN(
       PhysicalOpPtr op,
-      MakeJoinOp(algorithm, MakeScanOp(&left, ExecMode::kOngoing),
-                 MakeScanOp(&right, ExecMode::kOngoing), predicate,
-                 left_prefix, right_prefix, ExecMode::kOngoing));
+      Compile(Join(Scan(&left, left_prefix), Scan(&right, right_prefix),
+                   predicate, left_prefix, right_prefix, algorithm),
+              ExecMode::kOngoing));
   return DrainToRelation(*op);
 }
 
@@ -176,15 +166,6 @@ Result<OngoingRelation> HashJoin(const OngoingRelation& left,
                                  const std::string& right_prefix) {
   return RunJoin(JoinAlgorithm::kHash, left, right, predicate, left_prefix,
                  right_prefix);
-}
-
-Result<OngoingRelation> SortMergeJoin(const OngoingRelation& left,
-                                      const OngoingRelation& right,
-                                      const ExprPtr& predicate,
-                                      const std::string& left_prefix,
-                                      const std::string& right_prefix) {
-  return RunJoin(JoinAlgorithm::kSortMerge, left, right, predicate,
-                 left_prefix, right_prefix);
 }
 
 }  // namespace ongoingdb

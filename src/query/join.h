@@ -1,19 +1,17 @@
-// Typed join keys and the relation-level join entry points. All three
-// join algorithms produce the algebra's theta-join result
+// Typed join keys and the relation-level join entry points. Both join
+// algorithms produce the algebra's theta-join result
 // (RT = r.RT ^ s.RT ^ theta(r, s)); they differ in how candidate pairs
 // are enumerated:
 //
 //  * nested-loop: any predicate, O(|R| * |S|);
 //  * hash: linear build/probe on fixed equality conjuncts (typed
 //    ValueHash/ValueEq keys — no string formatting per tuple), residual
-//    predicate evaluated per candidate pair;
-//  * sort-merge: log-linear sort on the same keys — the algorithm the
-//    paper's Fig. 11 discussion attributes the ongoing plan's extra
-//    logarithmic component to.
+//    predicate evaluated per candidate pair.
 //
 // The algorithms themselves are implemented as batched physical
 // operators (query/physical.h); the relation-in/relation-out functions
-// below are thin wrappers that scan the inputs and drain the operator.
+// below are thin wrappers that compile a Join(Scan, Scan) plan with the
+// algorithm forced and drain it.
 #pragma once
 
 #include "expr/expr.h"
@@ -30,7 +28,7 @@ struct EquiKey {
 };
 
 /// Splits a conjunctive join predicate into equality conjuncts on fixed
-/// attributes (hash/merge keys) and the residual predicate (nullptr when
+/// attributes (hash keys) and the residual predicate (nullptr when
 /// everything was a key). Column names may be qualified with the join
 /// prefixes ("L.K") or unqualified when unambiguous. Conjuncts that do
 /// not fit the key pattern stay in the residual.
@@ -76,17 +74,11 @@ size_t JoinKeyHash(const Tuple& tuple, const std::vector<size_t>& indices);
 /// spreads over all of its buckets.
 size_t JoinKeyPartition(size_t hash, size_t num_partitions);
 
-/// Key equality via ValueEq (ValueCompare == 0), not operator==, so hash
-/// and sort-merge group keys identically (ValueEq treats NaN doubles as
-/// equal to themselves; IEEE == does not). The two operands may come
-/// from different sides with different index lists.
+/// Key equality via ValueEq (ValueCompare == 0), not operator== (ValueEq
+/// treats NaN doubles as equal to themselves; IEEE == does not). The two
+/// operands may come from different sides with different index lists.
 bool JoinKeysEqual(const Tuple& a, const std::vector<size_t>& a_indices,
                    const Tuple& b, const std::vector<size_t>& b_indices);
-
-/// Typed multi-column key comparator (sort-merge): lexicographic
-/// ValueCompare over the key columns. Returns <0, 0, >0.
-int CompareJoinKeys(const Tuple& a, const std::vector<size_t>& a_indices,
-                    const Tuple& b, const std::vector<size_t>& b_indices);
 
 /// Nested-loop theta join (ongoing semantics).
 Result<OngoingRelation> NestedLoopJoin(const OngoingRelation& left,
@@ -102,13 +94,5 @@ Result<OngoingRelation> HashJoin(const OngoingRelation& left,
                                  const ExprPtr& predicate,
                                  const std::string& left_prefix,
                                  const std::string& right_prefix);
-
-/// Sort-merge join on extracted fixed equality conjuncts; falls back to
-/// nested-loop when no key exists.
-Result<OngoingRelation> SortMergeJoin(const OngoingRelation& left,
-                                      const OngoingRelation& right,
-                                      const ExprPtr& predicate,
-                                      const std::string& left_prefix,
-                                      const std::string& right_prefix);
 
 }  // namespace ongoingdb

@@ -410,7 +410,8 @@ Result<JoinAlgorithm> ResolveAutoJoinAlgorithm(const JoinNode& node,
                                                const Schema& left_schema,
                                                const Schema& right_schema) {
   // Defined via the same PrepareEquiJoin the physical lowering
-  // (MakeJoinOp) keys off, so the two cannot drift apart.
+  // (Lower in query/physical.cc) keys off, so the two cannot drift
+  // apart.
   ONGOINGDB_ASSIGN_OR_RETURN(
       EquiJoinPlan plan,
       PrepareEquiJoin(left_schema, right_schema, node.predicate(),

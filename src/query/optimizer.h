@@ -52,8 +52,8 @@ struct IndexScanInfo {
 };
 
 /// Matches `filter` against the eligibility rules above; nullopt when
-/// the plan cannot use the interval index. Shared by the serial and
-/// parallel lowerings (query/physical.cc), so they cannot disagree.
+/// the plan cannot use the interval index. The lowering
+/// (query/physical.cc) uses it for serial and parallel plans alike.
 std::optional<IndexScanInfo> MatchIndexScan(const FilterNode& filter);
 
 /// A recognized index-eligible temporal join conjunct: the join
@@ -74,8 +74,8 @@ struct IndexJoinInfo {
 
 /// Matches `node` against the index-join eligibility rules above, given
 /// the join inputs' (mode-specific) schemas; nullopt when no conjunct
-/// qualifies. Shared by the kAuto cost gate, the serial lowering, and
-/// the parallel lowering, so they cannot disagree.
+/// qualifies. Shared by the kAuto cost gate and the lowering, so they
+/// cannot disagree.
 std::optional<IndexJoinInfo> MatchIndexJoin(const JoinNode& node,
                                             const Schema& left_schema,
                                             const Schema& right_schema);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -46,7 +45,7 @@ inline Status CheckLifecycle(QueryContext* ctx, Failpoint& fp) {
 }
 
 // Emits one base-relation tuple into `out` under `mode` — the shared
-// per-tuple body of the serial and morsel scans. In kAtReferenceTime
+// per-tuple body of the scans and index scans. In kAtReferenceTime
 // mode this is the bind operator ||R||rt: tuples whose RT does not
 // contain rt are dropped (returns false), the rest are instantiated
 // with trivial reference time.
@@ -328,9 +327,64 @@ class JoinHashTable {
 // Scan
 // ---------------------------------------------------------------------------
 
+// The positions [0, n) of an input one scan instance streams. In a
+// parallel plan all instances of one logical scan share an atomic morsel
+// cursor, and each claims the next unclaimed [begin, begin + morsel)
+// range, so fast pipelines naturally take more morsels than slow ones
+// (no static striping). A null cursor (a serial plan) makes the whole
+// input one window. The shared cursor is repositioned by
+// ExchangeState::Reset() once per drain round; Reset() here restarts
+// only the local window.
+class MorselWindow {
+ public:
+  MorselWindow(ExchangeState::MorselCursor* cursor, size_t morsel_size)
+      : cursor_(cursor), morsel_size_(morsel_size) {}
+
+  bool serial() const { return cursor_ == nullptr; }
+
+  void Reset() {
+    pos_ = end_ = 0;
+    claimed_ = false;
+  }
+
+  // The next position of [0, n) to stream; false once none is left.
+  bool Next(size_t n, size_t* pos) {
+    if (pos_ >= end_ && !Claim(n)) return false;
+    *pos = pos_++;
+    return true;
+  }
+
+ private:
+  bool Claim(size_t n) {
+    if (cursor_ == nullptr) {
+      if (claimed_) return false;
+      claimed_ = true;
+      pos_ = 0;
+      end_ = n;
+      return n > 0;
+    }
+    const size_t begin =
+        cursor_->next.fetch_add(morsel_size_, std::memory_order_relaxed);
+    if (begin >= n) return false;
+    pos_ = begin;
+    end_ = std::min(begin + morsel_size_, n);
+    return true;
+  }
+
+  ExchangeState::MorselCursor* cursor_;
+  size_t morsel_size_;
+  size_t pos_ = 0, end_ = 0;
+  bool claimed_ = false;
+};
+
+// Streams a base relation through its morsel window: whole in a serial
+// plan, this pipeline's share in a parallel one (the exchange scan).
+// Only the serial ongoing-mode scan exposes BorrowedRelation(); an
+// exchange instance streams just its share of the relation.
 class ScanOp final : public PhysicalOperator {
  public:
   ScanOp(const OngoingRelation* relation, ExecMode mode, TimePoint rt,
+         ExchangeState::MorselCursor* cursor, size_t morsel_size,
          QueryContext* ctx)
       : PhysicalOperator(mode == ExecMode::kOngoing
                              ? relation->schema()
@@ -338,11 +392,12 @@ class ScanOp final : public PhysicalOperator {
         relation_(relation),
         mode_(mode),
         rt_(rt),
+        window_(cursor, morsel_size),
         ctx_(ctx) {}
 
   Status Open() override {
     ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_open));
-    pos_ = 0;
+    window_.Reset();
     return Status::OK();
   }
 
@@ -350,14 +405,16 @@ class ScanOp final : public PhysicalOperator {
     ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_next));
     out->Clear();
     const std::vector<Tuple>& tuples = relation_->tuples();
-    while (pos_ < tuples.size() && !out->full()) {
-      EmitBaseTuple(tuples[pos_++], mode_, rt_, all_, out);
+    size_t i = 0;
+    while (!out->full() && window_.Next(tuples.size(), &i)) {
+      EmitBaseTuple(tuples[i], mode_, rt_, all_, out);
     }
     return Status::OK();
   }
 
   const OngoingRelation* BorrowedRelation() const override {
-    return mode_ == ExecMode::kOngoing ? relation_ : nullptr;
+    return mode_ == ExecMode::kOngoing && window_.serial() ? relation_
+                                                           : nullptr;
   }
 
   void RebindContext(QueryContext* ctx) override { ctx_ = ctx; }
@@ -366,9 +423,9 @@ class ScanOp final : public PhysicalOperator {
   const OngoingRelation* relation_;
   ExecMode mode_;
   TimePoint rt_;
+  MorselWindow window_;
   QueryContext* ctx_;
   const IntervalSet all_ = IntervalSet::All();
-  size_t pos_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -503,24 +560,41 @@ class FilterOp final : public PhysicalOperator {
 // Index scan (docs/DESIGN.md, "Index access path")
 // ---------------------------------------------------------------------------
 
-// The index and candidate list behind one lowered temporal selection,
-// shared by every IndexScanOp instance of that selection (one per
-// partition pipeline in a parallel plan; a MaterializedView's cached
-// operator tree keeps it alive across Refresh() calls). Ensure() is the
-// build-or-reuse decision: the indexed column is fingerprinted on every
-// Open(), and the index + candidate list are rebuilt only when the
-// fingerprint no longer matches the one recorded at Build time — so
-// repeated drains of an unmodified relation pay an O(n) bound sweep
-// instead of the O(n log n) sort, and base-data modifications
-// (TemporalInsert/Delete/Update, plain inserts) are picked up on the
-// next Open(). Concurrent Ensure() calls from parallel pipeline Open()s
-// serialize on the mutex; after the first (re)build the state is only
-// read.
-struct IndexScanState {
-  IndexScanInfo info;  // immutable after construction; read lock-free
+// The IntervalIndex behind one lowered index access — an index scan's
+// selection or an index-nested-loop join's inner side — shared by every
+// operator instance of that plan node (one per partition pipeline in a
+// parallel plan; a MaterializedView's cached operator tree keeps it
+// alive across Refresh() calls). Ensure() is the build-or-reuse
+// decision: the indexed column is fingerprinted on every Open(), and
+// the index is rebuilt only when the fingerprint no longer matches the
+// one recorded at Build time — so repeated drains of an unmodified
+// relation pay an O(n) bound sweep instead of the O(n log n) sort, and
+// base-data modifications (TemporalInsert/Delete/Update, plain inserts)
+// are picked up on the next Open(). An index scan's fixed probe is
+// answered once per (re)build into the candidate list; an index join
+// probes per outer tuple. Concurrent Ensure() calls from parallel
+// pipeline Open()s serialize on the mutex; after the first (re)build
+// the state is only read.
+struct IndexState {
+  IndexState(const OngoingRelation* relation, std::string column,
+             size_t column_index, IntervalProbeOp op,
+             std::optional<IntervalBounds> probe)
+      : relation(relation),
+        column(std::move(column)),
+        column_index(column_index),
+        op(op),
+        probe(probe) {}
+
+  // Immutable after construction; read lock-free.
+  const OngoingRelation* relation;  // the indexed base relation
+  std::string column;               // indexed attribute name
+  size_t column_index;              // resolved ordinal on `relation`
+  IntervalProbeOp op;               // probe op, indexed side's view
+  std::optional<IntervalBounds> probe;  // an index scan's fixed probe
+
   Mutex mu;
   std::optional<IntervalIndex> index GUARDED_BY(mu);
-  std::vector<size_t> candidates GUARDED_BY(mu);
+  std::vector<size_t> candidates GUARDED_BY(mu);  // answer to `probe`
   uint64_t validated_generation GUARDED_BY(mu) = 0;
 
   // Post-Ensure read surface. The fields above are guarded for the
@@ -528,16 +602,19 @@ struct IndexScanState {
   // current drain round the state is immutable until the next
   // ExchangeState::Reset(), and every reader's accesses are ordered
   // after the build by the mu acquire inside its own Ensure() call.
-  // The accessor opts out of the analysis for exactly that protocol —
-  // callers must not touch it before Ensure() succeeded.
+  // The accessors opt out of the analysis for exactly that protocol —
+  // callers must not touch them before Ensure() succeeded.
+  const IntervalIndex& index_after_ensure() const NO_THREAD_SAFETY_ANALYSIS {
+    return *index;
+  }
   const std::vector<size_t>& candidates_after_ensure() const
       NO_THREAD_SAFETY_ANALYSIS {
     return candidates;
   }
 
-  // `generation` is the exchange's drain-round counter (0 when the scan
-  // is serial, i.e. outside any exchange): the base data cannot change
-  // mid-round, so only the round's first opener pays the O(n)
+  // `generation` is the exchange's drain-round counter (0 when the
+  // operator is serial, i.e. outside any exchange): the base data cannot
+  // change mid-round, so only the round's first opener pays the O(n)
   // fingerprint sweep — the W-1 other pipeline Open()s return here
   // without touching the relation.
   Status Ensure(uint64_t generation) {
@@ -546,17 +623,15 @@ struct IndexScanState {
       return Status::OK();
     }
     ONGOINGDB_ASSIGN_OR_RETURN(
-        uint64_t fp,
-        IntervalIndex::ColumnFingerprint(*info.relation, info.column_index));
+        uint64_t fp, IntervalIndex::ColumnFingerprint(*relation, column_index));
     if (!index.has_value() || index->fingerprint() != fp) {
       // The seam fires only when an actual (re)build runs — a warm,
       // fingerprint-current index passes an armed site untouched, which
       // is what lets the view tests prove a rebind did NOT rebuild.
       ONGOINGDB_FAILPOINT(fp_index_build);
-      ONGOINGDB_ASSIGN_OR_RETURN(
-          IntervalIndex built,
-          IntervalIndex::Build(*info.relation, info.column));
-      built.CandidatesInto(info.op, info.probe, &candidates);
+      ONGOINGDB_ASSIGN_OR_RETURN(IntervalIndex built,
+                                 IntervalIndex::Build(*relation, column));
+      if (probe.has_value()) built.CandidatesInto(op, *probe, &candidates);
       index = std::move(built);
     }
     validated_generation = generation;
@@ -570,25 +645,24 @@ struct IndexScanState {
 // predicate as a residual on each, so the result equals the FilterOp
 // lowering in both execution modes (in kAtReferenceTime mode the
 // candidate set still covers every tuple matching at the one probed rt).
-// In a parallel plan all partition instances pull morsel ranges of the
-// shared candidate list from an atomic cursor, exactly like MorselScanOp
-// does over base relations; serially the whole list is one morsel.
+// The candidate list is streamed through a morsel window exactly like
+// ScanOp streams a relation: whole serially, split across the partition
+// pipelines in a parallel plan.
 class IndexScanOp final : public PhysicalOperator {
  public:
-  IndexScanOp(std::shared_ptr<IndexScanState> state, ExprPtr predicate,
+  IndexScanOp(std::shared_ptr<IndexState> state, ExprPtr predicate,
               ExecMode mode, TimePoint rt,
               std::shared_ptr<ExchangeState> exchange,
               ExchangeState::MorselCursor* cursor, size_t morsel_size,
               QueryContext* ctx)
       : PhysicalOperator(mode == ExecMode::kOngoing
-                             ? state->info.relation->schema()
-                             : state->info.relation->schema().Instantiated()),
+                             ? state->relation->schema()
+                             : state->relation->schema().Instantiated()),
         state_(std::move(state)),
         mode_(mode),
         rt_(rt),
         exchange_(std::move(exchange)),
-        cursor_(cursor),
-        morsel_size_(morsel_size),
+        window_(cursor, morsel_size),
         evaluator_(std::move(predicate), schema(), mode, rt),
         ctx_(ctx) {}
 
@@ -598,10 +672,7 @@ class IndexScanOp final : public PhysicalOperator {
     ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_open));
     ONGOINGDB_RETURN_NOT_OK(
         state_->Ensure(exchange_ != nullptr ? exchange_->generation() : 0));
-    // The shared cursor (if any) is repositioned by
-    // ExchangeState::Reset(); only the local window resets here.
-    pos_ = end_ = 0;
-    serial_done_ = false;
+    window_.Reset();
     return Status::OK();
   }
 
@@ -612,27 +683,13 @@ class IndexScanOp final : public PhysicalOperator {
     // empties entirely is refilled (never an empty batch mid-stream),
     // with the lifecycle check inside the loop like FilterOp's.
     const std::vector<size_t>& candidates = state_->candidates_after_ensure();
-    const std::vector<Tuple>& tuples = state_->info.relation->tuples();
+    const std::vector<Tuple>& tuples = state_->relation->tuples();
     while (true) {
       ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_next));
       out->Clear();
-      while (!out->full()) {
-        if (pos_ >= end_) {
-          if (cursor_ != nullptr) {
-            const size_t begin = cursor_->next.fetch_add(
-                morsel_size_, std::memory_order_relaxed);
-            if (begin >= candidates.size()) break;
-            pos_ = begin;
-            end_ = std::min(begin + morsel_size_, candidates.size());
-          } else {
-            if (serial_done_) break;
-            serial_done_ = true;
-            pos_ = 0;
-            end_ = candidates.size();
-            if (end_ == 0) break;
-          }
-        }
-        EmitBaseTuple(tuples[candidates[pos_++]], mode_, rt_, all_, out);
+      size_t i = 0;
+      while (!out->full() && window_.Next(candidates.size(), &i)) {
+        EmitBaseTuple(tuples[candidates[i]], mode_, rt_, all_, out);
       }
       if (out->empty()) return Status::OK();  // candidates exhausted
       ONGOINGDB_RETURN_NOT_OK(evaluator_.FilterBatch(out));
@@ -643,35 +700,15 @@ class IndexScanOp final : public PhysicalOperator {
   void RebindContext(QueryContext* ctx) override { ctx_ = ctx; }
 
  private:
-  std::shared_ptr<IndexScanState> state_;
+  std::shared_ptr<IndexState> state_;
   ExecMode mode_;
   TimePoint rt_;
   std::shared_ptr<ExchangeState> exchange_;
-  ExchangeState::MorselCursor* cursor_;
-  size_t morsel_size_;
+  MorselWindow window_;
   PredicateEvaluator evaluator_;
   QueryContext* ctx_;
   const IntervalSet all_ = IntervalSet::All();
-  size_t pos_ = 0, end_ = 0;
-  bool serial_done_ = false;
 };
-
-// The filter lowering decision shared by the serial and parallel
-// compilers: the matched index selection when the node's access path
-// allows one, nullopt for the FilterOp path. Forcing AccessPath::kIndex
-// on an ineligible plan is a compile error, not a silent fallback.
-Result<std::optional<IndexScanInfo>> ResolveFilterAccessPath(
-    const FilterNode& node) {
-  std::optional<IndexScanInfo> info;
-  if (node.access_path() != AccessPath::kFullScan) info = MatchIndexScan(node);
-  if (node.access_path() == AccessPath::kIndex && !info.has_value()) {
-    return Status::InvalidArgument(
-        "AccessPath::kIndex requires Filter(Scan) with an "
-        "overlaps/before/meets conjunct on an interval attribute against a "
-        "fixed probe interval, or a CONTAINS against a fixed time point");
-  }
-  return info;
-}
 
 // ---------------------------------------------------------------------------
 // Project
@@ -880,49 +917,6 @@ class NestedLoopJoinOp final : public PhysicalOperator {
   size_t inner_pos_ = 0;
 };
 
-// The inner-side index behind one lowered index-nested-loop join,
-// shared by every IndexJoinOp instance of that join (one per partition
-// pipeline in a parallel plan — the inner index is shared immutably,
-// unlike the nested-loop lowering's per-partition inner copies; a
-// MaterializedView's cached operator tree keeps it alive across
-// Refresh() calls). Ensure() is the same build-or-reuse decision as
-// IndexScanState's: fingerprint the indexed column per drain round,
-// rebuild only on change.
-struct IndexJoinState {
-  IndexJoinInfo info;  // immutable after construction; read lock-free
-  Mutex mu;
-  std::optional<IntervalIndex> index GUARDED_BY(mu);
-  uint64_t validated_generation GUARDED_BY(mu) = 0;
-
-  // Same post-publication protocol as IndexScanState: immutable after
-  // this pipeline's Ensure() succeeded for the current drain round,
-  // reads ordered by that call's own mu acquire. Must not be touched
-  // before Ensure() succeeded.
-  const IntervalIndex& index_after_ensure() const NO_THREAD_SAFETY_ANALYSIS {
-    return *index;
-  }
-
-  Status Ensure(uint64_t generation) {
-    MutexLock lock(mu);
-    if (generation != 0 && generation == validated_generation) {
-      return Status::OK();
-    }
-    ONGOINGDB_ASSIGN_OR_RETURN(
-        uint64_t fp, IntervalIndex::ColumnFingerprint(
-                         *info.inner, info.inner_column_index));
-    if (!index.has_value() || index->fingerprint() != fp) {
-      // Fires only on an actual (re)build; see IndexScanState::Ensure.
-      ONGOINGDB_FAILPOINT(fp_index_build);
-      ONGOINGDB_ASSIGN_OR_RETURN(
-          IntervalIndex built,
-          IntervalIndex::Build(*info.inner, info.inner_column));
-      index = std::move(built);
-    }
-    validated_generation = generation;
-    return Status::OK();
-  }
-};
-
 // Index-nested-loop join: streams the outer (left) input and, per outer
 // tuple, probes the shared IntervalIndex on the inner base relation
 // with the tuple's conservative interval bounds instead of scanning the
@@ -934,15 +928,18 @@ struct IndexJoinState {
 // the zero-allocation CandidatesInto reuse API: steady state performs
 // no per-probe heap allocation. In a parallel plan the outer side is
 // morsel-split (the compiled outer is an exchange scan subtree) while
-// all partition instances share one immutable inner index.
+// all partition instances share one immutable inner index — unlike the
+// nested-loop lowering's per-partition inner copies.
 class IndexJoinOp final : public PhysicalOperator {
  public:
-  IndexJoinOp(PhysicalOpPtr outer, std::shared_ptr<IndexJoinState> state,
-              Schema joined, ExprPtr predicate, ExecMode mode, TimePoint rt,
+  IndexJoinOp(PhysicalOpPtr outer, std::shared_ptr<IndexState> state,
+              size_t outer_column_index, Schema joined, ExprPtr predicate,
+              ExecMode mode, TimePoint rt,
               std::shared_ptr<ExchangeState> exchange, QueryContext* ctx)
       : PhysicalOperator(std::move(joined)),
         outer_(std::move(outer)),
         state_(std::move(state)),
+        outer_column_index_(outer_column_index),
         mode_(mode),
         rt_(rt),
         exchange_(std::move(exchange)),
@@ -969,15 +966,13 @@ class IndexJoinOp final : public PhysicalOperator {
   Status NextBatch(TupleBatch* out) {
     ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_next));
     out->Clear();
-    const std::vector<Tuple>& inner = state_->info.inner->tuples();
+    const std::vector<Tuple>& inner = state_->relation->tuples();
     while (true) {
       ONGOINGDB_ASSIGN_OR_RETURN(const Tuple* lt, outer_stream_.Current());
       if (lt == nullptr) return Status::OK();
       if (!cands_valid_) {
         state_->index_after_ensure().CandidatesInto(
-            state_->info.op,
-            IntervalBoundsOfValue(
-                lt->value(state_->info.outer_column_index)),
+            state_->op, IntervalBoundsOfValue(lt->value(outer_column_index_)),
             &cands_);
         cand_pos_ = 0;
         cands_valid_ = true;
@@ -1015,7 +1010,8 @@ class IndexJoinOp final : public PhysicalOperator {
 
  private:
   PhysicalOpPtr outer_;
-  std::shared_ptr<IndexJoinState> state_;
+  std::shared_ptr<IndexState> state_;
+  size_t outer_column_index_;
   ExecMode mode_;
   TimePoint rt_;
   std::shared_ptr<ExchangeState> exchange_;
@@ -1031,249 +1027,30 @@ class IndexJoinOp final : public PhysicalOperator {
   Tuple inner_scratch_;
 };
 
-// The join lowering decision shared by the serial and parallel
-// compilers: the concrete algorithm a node compiles to under `mode`.
-// kAuto resolves cost-based via ResolveAutoJoinAlgorithm (histograms +
-// MatchIndexJoin); a forced algorithm passes through unchanged.
-Result<JoinAlgorithm> ResolveJoinAlgorithm(const JoinNode& node,
-                                           ExecMode mode) {
-  if (node.algorithm() != JoinAlgorithm::kAuto) return node.algorithm();
-  ONGOINGDB_ASSIGN_OR_RETURN(Schema left_schema, OutputSchema(node.left()));
-  ONGOINGDB_ASSIGN_OR_RETURN(Schema right_schema, OutputSchema(node.right()));
-  if (mode == ExecMode::kAtReferenceTime) {
-    left_schema = left_schema.Instantiated();
-    right_schema = right_schema.Instantiated();
-  }
-  return ResolveAutoJoinAlgorithm(node, left_schema, right_schema);
-}
-
-// The matched index-join conjunct for a node that lowers to kIndexNL.
-// Forcing kIndexNL on an ineligible join is a compile error, not a
-// silent fallback — mirroring AccessPath::kIndex.
-Result<IndexJoinInfo> ResolveIndexJoin(const JoinNode& node, ExecMode mode) {
-  ONGOINGDB_ASSIGN_OR_RETURN(Schema left_schema, OutputSchema(node.left()));
-  ONGOINGDB_ASSIGN_OR_RETURN(Schema right_schema, OutputSchema(node.right()));
-  if (mode == ExecMode::kAtReferenceTime) {
-    left_schema = left_schema.Instantiated();
-    right_schema = right_schema.Instantiated();
-  }
-  std::optional<IndexJoinInfo> match =
-      MatchIndexJoin(node, left_schema, right_schema);
-  if (!match.has_value()) {
-    return Status::InvalidArgument(
-        "JoinAlgorithm::kIndexNL requires an overlaps/before/meets conjunct "
-        "between interval columns of the two inputs, with the inner (right) "
-        "input a base-relation scan");
-  }
-  return *match;
-}
-
-// Sort-merge join: both inputs materialized and index-sorted by typed
-// key at Open (the log-linear component); equal-key group cross products
-// stream out with suspension at batch boundaries.
-class SortMergeJoinOp final : public PhysicalOperator {
- public:
-  SortMergeJoinOp(PhysicalOpPtr left, PhysicalOpPtr right, EquiJoinPlan plan,
-                  ExecMode mode, TimePoint rt, QueryContext* ctx)
-      : PhysicalOperator(plan.joined),
-        left_(std::move(left)),
-        right_(std::move(right)),
-        left_indices_(std::move(plan.left_indices)),
-        right_indices_(std::move(plan.right_indices)),
-        emitter_(schema(), std::move(plan.residual), mode, rt),
-        ctx_(ctx) {}
-
-  Status Open() override {
-    ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_open));
-    charge_.Init(ctx_);
-    ONGOINGDB_RETURN_NOT_OK(
-        MaterializeInput(*left_, &owned_left_, &lbuild_, ctx_, &charge_));
-    ONGOINGDB_RETURN_NOT_OK(
-        MaterializeInput(*right_, &owned_right_, &rbuild_, ctx_, &charge_));
-    ls_.resize(lbuild_->size());
-    rs_.resize(rbuild_->size());
-    std::iota(ls_.begin(), ls_.end(), size_t{0});
-    std::iota(rs_.begin(), rs_.end(), size_t{0});
-    std::sort(ls_.begin(), ls_.end(), [this](size_t a, size_t b) {
-      return CompareJoinKeys((*lbuild_)[a], left_indices_, (*lbuild_)[b],
-                             left_indices_) < 0;
-    });
-    std::sort(rs_.begin(), rs_.end(), [this](size_t a, size_t b) {
-      return CompareJoinKeys((*rbuild_)[a], right_indices_, (*rbuild_)[b],
-                             right_indices_) < 0;
-    });
-    li_ = ri_ = 0;
-    in_group_ = false;
-    return Status::OK();
-  }
-
-  Status Next(TupleBatch* out) override {
-    return JoinNextWithDeferredResidual(
-        [this](TupleBatch* b) { return NextBatch(b); }, emitter_, out);
-  }
-
-  Status NextBatch(TupleBatch* out) {
-    ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_next));
-    out->Clear();
-    while (true) {
-      // Emit the cross product of the current equal-key groups.
-      while (in_group_) {
-        if (j_ >= rg_) {
-          ++i_;
-          j_ = ri_;
-          if (i_ >= lg_) {
-            in_group_ = false;
-            li_ = lg_;
-            ri_ = rg_;
-            break;
-          }
-        }
-        const Tuple& lt = (*lbuild_)[ls_[i_]];
-        const Tuple& st = (*rbuild_)[rs_[j_]];
-        ++j_;
-        ONGOINGDB_RETURN_NOT_OK(emitter_.Emit(lt, st, out));
-        if (out->full()) return Status::OK();
-      }
-      // Advance the merge to the next equal-key group.
-      if (li_ >= ls_.size() || ri_ >= rs_.size()) return Status::OK();
-      int cmp = CompareJoinKeys((*lbuild_)[ls_[li_]], left_indices_,
-                                (*rbuild_)[rs_[ri_]], right_indices_);
-      if (cmp < 0) {
-        ++li_;
-      } else if (cmp > 0) {
-        ++ri_;
-      } else {
-        lg_ = li_ + 1;
-        while (lg_ < ls_.size() &&
-               CompareJoinKeys((*lbuild_)[ls_[lg_]], left_indices_,
-                               (*lbuild_)[ls_[li_]], left_indices_) == 0) {
-          ++lg_;
-        }
-        rg_ = ri_ + 1;
-        while (rg_ < rs_.size() &&
-               CompareJoinKeys((*rbuild_)[rs_[rg_]], right_indices_,
-                               (*rbuild_)[rs_[ri_]], right_indices_) == 0) {
-          ++rg_;
-        }
-        i_ = li_;
-        j_ = ri_;
-        in_group_ = true;
-      }
-    }
-  }
-
-  void Close() override {
-    owned_left_.clear();
-    owned_right_.clear();
-    ls_.clear();
-    rs_.clear();
-    charge_.Release();
-  }
-
-  void RebindContext(QueryContext* ctx) override {
-    ctx_ = ctx;
-    left_->RebindContext(ctx);
-    right_->RebindContext(ctx);
-  }
-
- private:
-  PhysicalOpPtr left_, right_;
-  std::vector<size_t> left_indices_, right_indices_;
-  BatchJoinEmitter emitter_;
-  QueryContext* ctx_;
-  MemoryCharge charge_;
-  std::vector<Tuple> owned_left_, owned_right_;
-  const std::vector<Tuple>* lbuild_ = nullptr;
-  const std::vector<Tuple>* rbuild_ = nullptr;
-  std::vector<size_t> ls_, rs_;
-  // Merge cursor and current group [li_, lg_) x [ri_, rg_); (i_, j_) is
-  // the next pair to emit inside the group.
-  size_t li_ = 0, ri_ = 0, lg_ = 0, rg_ = 0, i_ = 0, j_ = 0;
-  bool in_group_ = false;
-};
-
 // ---------------------------------------------------------------------------
 // Parallel operators (morsel-driven execution, docs/DESIGN.md "Parallel
 // execution"). A parallel plan is K self-contained partition pipelines
 // whose streams are disjoint and together equal the serial result:
 //
-//  * ExchangeScan splits base relations into morsels all pipelines pull
-//    from a shared atomic cursor (data-level load balancing);
+//  * Scan and IndexScan instances share a morsel cursor per plan node,
+//    so all pipelines pull morsels of one input (data-level load
+//    balancing) — the exchange scan;
 //  * Repartition routes a join input's tuples to the partition their
 //    key hash selects, so key-driven joins build and probe
 //    per-partition tables;
 //  * Gather drains the pipelines concurrently on the global
 //    TaskScheduler and funnels their batches to the single consumer.
 //
-// Pipelines share no mutable state besides the morsel cursors; every
+// Pipelines share no mutable state besides the morsel cursors and the
+// index states (built under their mutex, read-only afterwards); every
 // pipeline fills batches from its own arena (the exchange's batch
 // pool), and Value's refcounted string payloads make the cross-thread
 // tuple copies safe (relation/value.h).
 // ---------------------------------------------------------------------------
 
-// ExchangeScan: the morsel-driven parallel scan. All instances of one
-// logical scan node share an atomic morsel cursor; each Next() claims
-// the next unclaimed [begin, begin + morsel) range, so fast pipelines
-// naturally take more morsels than slow ones (no static striping).
-// Deliberately does NOT expose BorrowedRelation(): the instance streams
-// only its share of the relation.
-class MorselScanOp final : public PhysicalOperator {
- public:
-  MorselScanOp(const OngoingRelation* relation, ExecMode mode, TimePoint rt,
-               ExchangeState::MorselCursor* cursor, size_t morsel_size,
-               QueryContext* ctx)
-      : PhysicalOperator(mode == ExecMode::kOngoing
-                             ? relation->schema()
-                             : relation->schema().Instantiated()),
-        relation_(relation),
-        mode_(mode),
-        rt_(rt),
-        cursor_(cursor),
-        morsel_size_(morsel_size),
-        ctx_(ctx) {}
-
-  Status Open() override {
-    ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_open));
-    // The shared cursor is repositioned by ExchangeState::Reset() (one
-    // reset per drain round, not one per pipeline); only the local
-    // morsel window resets here.
-    pos_ = end_ = 0;
-    return Status::OK();
-  }
-
-  Status Next(TupleBatch* out) override {
-    ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_next));
-    out->Clear();
-    const std::vector<Tuple>& tuples = relation_->tuples();
-    while (!out->full()) {
-      if (pos_ >= end_) {
-        const size_t begin =
-            cursor_->next.fetch_add(morsel_size_, std::memory_order_relaxed);
-        if (begin >= tuples.size()) break;
-        pos_ = begin;
-        end_ = std::min(begin + morsel_size_, tuples.size());
-      }
-      EmitBaseTuple(tuples[pos_++], mode_, rt_, all_, out);
-    }
-    return Status::OK();
-  }
-
-  void RebindContext(QueryContext* ctx) override { ctx_ = ctx; }
-
- private:
-  const OngoingRelation* relation_;
-  ExecMode mode_;
-  TimePoint rt_;
-  ExchangeState::MorselCursor* cursor_;
-  size_t morsel_size_;
-  QueryContext* ctx_;
-  const IntervalSet all_ = IntervalSet::All();
-  size_t pos_ = 0, end_ = 0;
-};
-
 // Repartition: filters its input down to the tuples whose typed
-// join-key hash routes to this partition (JoinKeyPartition). The
-// parallel lowering compiles one serial copy of the join input per
+// join-key hash routes to this partition (JoinKeyPartition). A
+// parallel plan lowers one serial copy of the join input per
 // partition and wraps it in a Repartition, so the per-partition
 // build/probe pipelines are disjoint (a key routes to exactly one
 // partition) and complete (matching tuples share a key, hence a hash,
@@ -1560,278 +1337,125 @@ class GatherOp final : public PhysicalOperator {
   size_t current_pos_ = 0;
 };
 
-// Per-compilation state of the parallel lowering: the exchange state
-// plus the morsel cursor assigned to each logical scan node (shared by
-// that scan's instances across all partition pipelines).
-struct PartitionCompileState {
-  std::shared_ptr<ExchangeState> exchange;
+// ---------------------------------------------------------------------------
+// Lowering
+// ---------------------------------------------------------------------------
+
+// Per-compilation state of a lowering. A serial lowering has no
+// exchange. A parallel one (CompilePartitions) lowers the plan once per
+// partition pipeline against one state, so that the instances of a scan
+// node in all pipelines share its morsel cursor and those of an index
+// access share its IndexState.
+struct LowerState {
   QueryContext* ctx = nullptr;
+  std::shared_ptr<ExchangeState> exchange;  // null: a serial lowering
+  size_t morsel_size = 0;
+  size_t num_partitions = 1;
   std::unordered_map<const PlanNode*, ExchangeState::MorselCursor*> cursors;
-  std::unordered_map<const PlanNode*, std::shared_ptr<IndexScanState>>
-      index_states;
-  std::unordered_map<const PlanNode*, std::shared_ptr<IndexJoinState>>
-      index_join_states;
+  std::unordered_map<const PlanNode*, std::shared_ptr<IndexState>> indexes;
   // Memoized kAuto resolutions: the cost gate samples histograms and
   // key pairs, which is deterministic but not free — one resolution per
   // join node per compilation, not one per partition pipeline.
   std::unordered_map<const PlanNode*, JoinAlgorithm> join_algorithms;
-  size_t morsel_size = 1;
-  size_t num_partitions = 1;
 
+  // The node's shared morsel cursor; null (the whole input is one
+  // window) in a serial lowering.
   ExchangeState::MorselCursor* CursorFor(const PlanNode* node) {
+    if (exchange == nullptr) return nullptr;
     auto [it, inserted] = cursors.try_emplace(node, nullptr);
     if (inserted) it->second = exchange->NewCursor();
     return it->second;
   }
 
-  // One IndexScanState per lowered filter node, shared by that
-  // selection's instances across all partition pipelines (the index is
-  // built once; the pipelines split the candidate list via the shared
-  // morsel cursor).
-  std::shared_ptr<IndexScanState> IndexStateFor(const PlanNode* node,
-                                                const IndexScanInfo& info) {
-    auto [it, inserted] = index_states.try_emplace(node, nullptr);
-    if (inserted) {
-      it->second = std::make_shared<IndexScanState>();
-      it->second->info = info;
+  // The node's IndexState: built once and shared by all partition
+  // pipelines of a parallel plan, private to its operator in a serial
+  // one (where it revalidates on every Open()).
+  std::shared_ptr<IndexState> IndexFor(const PlanNode* node,
+                                       const OngoingRelation* relation,
+                                       const std::string& column,
+                                       size_t column_index, IntervalProbeOp op,
+                                       std::optional<IntervalBounds> probe) {
+    std::shared_ptr<IndexState>& index = indexes[node];
+    if (index == nullptr || exchange == nullptr) {
+      index = std::make_shared<IndexState>(relation, column, column_index, op,
+                                           probe);
     }
-    return it->second;
+    return index;
   }
 
-  // One IndexJoinState per lowered index-NL join node: the inner index
-  // is built once and shared immutably across all partition pipelines
-  // (the outer side is what the morsel cursors split).
-  std::shared_ptr<IndexJoinState> IndexJoinStateFor(
-      const PlanNode* node, const IndexJoinInfo& info) {
-    auto [it, inserted] = index_join_states.try_emplace(node, nullptr);
-    if (inserted) {
-      it->second = std::make_shared<IndexJoinState>();
-      it->second->info = info;
+  // The concrete algorithm `node` lowers to. kAuto resolves cost-based
+  // via ResolveAutoJoinAlgorithm (histograms + MatchIndexJoin); a forced
+  // algorithm passes through unchanged.
+  Result<JoinAlgorithm> AlgorithmFor(const JoinNode& node, const Schema& left,
+                                     const Schema& right) {
+    if (node.algorithm() != JoinAlgorithm::kAuto) return node.algorithm();
+    if (auto it = join_algorithms.find(&node); it != join_algorithms.end()) {
+      return it->second;
     }
-    return it->second;
+    ONGOINGDB_ASSIGN_OR_RETURN(JoinAlgorithm algorithm,
+                               ResolveAutoJoinAlgorithm(node, left, right));
+    join_algorithms.emplace(&node, algorithm);
+    return algorithm;
   }
 };
 
-// Lowers `plan` into the pipeline of one partition. Scans become morsel
-// scans; filters and projections stay per-pipeline; joins either
-// repartition both inputs by key hash (key-driven algorithms) or
-// morsel-partition the outer side and replicate the inner
-// (nested-loop). The partition streams are disjoint and complete by
-// construction — see the class comments above.
-Result<PhysicalOpPtr> CompileForPartition(const PlanPtr& plan, ExecMode mode,
-                                          TimePoint rt, size_t partition,
-                                          PartitionCompileState* state) {
+// Lowers `plan` into the operator tree of partition pipeline `partition`
+// — the one lowering of every plan node. A serial tree is the
+// one-partition case without an exchange: scans stream the whole
+// relation and stay borrowable, index states are private, and key joins
+// are not repartitioned. In a parallel plan scans and index scans pull
+// morsels of their input from cursors shared across the pipelines, and
+// index-NL joins share one inner index. A join input every pipeline
+// evaluates in full — both inputs of a key join, which RepartitionOp
+// then filters down to the partition's keys, and a nested-loop inner —
+// is lowered as a serial tree of its own per pipeline. The partition
+// streams are disjoint and complete by construction (see the operator
+// comments above).
+Result<PhysicalOpPtr> Lower(const PlanPtr& plan, ExecMode mode, TimePoint rt,
+                            size_t partition, LowerState* state) {
+  QueryContext* ctx = state->ctx;
   switch (plan->kind()) {
     case PlanKind::kScan: {
       const auto* node = static_cast<const ScanNode*>(plan.get());
-      return PhysicalOpPtr(std::make_unique<MorselScanOp>(
-          &node->relation(), mode, rt, state->CursorFor(plan.get()),
-          state->morsel_size, state->ctx));
+      return PhysicalOpPtr(std::make_unique<ScanOp>(
+          &node->relation(), mode, rt, state->CursorFor(node),
+          state->morsel_size, ctx));
     }
     case PlanKind::kFilter: {
       const auto* node = static_cast<const FilterNode*>(plan.get());
-      ONGOINGDB_ASSIGN_OR_RETURN(std::optional<IndexScanInfo> index_info,
-                                 ResolveFilterAccessPath(*node));
-      if (index_info.has_value()) {
-        // Candidate-list morsels: every partition instance pulls ranges
-        // of the shared candidate list from one atomic cursor, so the
-        // load balancing matches the exchange scans'.
+      // The access path: an eligible temporal selection lowers to an
+      // index scan unless the node forces the full scan. Forcing
+      // AccessPath::kIndex on an ineligible plan is a compile error, not
+      // a silent fallback.
+      std::optional<IndexScanInfo> info;
+      if (node->access_path() != AccessPath::kFullScan) {
+        info = MatchIndexScan(*node);
+      }
+      if (info.has_value()) {
         return PhysicalOpPtr(std::make_unique<IndexScanOp>(
-            state->IndexStateFor(plan.get(), *index_info), node->predicate(),
-            mode, rt, state->exchange, state->CursorFor(plan.get()),
-            state->morsel_size, state->ctx));
+            state->IndexFor(node, info->relation, info->column,
+                            info->column_index, info->op, info->probe),
+            node->predicate(), mode, rt, state->exchange,
+            state->CursorFor(node), state->morsel_size, ctx));
+      }
+      if (node->access_path() == AccessPath::kIndex) {
+        return Status::InvalidArgument(
+            "AccessPath::kIndex requires Filter(Scan) with an "
+            "overlaps/before/meets conjunct on an interval attribute against "
+            "a fixed probe interval, or a CONTAINS against a fixed time "
+            "point");
       }
       ONGOINGDB_ASSIGN_OR_RETURN(
           PhysicalOpPtr child,
-          CompileForPartition(node->child(), mode, rt, partition, state));
-      return PhysicalOpPtr(std::make_unique<FilterOp>(
-          std::move(child), node->predicate(), mode, rt, state->ctx));
-    }
-    case PlanKind::kProject: {
-      const auto* node = static_cast<const ProjectNode*>(plan.get());
-      ONGOINGDB_ASSIGN_OR_RETURN(
-          PhysicalOpPtr child,
-          CompileForPartition(node->child(), mode, rt, partition, state));
-      std::vector<size_t> indices;
-      indices.reserve(node->names().size());
-      for (const std::string& name : node->names()) {
-        ONGOINGDB_ASSIGN_OR_RETURN(size_t idx, child->schema().IndexOf(name));
-        indices.push_back(idx);
-      }
-      return PhysicalOpPtr(std::make_unique<ProjectOp>(
-          std::move(child), std::move(indices), state->ctx));
-    }
-    case PlanKind::kJoin: {
-      const auto* node = static_cast<const JoinNode*>(plan.get());
-      // Key extraction runs on the mode-specific *physical* schemas —
-      // in Clifford mode every attribute instantiates, so equality on
-      // formerly ongoing attributes becomes a usable key, exactly as in
-      // the serial lowering (MakeJoinOp keys off the compiled
-      // operators' schemas; physical schema == logical output schema,
-      // instantiated in kAtReferenceTime mode).
-      ONGOINGDB_ASSIGN_OR_RETURN(Schema left_schema,
-                                 OutputSchema(node->left()));
-      ONGOINGDB_ASSIGN_OR_RETURN(Schema right_schema,
-                                 OutputSchema(node->right()));
-      if (mode == ExecMode::kAtReferenceTime) {
-        left_schema = left_schema.Instantiated();
-        right_schema = right_schema.Instantiated();
-      }
-      JoinAlgorithm algorithm;
-      if (auto it = state->join_algorithms.find(plan.get());
-          it != state->join_algorithms.end()) {
-        algorithm = it->second;
-      } else {
-        ONGOINGDB_ASSIGN_OR_RETURN(algorithm,
-                                   ResolveJoinAlgorithm(*node, mode));
-        state->join_algorithms.emplace(plan.get(), algorithm);
-      }
-      if (algorithm == JoinAlgorithm::kIndexNL) {
-        // Index-NL: morsel-split the streaming outer side (like the
-        // nested-loop lowering) but share ONE immutable inner index
-        // across all partition pipelines — no per-partition inner copy.
-        // The eligibility match is memoized with the shared state.
-        auto it = state->index_join_states.find(plan.get());
-        if (it == state->index_join_states.end()) {
-          ONGOINGDB_ASSIGN_OR_RETURN(IndexJoinInfo info,
-                                     ResolveIndexJoin(*node, mode));
-          state->IndexJoinStateFor(plan.get(), info);
-          it = state->index_join_states.find(plan.get());
-        }
-        std::shared_ptr<IndexJoinState> join_state = it->second;
-        ONGOINGDB_ASSIGN_OR_RETURN(
-            PhysicalOpPtr outer,
-            CompileForPartition(node->left(), mode, rt, partition, state));
-        Schema inner_schema = mode == ExecMode::kOngoing
-                                  ? join_state->info.inner->schema()
-                                  : join_state->info.inner->schema()
-                                        .Instantiated();
-        Schema joined = outer->schema().Concat(
-            inner_schema, node->left_prefix(), node->right_prefix());
-        return PhysicalOpPtr(std::make_unique<IndexJoinOp>(
-            std::move(outer), std::move(join_state), std::move(joined),
-            node->predicate(), mode, rt, state->exchange, state->ctx));
-      }
-      ONGOINGDB_ASSIGN_OR_RETURN(
-          EquiJoinPlan join_plan,
-          PrepareEquiJoin(left_schema, right_schema, node->predicate(),
-                          node->left_prefix(), node->right_prefix()));
-      ONGOINGDB_ASSIGN_OR_RETURN(PhysicalOpPtr right,
-                                 Compile(node->right(), mode, rt, state->ctx));
-      if (!join_plan.has_keys || algorithm == JoinAlgorithm::kNestedLoop) {
-        // Nested-loop: morsel-partition the streaming outer side and
-        // replicate the materialized inner side (borrowed outright when
-        // it is a base relation; otherwise each partition materializes
-        // its own copy — K-fold memory, which the serial fallback keeps
-        // off small inputs).
-        ONGOINGDB_ASSIGN_OR_RETURN(
-            PhysicalOpPtr outer,
-            CompileForPartition(node->left(), mode, rt, partition, state));
-        return PhysicalOpPtr(std::make_unique<NestedLoopJoinOp>(
-            std::move(outer), std::move(right), std::move(join_plan.joined),
-            node->predicate(), mode, rt, state->ctx));
-      }
-      // Key-driven joins: hash-partition both inputs, build and probe
-      // per-partition tables.
-      ONGOINGDB_ASSIGN_OR_RETURN(PhysicalOpPtr left,
-                                 Compile(node->left(), mode, rt, state->ctx));
-      std::vector<size_t> left_indices = join_plan.left_indices;
-      std::vector<size_t> right_indices = join_plan.right_indices;
-      PhysicalOpPtr part_left = std::make_unique<RepartitionOp>(
-          std::move(left), std::move(left_indices), partition,
-          state->num_partitions, state->ctx);
-      PhysicalOpPtr part_right = std::make_unique<RepartitionOp>(
-          std::move(right), std::move(right_indices), partition,
-          state->num_partitions, state->ctx);
-      if (algorithm == JoinAlgorithm::kSortMerge) {
-        return PhysicalOpPtr(std::make_unique<SortMergeJoinOp>(
-            std::move(part_left), std::move(part_right), std::move(join_plan),
-            mode, rt, state->ctx));
-      }
-      return PhysicalOpPtr(std::make_unique<HashJoinOp>(
-          std::move(part_left), std::move(part_right), std::move(join_plan),
-          mode, rt, state->ctx));
-    }
-  }
-  return Status::Internal("unknown plan kind");
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Factories, lowering, drain
-// ---------------------------------------------------------------------------
-
-PhysicalOpPtr MakeScanOp(const OngoingRelation* relation, ExecMode mode,
-                         TimePoint rt, QueryContext* ctx) {
-  return std::make_unique<ScanOp>(relation, mode, rt, ctx);
-}
-
-Result<PhysicalOpPtr> MakeJoinOp(JoinAlgorithm algorithm, PhysicalOpPtr left,
-                                 PhysicalOpPtr right, ExprPtr predicate,
-                                 const std::string& left_prefix,
-                                 const std::string& right_prefix,
-                                 ExecMode mode, TimePoint rt,
-                                 QueryContext* ctx) {
-  // Key extraction runs on the operators' output schemas. In Clifford
-  // mode these are instantiated, so equality conjuncts on formerly
-  // ongoing attributes become usable keys there — matching the paper's
-  // observation that PostgreSQL hash-joins Clifford's instantiated
-  // relations (Fig. 11).
-  ONGOINGDB_ASSIGN_OR_RETURN(
-      EquiJoinPlan plan,
-      PrepareEquiJoin(left->schema(), right->schema(), predicate, left_prefix,
-                      right_prefix));
-  if (algorithm == JoinAlgorithm::kIndexNL) {
-    return Status::InvalidArgument(
-        "JoinAlgorithm::kIndexNL lowers at plan level only (the inner side "
-        "must be a base-relation scan the IntervalIndex can be built on); "
-        "compile the JoinNode via Compile() instead of MakeJoinOp");
-  }
-  // plan.has_keys is ResolveAutoJoinAlgorithm's keyless rule — both
-  // derive from PrepareEquiJoin, so the plan rewriter and this lowering
-  // agree.
-  if (!plan.has_keys || algorithm == JoinAlgorithm::kNestedLoop) {
-    return PhysicalOpPtr(std::make_unique<NestedLoopJoinOp>(
-        std::move(left), std::move(right), std::move(plan.joined),
-        std::move(predicate), mode, rt, ctx));
-  }
-  if (algorithm == JoinAlgorithm::kSortMerge) {
-    return PhysicalOpPtr(std::make_unique<SortMergeJoinOp>(
-        std::move(left), std::move(right), std::move(plan), mode, rt, ctx));
-  }
-  // kHash, and the kAuto resolution when keys exist.
-  return PhysicalOpPtr(std::make_unique<HashJoinOp>(
-      std::move(left), std::move(right), std::move(plan), mode, rt, ctx));
-}
-
-Result<PhysicalOpPtr> Compile(const PlanPtr& plan, ExecMode mode,
-                              TimePoint rt, QueryContext* ctx) {
-  switch (plan->kind()) {
-    case PlanKind::kScan:
-      return MakeScanOp(&static_cast<const ScanNode*>(plan.get())->relation(),
-                        mode, rt, ctx);
-    case PlanKind::kFilter: {
-      const auto* node = static_cast<const FilterNode*>(plan.get());
-      ONGOINGDB_ASSIGN_OR_RETURN(std::optional<IndexScanInfo> index_info,
-                                 ResolveFilterAccessPath(*node));
-      if (index_info.has_value()) {
-        auto state = std::make_shared<IndexScanState>();
-        state->info = *index_info;
-        return PhysicalOpPtr(std::make_unique<IndexScanOp>(
-            std::move(state), node->predicate(), mode, rt,
-            /*exchange=*/nullptr, /*cursor=*/nullptr, /*morsel_size=*/0,
-            ctx));
-      }
-      ONGOINGDB_ASSIGN_OR_RETURN(PhysicalOpPtr child,
-                                 Compile(node->child(), mode, rt, ctx));
+          Lower(node->child(), mode, rt, partition, state));
       return PhysicalOpPtr(std::make_unique<FilterOp>(
           std::move(child), node->predicate(), mode, rt, ctx));
     }
     case PlanKind::kProject: {
       const auto* node = static_cast<const ProjectNode*>(plan.get());
-      ONGOINGDB_ASSIGN_OR_RETURN(PhysicalOpPtr child,
-                                 Compile(node->child(), mode, rt, ctx));
+      ONGOINGDB_ASSIGN_OR_RETURN(
+          PhysicalOpPtr child,
+          Lower(node->child(), mode, rt, partition, state));
       std::vector<size_t> indices;
       indices.reserve(node->names().size());
       for (const std::string& name : node->names()) {
@@ -1843,34 +1467,97 @@ Result<PhysicalOpPtr> Compile(const PlanPtr& plan, ExecMode mode,
     }
     case PlanKind::kJoin: {
       const auto* node = static_cast<const JoinNode*>(plan.get());
-      ONGOINGDB_ASSIGN_OR_RETURN(JoinAlgorithm algorithm,
-                                 ResolveJoinAlgorithm(*node, mode));
+      // Algorithm choice and key extraction run on the inputs'
+      // mode-specific output schemas, which equal the physical schemas
+      // of their lowerings. In Clifford mode every attribute
+      // instantiates, so equality on formerly ongoing attributes becomes
+      // a usable key — matching the paper's observation that PostgreSQL
+      // hash-joins Clifford's instantiated relations (Fig. 11).
+      ONGOINGDB_ASSIGN_OR_RETURN(Schema left_schema,
+                                 OutputSchema(node->left()));
+      ONGOINGDB_ASSIGN_OR_RETURN(Schema right_schema,
+                                 OutputSchema(node->right()));
+      if (mode == ExecMode::kAtReferenceTime) {
+        left_schema = left_schema.Instantiated();
+        right_schema = right_schema.Instantiated();
+      }
+      ONGOINGDB_ASSIGN_OR_RETURN(
+          JoinAlgorithm algorithm,
+          state->AlgorithmFor(*node, left_schema, right_schema));
       if (algorithm == JoinAlgorithm::kIndexNL) {
-        ONGOINGDB_ASSIGN_OR_RETURN(IndexJoinInfo info,
-                                   ResolveIndexJoin(*node, mode));
-        auto state = std::make_shared<IndexJoinState>();
-        state->info = info;
-        ONGOINGDB_ASSIGN_OR_RETURN(PhysicalOpPtr outer,
-                                   Compile(node->left(), mode, rt, ctx));
-        Schema inner_schema = mode == ExecMode::kOngoing
-                                  ? info.inner->schema()
-                                  : info.inner->schema().Instantiated();
-        Schema joined = outer->schema().Concat(
-            inner_schema, node->left_prefix(), node->right_prefix());
+        // Forcing kIndexNL on an ineligible join is a compile error, not
+        // a silent fallback — mirroring AccessPath::kIndex.
+        std::optional<IndexJoinInfo> info =
+            MatchIndexJoin(*node, left_schema, right_schema);
+        if (!info.has_value()) {
+          return Status::InvalidArgument(
+              "JoinAlgorithm::kIndexNL requires an overlaps/before/meets "
+              "conjunct between interval columns of the two inputs, with the "
+              "inner (right) input a base-relation scan");
+        }
+        ONGOINGDB_ASSIGN_OR_RETURN(
+            PhysicalOpPtr outer,
+            Lower(node->left(), mode, rt, partition, state));
+        Schema joined = left_schema.Concat(right_schema, node->left_prefix(),
+                                           node->right_prefix());
         return PhysicalOpPtr(std::make_unique<IndexJoinOp>(
-            std::move(outer), std::move(state), std::move(joined),
-            node->predicate(), mode, rt, /*exchange=*/nullptr, ctx));
+            std::move(outer),
+            state->IndexFor(node, info->inner, info->inner_column,
+                            info->inner_column_index, info->op, std::nullopt),
+            info->outer_column_index, std::move(joined), node->predicate(),
+            mode, rt, state->exchange, ctx));
+      }
+      ONGOINGDB_ASSIGN_OR_RETURN(
+          EquiJoinPlan join_plan,
+          PrepareEquiJoin(left_schema, right_schema, node->predicate(),
+                          node->left_prefix(), node->right_prefix()));
+      // Every pipeline evaluates a nested-loop inner and both hash-join
+      // inputs in full, so each is a serial tree of its own.
+      ONGOINGDB_ASSIGN_OR_RETURN(PhysicalOpPtr right,
+                                 Compile(node->right(), mode, rt, ctx));
+      // join_plan.has_keys is ResolveAutoJoinAlgorithm's keyless rule —
+      // both derive from PrepareEquiJoin, so kAuto and this lowering
+      // agree.
+      if (!join_plan.has_keys || algorithm == JoinAlgorithm::kNestedLoop) {
+        // Nested-loop: the streaming outer side is this partition's
+        // share, the materialized inner is replicated (borrowed outright
+        // when it is a base relation; otherwise each partition
+        // materializes its own copy — K-fold memory, which the serial
+        // fallback keeps off small inputs).
+        ONGOINGDB_ASSIGN_OR_RETURN(
+            PhysicalOpPtr outer,
+            Lower(node->left(), mode, rt, partition, state));
+        return PhysicalOpPtr(std::make_unique<NestedLoopJoinOp>(
+            std::move(outer), std::move(right), std::move(join_plan.joined),
+            node->predicate(), mode, rt, ctx));
       }
       ONGOINGDB_ASSIGN_OR_RETURN(PhysicalOpPtr left,
                                  Compile(node->left(), mode, rt, ctx));
-      ONGOINGDB_ASSIGN_OR_RETURN(PhysicalOpPtr right,
-                                 Compile(node->right(), mode, rt, ctx));
-      return MakeJoinOp(algorithm, std::move(left), std::move(right),
-                        node->predicate(), node->left_prefix(),
-                        node->right_prefix(), mode, rt, ctx);
+      if (state->exchange != nullptr) {
+        // Hash join in a parallel plan: hash-partition both inputs, build
+        // and probe per-partition tables.
+        left = std::make_unique<RepartitionOp>(
+            std::move(left), join_plan.left_indices, partition,
+            state->num_partitions, ctx);
+        right = std::make_unique<RepartitionOp>(
+            std::move(right), join_plan.right_indices, partition,
+            state->num_partitions, ctx);
+      }
+      return PhysicalOpPtr(std::make_unique<HashJoinOp>(
+          std::move(left), std::move(right), std::move(join_plan), mode, rt,
+          ctx));
     }
   }
   return Status::Internal("unknown plan kind");
+}
+
+}  // namespace
+
+Result<PhysicalOpPtr> Compile(const PlanPtr& plan, ExecMode mode,
+                              TimePoint rt, QueryContext* ctx) {
+  LowerState serial;
+  serial.ctx = ctx;
+  return Lower(plan, mode, rt, /*partition=*/0, &serial);
 }
 
 Result<PartitionedPlan> CompilePartitions(const PlanPtr& plan, ExecMode mode,
@@ -1879,15 +1566,15 @@ Result<PartitionedPlan> CompilePartitions(const PlanPtr& plan, ExecMode mode,
                                           QueryContext* ctx) {
   PartitionedPlan result;
   result.exchange = std::make_shared<ExchangeState>();
-  PartitionCompileState state;
-  state.exchange = result.exchange;
+  LowerState state;
   state.ctx = ctx;
+  state.exchange = result.exchange;
   state.morsel_size = std::max<size_t>(morsel_size, 1);
   state.num_partitions = std::max<size_t>(workers, 1);
   result.pipelines.reserve(state.num_partitions);
   for (size_t p = 0; p < state.num_partitions; ++p) {
     ONGOINGDB_ASSIGN_OR_RETURN(PhysicalOpPtr pipeline,
-                               CompileForPartition(plan, mode, rt, p, &state));
+                               Lower(plan, mode, rt, p, &state));
     result.pipelines.push_back(std::move(pipeline));
   }
   return result;

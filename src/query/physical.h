@@ -230,23 +230,6 @@ Result<PhysicalOpPtr> Compile(const PlanPtr& plan, ExecMode mode, TimePoint rt,
                               const ParallelOptions& options,
                               QueryContext* ctx = nullptr);
 
-/// A scan over an existing relation (outside any plan). In kOngoing mode
-/// the scan borrows the relation; in kAtReferenceTime mode it streams
-/// the instantiated tuples ||r||rt. The relation must outlive the
-/// operator.
-PhysicalOpPtr MakeScanOp(const OngoingRelation* relation, ExecMode mode,
-                         TimePoint rt = 0, QueryContext* ctx = nullptr);
-
-/// A join operator over two physical inputs. kAuto resolves as in
-/// Compile(); the key-driven algorithms fall back to nested-loop when
-/// the predicate yields no fixed equality conjuncts.
-Result<PhysicalOpPtr> MakeJoinOp(JoinAlgorithm algorithm, PhysicalOpPtr left,
-                                 PhysicalOpPtr right, ExprPtr predicate,
-                                 const std::string& left_prefix,
-                                 const std::string& right_prefix,
-                                 ExecMode mode, TimePoint rt = 0,
-                                 QueryContext* ctx = nullptr);
-
 /// Open/drain/Close the operator tree into a materialized relation —
 /// the compatibility bridge for the relation-in/relation-out API
 /// (Execute, the relation-level joins). Scans short-circuit to a plain

@@ -39,7 +39,6 @@ std::string JoinNode::ToString(int indent) const {
     case JoinAlgorithm::kAuto: algo = "auto"; break;
     case JoinAlgorithm::kNestedLoop: algo = "nested-loop"; break;
     case JoinAlgorithm::kHash: algo = "hash"; break;
-    case JoinAlgorithm::kSortMerge: algo = "sort-merge"; break;
     case JoinAlgorithm::kIndexNL: algo = "index-nl"; break;
   }
   return Indent(indent) + "Join[" + algo + "] " + predicate_->ToString() +

@@ -22,7 +22,6 @@ enum class JoinAlgorithm {
                 ///< ResolveAutoJoinAlgorithm in query/optimizer.h)
   kNestedLoop,  ///< generic theta join
   kHash,        ///< linear-time build/probe on fixed equality conjuncts
-  kSortMerge,   ///< log-linear sort on fixed equality conjuncts
   kIndexNL,     ///< index-nested-loop: probe an IntervalIndex on the
                 ///< inner (right) base relation with each outer tuple's
                 ///< interval bounds; Compile fails if no eligible

@@ -18,6 +18,16 @@ namespace {
 // any compilation or execution.
 Failpoint& fp_snapshot_pin = Failpoint::GetOrCreate("session.snapshot_pin");
 
+// The largest accepted `SET memory_limit_mb`: the budget is kept in
+// bytes (value << 20), and a larger value would shift past 64 bits —
+// 2^44 MB wraps to 0, which means unlimited.
+constexpr int64_t kMaxMemoryLimitMb = (int64_t{1} << 44) - 1;
+
+// The largest accepted `SET timeout_ms`, about 139 years: the deadline
+// is steady_clock::now() + timeout in signed 64-bit nanoseconds, which
+// this leaves room for in any plausible uptime.
+constexpr int64_t kMaxTimeoutMs = int64_t{1} << 42;
+
 std::string Upper(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return std::toupper(c); });
@@ -75,14 +85,24 @@ std::optional<Result<ExecResult>> Session::TrySet(
   }
   if (value < 0) return fail("SET " + ts[1].text + " expects a value >= 0");
 
+  // A rejected value leaves the knob as it was.
+  auto out_of_range = [&](int64_t max) {
+    return fail("SET " + ts[1].text + " expects a value in [0, " +
+                std::to_string(max) + "]");
+  };
+
   const std::string knob = Upper(ts[1].text);
   if (knob == "WORKERS") {
     options_.workers = static_cast<size_t>(std::max<int64_t>(1, value));
   } else if (knob == "MEMORY_LIMIT_MB") {
+    if (value > kMaxMemoryLimitMb) return out_of_range(kMaxMemoryLimitMb);
     options_.memory_limit_bytes = static_cast<uint64_t>(value) << 20;
   } else if (knob == "TIMEOUT_MS") {
+    if (value > kMaxTimeoutMs) return out_of_range(kMaxTimeoutMs);
     options_.timeout_ms = value;
   } else if (knob == "BATCH_SIZE") {
+    constexpr auto kMax = static_cast<int64_t>(kMaxSessionBatchSize);
+    if (value > kMax) return out_of_range(kMax);
     options_.batch_size = static_cast<size_t>(value);
   } else {
     return fail("unknown session knob '" + ts[1].text +

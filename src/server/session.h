@@ -40,6 +40,11 @@
 namespace ongoingdb {
 namespace server {
 
+/// The largest accepted `SET batch_size`. Batches build their slots
+/// eagerly and a parallel gather holds two per pipeline, so an unbounded
+/// capacity turns one SQL line into an allocation failure.
+inline constexpr size_t kMaxSessionBatchSize = size_t{1} << 16;
+
 /// Per-session execution knobs, adjustable via SET.
 struct SessionOptions {
   /// Parallel partition pipelines per statement (SET workers = N).

@@ -56,8 +56,7 @@ TEST_P(BatchedExecutorEquivalenceTest, MatchesReferenceInBothModes) {
   const std::multiset<std::string> expected = Fingerprint(*reference);
 
   for (JoinAlgorithm algorithm :
-       {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash,
-        JoinAlgorithm::kSortMerge}) {
+       {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash}) {
     PlanPtr forced = WithAlgorithm(plan, algorithm);
     auto batched = Execute(forced);
     ASSERT_TRUE(batched.ok()) << batched.status();
@@ -71,8 +70,7 @@ TEST_P(BatchedExecutorEquivalenceTest, MatchesReferenceInBothModes) {
     ASSERT_TRUE(reference_at.ok()) << reference_at.status();
     const std::multiset<std::string> expected_at = Fingerprint(*reference_at);
     for (JoinAlgorithm algorithm :
-         {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash,
-          JoinAlgorithm::kSortMerge}) {
+         {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash}) {
       PlanPtr forced = WithAlgorithm(plan, algorithm);
       auto batched = ExecuteAtReferenceTime(forced, rt);
       ASSERT_TRUE(batched.ok()) << batched.status();
@@ -118,8 +116,7 @@ TEST(BatchBoundaryTest, JoinEmissionAcrossBatchBoundaries) {
   const size_t expected = reference->size();
   ASSERT_GT(expected, TupleBatch::kDefaultCapacity / 16);
   for (JoinAlgorithm algorithm :
-       {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash,
-        JoinAlgorithm::kSortMerge}) {
+       {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash}) {
     for (size_t capacity : {size_t{1}, size_t{3}, size_t{64}}) {
       auto op = Compile(WithAlgorithm(plan, algorithm), ExecMode::kOngoing);
       ASSERT_TRUE(op.ok());
@@ -177,8 +174,7 @@ TEST_P(ParallelExecutorEquivalenceTest, MatchesSerialInBothModes) {
     // empty partitions and suspension all get exercised.
     ParallelOptions options = ForcedParallel(workers, 7);
     for (JoinAlgorithm algorithm :
-         {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash,
-          JoinAlgorithm::kSortMerge}) {
+         {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash}) {
       PlanPtr forced = WithAlgorithm(plan, algorithm);
       auto parallel = Execute(forced, options);
       ASSERT_TRUE(parallel.ok()) << parallel.status();

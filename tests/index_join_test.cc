@@ -109,17 +109,6 @@ TEST(IndexJoinLoweringTest, ForcedIndexNLOnIneligibleJoinsIsACompileError) {
   EXPECT_FALSE(Compile(vs_literal, ExecMode::kOngoing).ok());
 }
 
-TEST(IndexJoinLoweringTest, MakeJoinOpRejectsIndexNL) {
-  OngoingRelation a = MakeMixedRelation(5, "A_", 8);
-  OngoingRelation b = MakeMixedRelation(6, "B_", 8);
-  auto op = MakeJoinOp(JoinAlgorithm::kIndexNL,
-                       MakeScanOp(&a, ExecMode::kOngoing),
-                       MakeScanOp(&b, ExecMode::kOngoing),
-                       OverlapsExpr(Col("A_VT"), Col("B_VT")), "L", "R",
-                       ExecMode::kOngoing);
-  EXPECT_FALSE(op.ok());
-}
-
 class IndexJoinEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 // Index-NL == hash == scan-NL == reference: randomized over ops,

@@ -300,8 +300,7 @@ TEST_P(KernelFuzzTest, JoinColumnColumnEquivalence) {
     for (bool kernel_on : {true, false}) {
       KernelToggle toggle(kernel_on);
       for (JoinAlgorithm algorithm :
-           {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash,
-            JoinAlgorithm::kSortMerge}) {
+           {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash}) {
         PlanPtr forced = plan_fuzz::WithAlgorithm(plan, algorithm);
         Result<OngoingRelation> got = Execute(forced);
         ASSERT_TRUE(got.ok());

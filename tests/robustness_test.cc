@@ -19,13 +19,13 @@ TEST(PlanRenderingTest, TreeStructureVisible) {
                             {"VT", ValueType::kOngoingInterval}}));
   PlanPtr plan = ProjectPlan(
       Filter(Join(Scan(&r, "R"), Scan(&r, "S"), Eq(Col("L.K"), Col("R.K")),
-                  "L", "R", JoinAlgorithm::kSortMerge),
+                  "L", "R", JoinAlgorithm::kHash),
              Lt(Col("L.K"), Lit(int64_t{5}))),
       {"L.K"});
   std::string rendered = plan->ToString();
   EXPECT_NE(rendered.find("Project [L.K]"), std::string::npos);
   EXPECT_NE(rendered.find("Filter (L.K < 5)"), std::string::npos);
-  EXPECT_NE(rendered.find("Join[sort-merge]"), std::string::npos);
+  EXPECT_NE(rendered.find("Join[hash]"), std::string::npos);
   EXPECT_NE(rendered.find("Scan(R, 0 tuples)"), std::string::npos);
 }
 
@@ -235,12 +235,6 @@ TEST_F(ReopenAfterErrorTest, NestedLoopJoin) {
              JoinAlgorithm::kNestedLoop));
 }
 
-TEST_F(ReopenAfterErrorTest, SortMergeJoin) {
-  OngoingRelation l = MakeRel(8, "L_", 15), r = MakeRel(9, "R_", 15);
-  Drill(Join(Scan(&l, "L"), Scan(&r, "R"), Eq(Col("L_K"), Col("R_K")), "L",
-             "R", JoinAlgorithm::kSortMerge));
-}
-
 TEST_F(ReopenAfterErrorTest, IndexNestedLoopJoin) {
   OngoingRelation l = MakeRel(10, "L_", 12), r = MakeRel(11, "R_", 12);
   Drill(Join(Scan(&l, "L"), Scan(&r, "R"),
@@ -249,7 +243,7 @@ TEST_F(ReopenAfterErrorTest, IndexNestedLoopJoin) {
 }
 
 TEST_F(ReopenAfterErrorTest, ParallelGatherAndRepartition) {
-  // The morsel-driven lowering: MorselScanOp leaves, RepartitionOp
+  // The morsel-driven lowering: exchange scan leaves, RepartitionOp
   // around the partitioned join, GatherOp at the root — with producer
   // tasks that must be joined on every faulty drain.
   OngoingRelation l = MakeRel(12, "L_", 20), r = MakeRel(13, "R_", 20);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "relation/modifications.h"
@@ -330,6 +331,62 @@ TEST(SessionTest, SetKnobsFlowIntoTheSession) {
   EXPECT_FALSE(session->Execute("SET bogus = 1;").ok());
   EXPECT_FALSE(session->Execute("SET workers = 'two';").ok());
   EXPECT_FALSE(session->Execute("SET workers = 1; extra").ok());
+
+  // Values that would break a knob's arithmetic are rejected with the
+  // accepted range, and the previous value stays: a 10^9-slot batch is
+  // built eagerly, 2^44 MB shifts to a 0 (unlimited) byte budget, and a
+  // timeout past ~9.2e12 ms overflows the nanosecond deadline.
+  ASSERT_TRUE(session->Execute("SET memory_limit_mb = 64;").ok());
+  ASSERT_TRUE(session->Execute("SET timeout_ms = 250").ok());
+  ASSERT_TRUE(session->Execute("SET batch_size = 256;").ok());
+  const std::string max_batch = std::to_string(kMaxSessionBatchSize);
+  const std::string batch_range = "[0, " + max_batch + "]";
+  const std::string timeout_range = "[0, 4398046511104]";
+  const std::pair<std::string, std::string> rejected_sets[] = {
+      {"SET batch_size = 1000000000;", batch_range},
+      {"SET batch_size = " + std::to_string(kMaxSessionBatchSize + 1),
+       batch_range},
+      {"SET memory_limit_mb = 17592186044416;", "[0, 17592186044415]"},
+      {"SET timeout_ms = 9300000000000;", timeout_range},
+      {"SET timeout_ms = 4398046511105;", timeout_range}};
+  for (const auto& [statement, range] : rejected_sets) {
+    SCOPED_TRACE(statement);
+    auto rejected = session->Execute(statement);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rejected.status().message().find(range), std::string::npos)
+        << rejected.status().message();
+  }
+  EXPECT_EQ(session->options().memory_limit_bytes, 64u << 20);
+  EXPECT_EQ(session->options().timeout_ms, 250);
+  EXPECT_EQ(session->options().batch_size, 256u);
+
+  // The largest accepted value of each knob still runs a SELECT.
+  ASSERT_TRUE(
+      session->Execute("CREATE TABLE Bugs (BID INT, C TEXT, VT PERIOD)")
+          .ok());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(session
+                    ->Execute("INSERT INTO Bugs VALUES (" +
+                              std::to_string(i) +
+                              ", 'spam', PERIOD ['01/01', NOW))")
+                    .ok());
+  }
+  for (const std::string& set : {"SET batch_size = " + max_batch,
+                                 std::string("SET memory_limit_mb = "
+                                             "17592186044415"),
+                                 std::string("SET timeout_ms = "
+                                             "4398046511104")}) {
+    SCOPED_TRACE(set);
+    ASSERT_TRUE(session->Execute(set).ok());
+    auto selected = session->Execute("SELECT * FROM Bugs WHERE BID < 3");
+    ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+    EXPECT_EQ(selected->result.affected, 3u);
+  }
+  EXPECT_EQ(session->options().batch_size, kMaxSessionBatchSize);
+  EXPECT_EQ(session->options().memory_limit_bytes,
+            uint64_t{17592186044415} << 20);
+  EXPECT_EQ(session->options().timeout_ms, int64_t{4398046511104});
 }
 
 TEST(SessionTest, MemoryBudgetAndTimeoutApplyPerStatement) {
