@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -141,6 +143,119 @@ TEST(ServerCatalogTest, TimeTravelWithinRingAndMaterializeBelowIt) {
     auto gone = catalog.MaterializeAsOf("Bugs", seq);
     ASSERT_FALSE(gone.ok()) << "seq " << seq;
     EXPECT_EQ(gone.status().code(), StatusCode::kOutOfRange);
+  }
+}
+
+TEST(ServerCatalogTest, RingAnswersEveryRetainedSequenceAsThePlainReplay) {
+  // The served-table contract: every sequence the ring retains resolves
+  // to the committed prefix replayed through the plain Torp functions,
+  // older sequences are OutOfRange, and a failing write consumes no
+  // sequence. One commit to a second table leaves a gap in Bugs' ring.
+  constexpr size_t kRingCap = 3;
+  Catalog catalog(kRingCap);
+
+  // Every successful Bugs commit, replayable on a plain relation.
+  struct Committed {
+    uint64_t seq;
+    std::function<void(OngoingRelation*)> apply;
+  };
+  std::vector<Committed> committed;
+  auto replay = [&committed](uint64_t seq) {
+    OngoingRelation plain(BugsSchema());
+    for (const Committed& c : committed) {
+      if (c.seq <= seq) c.apply(&plain);
+    }
+    return Fingerprint(plain);
+  };
+
+  auto created = catalog.CreateTable("Bugs", BugsSchema());
+  ASSERT_TRUE(created.ok()) << created.status();
+  committed.push_back({*created, [](OngoingRelation*) {}});
+  ASSERT_TRUE(
+      catalog.CreateTable("Flat", Schema({{"X", ValueType::kInt64}})).ok());
+
+  auto check = [&](const std::string& when) {
+    SCOPED_TRACE(when);
+    Snapshot snap = catalog.PinSnapshot();
+    const uint64_t top = snap.commit_seq();
+    const size_t kept = std::min(kRingCap, committed.size());
+    const uint64_t oldest = committed[committed.size() - kept].seq;
+    for (uint64_t seq = 0; seq <= top; ++seq) {
+      SCOPED_TRACE("seq " + std::to_string(seq));
+      auto at = snap.GetAsOf("Bugs", seq);
+      if (seq < oldest) {
+        ASSERT_FALSE(at.ok());
+        EXPECT_EQ(at.status().code(), StatusCode::kOutOfRange);
+      } else {
+        ASSERT_TRUE(at.ok()) << at.status();
+        EXPECT_EQ(Fingerprint(**at), replay(seq));
+      }
+      // Once the ring has evicted, the master fallback answers exactly
+      // what the ring answers.
+      if (committed.size() > kRingCap) {
+        auto mat = catalog.MaterializeAsOf("Bugs", seq);
+        ASSERT_EQ(mat.ok(), at.ok()) << mat.status();
+        if (mat.ok()) {
+          EXPECT_EQ(Fingerprint(**mat), Fingerprint(**at));
+        } else {
+          EXPECT_EQ(mat.status().code(), StatusCode::kOutOfRange);
+        }
+      }
+    }
+  };
+  check("after create");
+
+  const std::string components[] = {"spam", "ui", "perf"};
+  ModificationFilter is_ui = [](const Tuple& t) {
+    return t.value(1).AsString() == "ui";
+  };
+  auto triage = [](const Tuple& t) {
+    std::vector<Value> values = t.values();
+    values[1] = Value::String("triaged");
+    return values;
+  };
+  for (int i = 0; i < 14; ++i) {
+    const TimePoint tc = 100 + 10 * i;
+    Result<uint64_t> seq = Status::Internal("no commit");
+    std::function<void(OngoingRelation*)> apply;
+    if (i % 3 == 0 || i == 1) {
+      std::vector<Value> row =
+          BugRow(500 + i, components[(i / 3 + 1) % 3], 10 * i);
+      seq = catalog.Insert("Bugs", row);
+      apply = [row](OngoingRelation* r) { ASSERT_TRUE(r->Insert(row).ok()); };
+    } else if (i % 3 == 1) {
+      const int64_t bid = 500 + i - 4;
+      ModificationFilter is_bid = [bid](const Tuple& t) {
+        return t.value(0).AsInt64() == bid;
+      };
+      seq = catalog.TemporalDeleteWhere("Bugs", tc, is_bid);
+      apply = [tc, is_bid](OngoingRelation* r) {
+        ASSERT_TRUE(TemporalDelete(r, 2, tc, is_bid).ok());
+      };
+    } else {
+      seq = catalog.TemporalUpdateWhere("Bugs", tc, is_ui, triage);
+      apply = [tc, is_ui, triage](OngoingRelation* r) {
+        ASSERT_TRUE(TemporalUpdate(r, 2, tc, is_ui, triage).ok());
+      };
+    }
+    ASSERT_TRUE(seq.ok()) << "commit " << i << ": " << seq.status();
+    EXPECT_EQ(*seq, catalog.commit_seq());
+    committed.push_back({*seq, std::move(apply)});
+    check("after commit " + std::to_string(i));
+
+    if (i == 5) {
+      ASSERT_TRUE(catalog.Insert("Flat", {Value::Int64(7)}).ok());
+      check("after the Flat commit");
+    }
+    if (i == 8) {
+      // Failing writes: a DELETE on a table without a PERIOD column and
+      // a wrong-arity INSERT. Neither consumes a sequence.
+      const uint64_t before = catalog.commit_seq();
+      EXPECT_FALSE(catalog.TemporalDeleteWhere("Flat", tc, is_ui).ok());
+      EXPECT_FALSE(catalog.Insert("Bugs", {Value::Int64(1)}).ok());
+      EXPECT_EQ(catalog.commit_seq(), before);
+      check("after the failing writes");
+    }
   }
 }
 
