@@ -26,6 +26,14 @@ OngoingInterval CloseAt(const OngoingInterval& vt, TimePoint tc) {
 
 }  // namespace
 
+Result<size_t> VtIndexOf(const Schema& schema) {
+  for (size_t i = 0; i < schema.num_attributes(); ++i) {
+    if (schema.attribute(i).type == ValueType::kOngoingInterval) return i;
+  }
+  return Status::InvalidArgument(
+      "temporal modification requires a PERIOD (ongoing interval) column");
+}
+
 Status TemporalInsert(OngoingRelation* r, std::vector<Value> values,
                       size_t vt_index, TimePoint tc) {
   ONGOINGDB_RETURN_NOT_OK(CheckVtIndex(*r, vt_index));
@@ -78,17 +86,22 @@ Result<size_t> TemporalUpdate(
   ONGOINGDB_RETURN_NOT_OK(CheckVtIndex(*r, vt_index));
   // Same log carry-over as TemporalDelete: an update is a close of the
   // old version plus an insert of the new one, logged per matched tuple.
+  // The entries wait in `deltas` until every updater row has validated,
+  // so a bad row leaves the log as untouched as *r.
   std::shared_ptr<ModificationLog> log = r->SharedModificationLog();
+  std::vector<std::pair<Modification::Kind, Tuple>> deltas;
   OngoingRelation updated(r->schema());
-  updated.Reserve(r->size());
+  updated.Reserve(r->size() + 1);  // a one-row update adds one tuple
   size_t modified = 0;
   for (const Tuple& t : r->tuples()) {
     if (!filter(t)) {
       updated.AppendUnchecked(t);
       continue;
     }
+    std::vector<Value> new_values = updater(t);
+    ONGOINGDB_RETURN_NOT_OK(r->ValidateValues(new_values));
     ++modified;
-    if (log != nullptr) log->Append(Modification::Kind::kRemove, t);
+    if (log != nullptr) deltas.emplace_back(Modification::Kind::kRemove, t);
     // Close the old version at tc.
     OngoingInterval closed =
         CloseAt(t.value(vt_index).AsOngoingInterval(), tc);
@@ -97,106 +110,23 @@ Result<size_t> TemporalUpdate(
       old_values[vt_index] = Value::Ongoing(closed);
       Tuple closed_old(std::move(old_values), t.rt());
       if (log != nullptr) {
-        log->Append(Modification::Kind::kInsert, closed_old);
+        deltas.emplace_back(Modification::Kind::kInsert, closed_old);
       }
       updated.AppendUnchecked(std::move(closed_old));
     }
     // The new version is valid from tc on.
-    std::vector<Value> new_values = updater(t);
     new_values[vt_index] = Value::Ongoing(OngoingInterval(
         OngoingTimePoint::Fixed(tc), OngoingTimePoint::Now()));
     Tuple new_version(std::move(new_values), t.rt());
     if (log != nullptr) {
-      log->Append(Modification::Kind::kInsert, new_version);
+      deltas.emplace_back(Modification::Kind::kInsert, new_version);
     }
     updated.AppendUnchecked(std::move(new_version));
   }
+  for (auto& [kind, tuple] : deltas) log->Append(kind, std::move(tuple));
   *r = std::move(updated);
   r->AttachModificationLog(std::move(log));
   return modified;
-}
-
-namespace {
-
-Status CheckBitemporalVtIndex(const BitemporalRelation& r, size_t vt_index) {
-  if (vt_index >= r.schema().num_attributes()) {
-    return Status::OutOfRange("valid-time attribute index out of range");
-  }
-  if (r.schema().attribute(vt_index).type != ValueType::kOngoingInterval) {
-    return Status::TypeError(
-        "temporal modifications require an ongoing interval valid-time "
-        "attribute");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status StampedInsert(BitemporalRelation* r, std::vector<Value> values,
-                     TimePoint commit_seq) {
-  return r->Insert(std::move(values), commit_seq);
-}
-
-Result<size_t> StampedTemporalDelete(BitemporalRelation* r, size_t vt_index,
-                                     TimePoint tc,
-                                     const ModificationFilter& filter,
-                                     TimePoint commit_seq) {
-  ONGOINGDB_RETURN_NOT_OK(CheckBitemporalVtIndex(*r, vt_index));
-  // Match before mutating: appended versions must not be re-examined,
-  // and a filter failure must leave the store untouched.
-  std::vector<size_t> matches;
-  for (size_t i = 0; i < r->num_versions(); ++i) {
-    if (r->IsCurrent(i) && filter(r->version(i))) matches.push_back(i);
-  }
-  for (size_t i : matches) {
-    const Tuple& old = r->version(i);
-    OngoingInterval closed =
-        CloseAt(old.value(vt_index).AsOngoingInterval(), tc);
-    Tuple replacement;
-    if (!closed.IsAlwaysEmpty()) {
-      std::vector<Value> values = old.values();
-      values[vt_index] = Value::Ongoing(closed);
-      replacement = Tuple(std::move(values), old.rt());
-    }
-    ONGOINGDB_RETURN_NOT_OK(r->CloseVersion(i, commit_seq));
-    if (!closed.IsAlwaysEmpty()) {
-      r->AppendVersionUnchecked(std::move(replacement), commit_seq);
-    }
-  }
-  return matches.size();
-}
-
-Result<size_t> StampedTemporalUpdate(
-    BitemporalRelation* r, size_t vt_index, TimePoint tc,
-    const ModificationFilter& filter,
-    const std::function<std::vector<Value>(const Tuple&)>& updater,
-    TimePoint commit_seq) {
-  ONGOINGDB_RETURN_NOT_OK(CheckBitemporalVtIndex(*r, vt_index));
-  std::vector<size_t> matches;
-  for (size_t i = 0; i < r->num_versions(); ++i) {
-    if (r->IsCurrent(i) && filter(r->version(i))) matches.push_back(i);
-  }
-  for (size_t i : matches) {
-    const Tuple& old = r->version(i);
-    OngoingInterval closed =
-        CloseAt(old.value(vt_index).AsOngoingInterval(), tc);
-    std::vector<Value> new_values = updater(old);
-    new_values[vt_index] = Value::Ongoing(OngoingInterval(
-        OngoingTimePoint::Fixed(tc), OngoingTimePoint::Now()));
-    Tuple updated(std::move(new_values), old.rt());
-    Tuple closed_old;
-    if (!closed.IsAlwaysEmpty()) {
-      std::vector<Value> old_values = old.values();
-      old_values[vt_index] = Value::Ongoing(closed);
-      closed_old = Tuple(std::move(old_values), old.rt());
-    }
-    ONGOINGDB_RETURN_NOT_OK(r->CloseVersion(i, commit_seq));
-    if (!closed.IsAlwaysEmpty()) {
-      r->AppendVersionUnchecked(std::move(closed_old), commit_seq);
-    }
-    r->AppendVersionUnchecked(std::move(updated), commit_seq);
-  }
-  return matches.size();
 }
 
 }  // namespace ongoingdb

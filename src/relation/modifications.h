@@ -18,7 +18,6 @@
 
 #include <functional>
 
-#include "relation/bitemporal.h"
 #include "relation/relation.h"
 #include "util/result.h"
 
@@ -27,6 +26,10 @@ namespace ongoingdb {
 /// Matches tuples a modification applies to (evaluated on fixed
 /// attributes; return true to modify).
 using ModificationFilter = std::function<bool(const Tuple&)>;
+
+/// The valid-time attribute temporal DML applies to: the first PERIOD
+/// (ongoing interval) column of `schema`. InvalidArgument if none.
+Result<size_t> VtIndexOf(const Schema& schema);
 
 /// Inserts a tuple valid from the commit time on: the value at
 /// `vt_index` is set to [tc, now).
@@ -42,59 +45,13 @@ Result<size_t> TemporalDelete(OngoingRelation* r, size_t vt_index,
 
 /// Logically updates matching tuples at commit time tc: the old version
 /// is closed at tc (end := min(end, tc)) and a new version with values
-/// produced by `updater` becomes valid as [tc, now). Returns the number
-/// of updated tuples.
+/// produced by `updater` becomes valid as [tc, now). Each updater row is
+/// validated against the schema (arity, types) before it is written to;
+/// a bad row fails the update with neither *r nor its modification log
+/// changed. Returns the number of updated tuples.
 Result<size_t> TemporalUpdate(
     OngoingRelation* r, size_t vt_index, TimePoint tc,
     const ModificationFilter& filter,
     const std::function<std::vector<Value>(const Tuple&)>& updater);
-
-// ---------------------------------------------------------------------------
-// Commit-stamped modifications over a bitemporal store.
-//
-// The serving layer (src/server) runs every write through these: the
-// same Torp valid-time semantics as the plain functions above, applied
-// to a BitemporalRelation whose transaction-time axis is the server's
-// commit sequence. Instead of rewriting tuples in place, a modification
-// supersedes the affected versions at `commit_seq` (their TT ends) and
-// appends the rewritten versions with TT = [commit_seq, until-changed).
-// Two invariants make MVCC snapshot isolation fall out:
-//
-//  * r->AsOf(s) for any s < commit_seq is bit-identical to the relation
-//    before the modification — pinned readers never observe it;
-//  * r->Current() (== r->AsOf(commit_seq)) equals, as a tuple multiset,
-//    the plain Temporal* function applied to the pre-image — the
-//    serving path and the embedded path agree, which the concurrent
-//    equivalence tests assert.
-//
-// All failures are detected before the first mutation, so a non-OK
-// result leaves *r untouched (the catalog's commit protocol relies on
-// this to never publish a half-applied write).
-// ---------------------------------------------------------------------------
-
-/// Inserts a tuple (values as given, trivial RT) as a current version
-/// with TT = [commit_seq, until-changed). The SQL INSERT of the serving
-/// path: valid time is whatever the VALUES literal says.
-Status StampedInsert(BitemporalRelation* r, std::vector<Value> values,
-                     TimePoint commit_seq);
-
-/// Torp valid-time deletion, stamped: every current version matching
-/// `filter` is superseded at commit_seq; versions whose closed valid
-/// time (end := min(end, tc)) is not always-empty are re-appended as
-/// current. Returns the number of modified tuples.
-Result<size_t> StampedTemporalDelete(BitemporalRelation* r, size_t vt_index,
-                                     TimePoint tc,
-                                     const ModificationFilter& filter,
-                                     TimePoint commit_seq);
-
-/// Torp valid-time update, stamped: matching current versions are
-/// superseded at commit_seq; the closed old version (when not
-/// always-empty) and the updated version with VT = [tc, now) are
-/// appended as current. Returns the number of updated tuples.
-Result<size_t> StampedTemporalUpdate(
-    BitemporalRelation* r, size_t vt_index, TimePoint tc,
-    const ModificationFilter& filter,
-    const std::function<std::vector<Value>(const Tuple&)>& updater,
-    TimePoint commit_seq);
 
 }  // namespace ongoingdb

@@ -102,6 +102,10 @@ class OngoingRelation {
   const std::vector<Tuple>& tuples() const { return tuples_; }
   const Tuple& tuple(size_t i) const { return tuples_[i]; }
 
+  /// Checks a row against the schema: arity, and the type of every
+  /// non-null value. The check Insert and InsertWithRt run.
+  Status ValidateValues(const std::vector<Value>& values) const;
+
   /// Inserts a base tuple (RT is set to the trivial reference time by the
   /// system). Fails on arity or type mismatch with the schema.
   Status Insert(std::vector<Value> values);
@@ -129,7 +133,8 @@ class OngoingRelation {
   /// a kRemove; the Torp modifications in relation/modifications.cc log
   /// their rebuild-style close/update deltas explicitly. Opt-in because
   /// operator intermediates churn through AppendUnchecked.
-  void EnableModificationLog(size_t capacity = ModificationLog::kDefaultCapacity);
+  void EnableModificationLog(
+      size_t capacity = ModificationLog::kDefaultCapacity);
 
   /// The modification log, or nullptr when not enabled.
   ModificationLog* modification_log() const { return log_.get(); }
@@ -154,8 +159,6 @@ class OngoingRelation {
   std::string ToString(size_t max_rows = 50) const;
 
  private:
-  Status ValidateValues(const std::vector<Value>& values) const;
-
   Schema schema_;
   std::vector<Tuple> tuples_;
   std::shared_ptr<ModificationLog> log_;

@@ -9,20 +9,20 @@ namespace server {
 
 namespace {
 
-// The mid-commit fault seam: planted after validation, before the
-// master mutation + publish pair. A triggered failure aborts the commit
-// with the master untouched and nothing published — the half-visible
-// write the fault-injection suite proves impossible.
+// The mid-commit fault seam: planted after the table lookup, before the
+// copy + modify + publish sequence. A triggered failure aborts the
+// commit with nothing published — the half-visible write the
+// fault-injection suite proves impossible.
 Failpoint& fp_catalog_commit = Failpoint::GetOrCreate("catalog.commit");
 
-// The valid-time attribute temporal DML applies to: the first PERIOD
-// column, as in the statement layer's VtIndexOf.
-Result<size_t> VtIndexOfSchema(const Schema& schema) {
-  for (size_t i = 0; i < schema.num_attributes(); ++i) {
-    if (schema.attribute(i).type == ValueType::kOngoingInterval) return i;
-  }
-  return Status::InvalidArgument(
-      "temporal modification requires a PERIOD (ongoing interval) column");
+// The copy a write modifies. It leaves room for one more row: a bare
+// copy is sized exactly, so an INSERT's append would double the array
+// that the published version then keeps for as long as the ring does.
+OngoingRelation CopyVersion(const OngoingRelation& current) {
+  std::vector<Tuple> tuples;
+  tuples.reserve(current.size() + 1);
+  tuples.insert(tuples.end(), current.tuples().begin(), current.tuples().end());
+  return OngoingRelation(current.schema(), std::move(tuples));
 }
 
 }  // namespace
@@ -52,8 +52,7 @@ Result<std::shared_ptr<const OngoingRelation>> Snapshot::GetAsOf(
   }
   return Status::OutOfRange(
       "commit sequence " + std::to_string(seq) + " predates the " +
-      std::to_string(recent.size()) + " retained version(s) of '" + name +
-      "'; use Catalog::MaterializeAsOf");
+      std::to_string(recent.size()) + " retained version(s) of '" + name + "'");
 }
 
 std::vector<std::string> Snapshot::Names() const {
@@ -77,149 +76,82 @@ Catalog::Catalog(size_t version_ring_cap)
     : version_ring_cap_(std::max<size_t>(1, version_ring_cap)),
       state_(std::make_shared<const CatalogState>()) {}
 
-Result<Catalog::TableEntry*> Catalog::FindEntry(
-    const std::string& name) const {
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    return Status::NotFound("no relation named '" + name + "'");
-  }
-  return it->second.get();
-}
-
-void Catalog::PublishTable(const std::string& name, uint64_t seq) {
-  TableEntry& entry = *entries_.at(name);
+uint64_t Catalog::Publish(const std::string& name,
+                          std::shared_ptr<const OngoingRelation> data) {
   auto next = std::make_shared<CatalogState>(*state_.Load());
-  next->commit_seq = seq;
-  PublishedTable& table = next->tables[name];
-  table.recent.push_back(TableVersion{
-      seq, std::make_shared<const OngoingRelation>(entry.master.Current())});
-  if (table.recent.size() > version_ring_cap_) {
-    table.recent.erase(table.recent.begin());
-    // Garbage-collect master versions that fell below the ring: once the
-    // oldest retained ring sequence is H, every sequence the ring can no
-    // longer answer is < H, and versions superseded at or before H are
-    // invisible to AsOf(s) for all s >= H — MaterializeAsOf stays exact
-    // down to the horizon, and below it returns a typed error instead of
-    // silently keeping every superseded version forever.
-    const uint64_t horizon = table.recent.front().commit_seq;
-    if (horizon > entry.gc_horizon) {
-      entry.gc_horizon = horizon;
-      entry.master.DropVersionsBefore(static_cast<TimePoint>(horizon));
-    }
-  }
+  const uint64_t seq = ++next->commit_seq;
+  std::vector<TableVersion>& recent = next->tables[name].recent;
+  recent.push_back(TableVersion{seq, std::move(data)});
+  if (recent.size() > version_ring_cap_) recent.erase(recent.begin());
   state_.Store(std::move(next));
+  return seq;
 }
 
 Result<uint64_t> Catalog::CreateTable(const std::string& name,
                                       Schema schema) {
-  MutexLock lock(mu_);
-  if (entries_.count(name) != 0) {
-    return Status::AlreadyExists("table '" + name + "' already exists");
-  }
-  ONGOINGDB_FAILPOINT(fp_catalog_commit);
-  const uint64_t seq = next_seq_++;
-  entries_[name] = std::make_unique<TableEntry>(std::move(schema));
-  PublishTable(name, seq);
-  return seq;
+  return RegisterTable(name, OngoingRelation(std::move(schema)));
 }
 
 Result<uint64_t> Catalog::RegisterTable(const std::string& name,
                                         const OngoingRelation& data) {
+  auto version = std::make_shared<const OngoingRelation>(data);
   MutexLock lock(mu_);
-  if (entries_.count(name) != 0) {
+  if (state_.Load()->tables.count(name) != 0) {
     return Status::AlreadyExists("table '" + name + "' already exists");
   }
   ONGOINGDB_FAILPOINT(fp_catalog_commit);
-  const uint64_t seq = next_seq_;
-  auto entry = std::make_unique<TableEntry>(data.schema());
-  for (const Tuple& t : data.tuples()) {
-    entry->master.AppendVersionUnchecked(t, static_cast<TimePoint>(seq));
-  }
-  next_seq_++;
-  entries_[name] = std::move(entry);
-  PublishTable(name, seq);
-  return seq;
+  return Publish(name, std::move(version));
+}
+
+Result<uint64_t> Catalog::Commit(
+    const std::string& name,
+    const std::function<Status(OngoingRelation*)>& modify) {
+  MutexLock lock(mu_);
+  ONGOINGDB_ASSIGN_OR_RETURN(std::shared_ptr<const OngoingRelation> current,
+                             PinSnapshot().Get(name));
+  ONGOINGDB_FAILPOINT(fp_catalog_commit);
+  OngoingRelation next = CopyVersion(*current);
+  ONGOINGDB_RETURN_NOT_OK(modify(&next));
+  return Publish(name,
+                 std::make_shared<const OngoingRelation>(std::move(next)));
 }
 
 Result<uint64_t> Catalog::Insert(const std::string& name,
                                  std::vector<Value> values) {
-  MutexLock lock(mu_);
-  ONGOINGDB_ASSIGN_OR_RETURN(TableEntry * entry, FindEntry(name));
-  ONGOINGDB_FAILPOINT(fp_catalog_commit);
-  const uint64_t seq = next_seq_;
-  // StampedInsert validates before mutating: a failure here leaves the
-  // master untouched and consumes no sequence number.
-  ONGOINGDB_RETURN_NOT_OK(StampedInsert(&entry->master, std::move(values),
-                                        static_cast<TimePoint>(seq)));
-  next_seq_++;
-  PublishTable(name, seq);
-  return seq;
+  return Commit(name, [&values](OngoingRelation* r) {
+    return r->Insert(std::move(values));
+  });
 }
 
 Result<uint64_t> Catalog::TemporalDeleteWhere(const std::string& name,
                                               TimePoint tc,
                                               const ModificationFilter& filter,
                                               size_t* deleted) {
-  MutexLock lock(mu_);
-  ONGOINGDB_ASSIGN_OR_RETURN(TableEntry * entry, FindEntry(name));
-  ONGOINGDB_FAILPOINT(fp_catalog_commit);
-  const uint64_t seq = next_seq_;
-  ONGOINGDB_ASSIGN_OR_RETURN(size_t vt,
-                             VtIndexOfSchema(entry->master.schema()));
-  ONGOINGDB_ASSIGN_OR_RETURN(
-      size_t count, StampedTemporalDelete(&entry->master, vt, tc, filter,
-                                          static_cast<TimePoint>(seq)));
-  next_seq_++;
-  PublishTable(name, seq);
-  if (deleted != nullptr) *deleted = count;
-  return seq;
+  return Commit(name, [&](OngoingRelation* r) -> Status {
+    ONGOINGDB_ASSIGN_OR_RETURN(size_t vt, VtIndexOf(r->schema()));
+    ONGOINGDB_ASSIGN_OR_RETURN(size_t count, TemporalDelete(r, vt, tc, filter));
+    if (deleted != nullptr) *deleted = count;
+    return Status::OK();
+  });
 }
 
 Result<uint64_t> Catalog::TemporalUpdateWhere(
     const std::string& name, TimePoint tc, const ModificationFilter& filter,
     const std::function<std::vector<Value>(const Tuple&)>& updater,
     size_t* updated) {
-  MutexLock lock(mu_);
-  ONGOINGDB_ASSIGN_OR_RETURN(TableEntry * entry, FindEntry(name));
-  ONGOINGDB_FAILPOINT(fp_catalog_commit);
-  const uint64_t seq = next_seq_;
-  ONGOINGDB_ASSIGN_OR_RETURN(size_t vt,
-                             VtIndexOfSchema(entry->master.schema()));
-  ONGOINGDB_ASSIGN_OR_RETURN(
-      size_t count, StampedTemporalUpdate(&entry->master, vt, tc, filter,
-                                          updater,
-                                          static_cast<TimePoint>(seq)));
-  next_seq_++;
-  PublishTable(name, seq);
-  if (updated != nullptr) *updated = count;
-  return seq;
-}
-
-Result<std::shared_ptr<const OngoingRelation>> Catalog::MaterializeAsOf(
-    const std::string& name, uint64_t seq) const {
-  MutexLock lock(mu_);
-  ONGOINGDB_ASSIGN_OR_RETURN(TableEntry * entry, FindEntry(name));
-  if (seq < entry->gc_horizon) {
-    return Status::OutOfRange(
-        "commit sequence " + std::to_string(seq) +
-        " predates the garbage-collection horizon " +
-        std::to_string(entry->gc_horizon) + " of '" + name +
-        "'; superseded versions below the horizon have been discarded");
-  }
-  return std::make_shared<const OngoingRelation>(
-      entry->master.AsOf(static_cast<TimePoint>(seq)));
+  return Commit(name, [&](OngoingRelation* r) -> Status {
+    ONGOINGDB_ASSIGN_OR_RETURN(size_t vt, VtIndexOf(r->schema()));
+    ONGOINGDB_ASSIGN_OR_RETURN(size_t count,
+                               TemporalUpdate(r, vt, tc, filter, updater));
+    if (updated != nullptr) *updated = count;
+    return Status::OK();
+  });
 }
 
 Result<size_t> Catalog::MasterVersionCount(const std::string& name) const {
-  MutexLock lock(mu_);
-  ONGOINGDB_ASSIGN_OR_RETURN(TableEntry * entry, FindEntry(name));
-  return entry->master.num_versions();
-}
-
-Result<uint64_t> Catalog::GcHorizon(const std::string& name) const {
-  MutexLock lock(mu_);
-  ONGOINGDB_ASSIGN_OR_RETURN(TableEntry * entry, FindEntry(name));
-  return entry->gc_horizon;
+  ONGOINGDB_ASSIGN_OR_RETURN(std::shared_ptr<const OngoingRelation> current,
+                             PinSnapshot().Get(name));
+  return current->size();
 }
 
 }  // namespace server

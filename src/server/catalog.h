@@ -1,19 +1,19 @@
 // The serving catalog: a thread-safe registry of named ongoing
 // relations with MVCC snapshot isolation over transaction time.
 //
-// Storage model. Each table has ONE master store, a BitemporalRelation
-// whose transaction-time axis is the catalog's commit sequence: version
-// v carries TT = [inserted_seq, superseded_seq). Every write runs the
-// commit-stamped Torp modifications (relation/modifications.h) against
-// the master under the catalog's single writer mutex, then publishes an
-// immutable materialization of the new current state.
+// Storage model. Each table's only store is its ring of published,
+// immutable versions. A write copies the table's current version under
+// the catalog's single writer mutex, applies the plain Torp
+// modification (relation/modifications.h) to the copy, and publishes
+// the copy as the next version. Only the copy is ever touched, so a
+// failed write publishes nothing.
 //
 // Publication protocol (RCU over util/published_ptr.h). The published
-// unit is a CatalogState: the commit sequence plus, per table, the
-// current materialization and a short ring of recent versions. A commit
-// builds the next state completely off to the side and installs it with
-// one atomic pointer store; a reader pins the state with one atomic
-// load. Consequences:
+// unit is a CatalogState: the commit sequence plus, per table, a short
+// ring of recent versions whose newest entry is the current one. A
+// commit builds the next state completely off to the side and installs
+// it with one atomic pointer store; a reader pins the state with one
+// atomic load. Consequences:
 //
 //  * readers NEVER take a lock on the write path and never observe a
 //    half-applied commit — visibility is all-or-nothing at the pointer
@@ -25,20 +25,17 @@
 //
 // Snapshot visibility rule. A snapshot pinned at commit sequence S sees,
 // for each table, the version published at the greatest sequence <= S.
-// Time travel below the retained ring (GetAsOf) falls back to the master
-// store's per-tuple transaction time: AsOf(S) keeps exactly the versions
-// whose TT contains S — the same rule, evaluated tuple-wise. The
-// fallback takes the commit lock (it reads the master); the serving hot
-// path never does.
+// Time travel (GetAsOf) applies the same rule to the retained ring and
+// answers OutOfRange below it.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "relation/bitemporal.h"
 #include "relation/modifications.h"
 #include "relation/relation.h"
 #include "sql/catalog.h"
@@ -95,8 +92,8 @@ class Snapshot {
 
   /// Time travel within the retained version ring: the table as of
   /// commit sequence `seq` (the greatest published version <= seq).
-  /// Fails with OutOfRange when `seq` predates the ring — the caller
-  /// falls back to Catalog::MaterializeAsOf.
+  /// Fails with OutOfRange when `seq` predates the ring: older versions
+  /// are not kept.
   Result<std::shared_ptr<const OngoingRelation>> GetAsOf(
       const std::string& name, uint64_t seq) const;
 
@@ -134,12 +131,12 @@ class Catalog {
   uint64_t commit_seq() const { return state_.Load()->commit_seq; }
 
   // --- write path (serialized on the commit lock) -------------------------
-  // Each write validates, applies the commit-stamped modification to the
-  // master store, and publishes the next CatalogState. On any failure —
-  // including the `catalog.commit` failpoint — nothing is published and
-  // the master is untouched: a reader can never observe a half-applied
-  // write, and a failed commit consumes no sequence number. All return
-  // the commit sequence they published.
+  // Each write copies the table's current version, applies the
+  // modification to the copy, and publishes the next CatalogState. On
+  // any failure — including the `catalog.commit` failpoint — nothing is
+  // published: a reader can never observe a half-applied write, and a
+  // failed commit consumes no sequence number. All return the commit
+  // sequence they published.
 
   /// Creates an empty table. Fails if the name exists.
   Result<uint64_t> CreateTable(const std::string& name, Schema schema);
@@ -166,54 +163,31 @@ class Catalog {
       const std::function<std::vector<Value>(const Tuple&)>& updater,
       size_t* updated = nullptr);
 
-  // --- time travel below the ring -----------------------------------------
-
-  /// Materializes `name` as of commit sequence `seq` from the master
-  /// store's per-tuple transaction time (visibility: TT contains seq).
-  /// Takes the commit lock; intended for historical reads that fell off
-  /// the lock-free ring, not for the serving hot path. Fails with
-  /// OutOfRange when `seq` predates the table's GC horizon: superseded
-  /// versions below the horizon have been garbage-collected.
-  Result<std::shared_ptr<const OngoingRelation>> MaterializeAsOf(
-      const std::string& name, uint64_t seq) const;
-
   // --- diagnostics --------------------------------------------------------
 
-  /// The number of master-store versions `name` retains (current plus
-  /// superseded-above-horizon). Takes the commit lock; the GC tests use
-  /// it to prove memory stays bounded under sustained writes.
+  /// The row count of `name`'s current version, which the benchmark
+  /// samples as `server.master_versions`. Lock-free.
   Result<size_t> MasterVersionCount(const std::string& name) const;
 
-  /// `name`'s GC horizon: the oldest commit sequence MaterializeAsOf can
-  /// still answer exactly. 0 until the version ring first overflows.
-  Result<uint64_t> GcHorizon(const std::string& name) const;
-
  private:
-  struct TableEntry {
-    BitemporalRelation master;
-    /// Master versions superseded at or below this commit sequence have
-    /// been garbage-collected. Monotonic; advanced by PublishTable when
-    /// the ring evicts. Invariant: gc_horizon <= oldest ring sequence,
-    /// so every read the ring refuses (GetAsOf's OutOfRange) is still
-    /// answerable from the master down to the horizon.
-    uint64_t gc_horizon = 0;
-    explicit TableEntry(Schema schema) : master(std::move(schema)) {}
-  };
+  /// The commit routine every DML write shares: copies `name`'s current
+  /// version, applies `modify` to the copy, and publishes it. A failing
+  /// `modify` leaves nothing published.
+  Result<uint64_t> Commit(
+      const std::string& name,
+      const std::function<Status(OngoingRelation*)>& modify);
 
-  /// Shared tail of every commit: publishes the next state with `name`
-  /// rebound to a fresh materialization of its master at `seq`.
-  /// Never fails.
-  void PublishTable(const std::string& name, uint64_t seq) REQUIRES(mu_);
-
-  /// Looks up a table entry.
-  Result<TableEntry*> FindEntry(const std::string& name) const REQUIRES(mu_);
+  /// Publishes `data` as `name`'s next version at the next commit
+  /// sequence, evicting the ring's oldest entry past the cap. Never
+  /// fails; returns the sequence.
+  uint64_t Publish(const std::string& name,
+                   std::shared_ptr<const OngoingRelation> data) REQUIRES(mu_);
 
   const size_t version_ring_cap_;
 
-  mutable Mutex mu_;  // the commit lock: masters + next_seq_
-  std::map<std::string, std::unique_ptr<TableEntry>> entries_ GUARDED_BY(mu_);
-  uint64_t next_seq_ GUARDED_BY(mu_) = 1;
-
+  // The commit lock: serializes writers, each of which reads the
+  // published state and stores its successor.
+  Mutex mu_;
   PublishedPtr<CatalogState> state_;
 };
 

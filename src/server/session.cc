@@ -126,7 +126,7 @@ Result<ExecResult> Session::Execute(const std::string& statement) {
   ctx_.SetMemoryBudget(options_.memory_limit_bytes);
 
   // Reads AND writes parse against a snapshot's schemas: parsing never
-  // touches the master stores, so it cannot block or be blocked.
+  // takes the commit lock, so it cannot block or be blocked.
   ONGOINGDB_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot());
   sql::Catalog view = snap.View();
   ONGOINGDB_ASSIGN_OR_RETURN(sql::ParsedStatement parsed,
@@ -164,7 +164,7 @@ Result<ExecResult> Session::Execute(const std::string& statement) {
     }
     case sql::StatementKind::kDelete: {
       // The filter captures the schema by value: it runs later against
-      // the master store, under the commit lock.
+      // the commit's copy of the table, under the commit lock.
       ONGOINGDB_ASSIGN_OR_RETURN(auto relation, snap.Get(parsed.table));
       size_t deleted = 0;
       ONGOINGDB_ASSIGN_OR_RETURN(

@@ -159,14 +159,6 @@ Result<std::pair<ExprPtr, TimePoint>> ParseWhereAt(
   return std::make_pair(predicate, tc);
 }
 
-Result<size_t> VtIndexOf(const Schema& schema) {
-  for (size_t i = 0; i < schema.num_attributes(); ++i) {
-    if (schema.attribute(i).type == ValueType::kOngoingInterval) return i;
-  }
-  return Status::InvalidArgument(
-      "temporal modification requires a PERIOD (ongoing interval) column");
-}
-
 // DELETE FROM name [WHERE pred] AT DATE 'tc'
 Result<ParsedStatement> ParseDelete(const std::vector<Token>& tokens,
                                     size_t pos, const Catalog& catalog) {

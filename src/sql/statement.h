@@ -80,7 +80,7 @@ Result<ParsedStatement> ParseStatement(const std::string& statement,
 /// The ModificationFilter for a parsed WHERE predicate (nullptr matches
 /// everything). The schema is captured by value: the filter may outlive
 /// the catalog view it was parsed against (the serving path applies it
-/// to the master store under the commit lock).
+/// to a copy of the table's current version under the commit lock).
 ModificationFilter MakeModificationFilter(const ExprPtr& predicate,
                                           const Schema& schema);
 

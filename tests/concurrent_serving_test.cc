@@ -10,9 +10,9 @@
 // plain relation with the PLAIN Torp modifications, then the same SELECT
 // executed over that reconstruction. Equality means snapshot isolation
 // held: the reader saw exactly the serial state at its pinned sequence,
-// never a half-applied commit, never a torn mix of sequences — and the
-// commit-stamped modifications are Current()-equivalent to the plain
-// ones end to end.
+// never a half-applied commit, never a torn mix of sequences — and each
+// published version is the plain modification applied to its
+// predecessor, end to end.
 //
 // Runs under TSan in CI (with the fault-injection and thread-pool
 // suites): the no-reader-side-lock read path is exactly the kind of code

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/operations.h"
 
 namespace ongoingdb {
@@ -171,6 +175,50 @@ TEST(ModificationsTest, UpdateSnapshotSemantics) {
         r.tuple(1).value(kVt).AsOngoingInterval().Instantiate(MD(9, 1));
     EXPECT_EQ(dev, (FixedInterval{MD(1, 1), MD(6, 1)}));
     EXPECT_EQ(lead, (FixedInterval{MD(6, 1), MD(9, 1)}));
+  }
+}
+
+TEST(ModificationsTest, UpdateRejectsBadUpdaterRowsWithNothingChanged) {
+  // An updater row the schema rejects fails the update before the new
+  // valid time is written into it: a short row would be written past its
+  // end, a wrong-typed one appended unvalidated. The first match passes
+  // and the second fails, and neither the relation nor its log changes.
+  OngoingRelation r(ContractSchema());
+  r.EnableModificationLog();
+  for (int64_t id : {1, 2}) {
+    ASSERT_TRUE(TemporalInsert(&r,
+                               {Value::Int64(id), Value::String("dev"),
+                                Value::Null()},
+                               kVt, MD(1, 1))
+                    .ok());
+  }
+  ModificationLog* log = r.modification_log();
+  const uint64_t logged = log->next_seq();
+  auto rows = [&r] {
+    std::vector<std::string> out;
+    for (const Tuple& t : r.tuples()) out.push_back(t.ToString());
+    return out;
+  };
+  const std::vector<std::string> before = rows();
+
+  const std::pair<std::vector<Value>, StatusCode> bad_rows[] = {
+      {{Value::Int64(2)}, StatusCode::kSchemaMismatch},
+      {{Value::String("two"), Value::String("lead"), Value::Null()},
+       StatusCode::kTypeError}};
+  for (const auto& [bad, code] : bad_rows) {
+    auto updated = TemporalUpdate(
+        &r, kVt, MD(6, 1), [](const Tuple&) { return true; },
+        [&bad](const Tuple& t) {
+          if (t.value(0).AsInt64() == 2) return bad;
+          std::vector<Value> values = t.values();
+          values[1] = Value::String("lead");
+          return values;
+        });
+    ASSERT_FALSE(updated.ok());
+    EXPECT_EQ(updated.status().code(), code);
+    EXPECT_EQ(rows(), before);
+    EXPECT_EQ(r.modification_log(), log);
+    EXPECT_EQ(log->next_seq(), logged);
   }
 }
 

@@ -1,8 +1,8 @@
 // Unit tests of the serving layer (server/catalog.h, server/session.h):
 // the thread-safe catalog's commit/publish protocol, snapshot pinning
-// and stability, ring-based time travel with the locked MaterializeAsOf
-// fallback, the read-only snapshot views, session statement execution
-// with per-session knobs, and the SessionManager.
+// and stability, time travel over the version ring (OutOfRange below
+// it), the read-only snapshot views, session statement execution with
+// per-session knobs, and the SessionManager.
 //
 // The *concurrent* equivalence guarantees are covered by
 // concurrent_serving_test.cc; this suite pins down the single-threaded
@@ -103,7 +103,7 @@ TEST(ServerCatalogTest, PinnedSnapshotsAreStableAcrossCommits) {
   EXPECT_EQ(after.Names(), std::vector<std::string>{"Bugs"});
 }
 
-TEST(ServerCatalogTest, TimeTravelWithinRingAndMaterializeBelowIt) {
+TEST(ServerCatalogTest, TimeTravelWithinRingAndOutOfRangeBelowIt) {
   Catalog catalog(/*version_ring_cap=*/3);
   ASSERT_TRUE(catalog.CreateTable("Bugs", BugsSchema()).ok());  // seq 1
   for (int i = 0; i < 5; ++i) {                                 // seq 2..6
@@ -124,23 +124,10 @@ TEST(ServerCatalogTest, TimeTravelWithinRingAndMaterializeBelowIt) {
   ASSERT_TRUE(above.ok());
   EXPECT_EQ((*above)->size(), 5u);
 
-  // Below the ring: OutOfRange from the snapshot; the master store
-  // answers exactly down to the GC horizon (the oldest retained ring
-  // sequence) and refuses with a typed error below it — superseded
-  // versions there have been garbage-collected.
-  auto fell_off = snap.GetAsOf("Bugs", 2);
-  ASSERT_FALSE(fell_off.ok());
-  EXPECT_EQ(fell_off.status().code(), StatusCode::kOutOfRange);
-  auto horizon = catalog.GcHorizon("Bugs");
-  ASSERT_TRUE(horizon.ok()) << horizon.status();
-  EXPECT_EQ(*horizon, 4u);  // ring front after six commits at cap 3
-  for (uint64_t seq = *horizon; seq <= 6; ++seq) {
-    auto mat = catalog.MaterializeAsOf("Bugs", seq);
-    ASSERT_TRUE(mat.ok()) << mat.status();
-    EXPECT_EQ((*mat)->size(), static_cast<size_t>(seq - 1)) << "seq " << seq;
-  }
-  for (uint64_t seq = 1; seq < *horizon; ++seq) {
-    auto gone = catalog.MaterializeAsOf("Bugs", seq);
+  // Below the ring: a typed refusal — the versions there are gone,
+  // including the table's creation and the sequence before it.
+  for (uint64_t seq = 0; seq < 4; ++seq) {
+    auto gone = snap.GetAsOf("Bugs", seq);
     ASSERT_FALSE(gone.ok()) << "seq " << seq;
     EXPECT_EQ(gone.status().code(), StatusCode::kOutOfRange);
   }
@@ -189,17 +176,6 @@ TEST(ServerCatalogTest, RingAnswersEveryRetainedSequenceAsThePlainReplay) {
       } else {
         ASSERT_TRUE(at.ok()) << at.status();
         EXPECT_EQ(Fingerprint(**at), replay(seq));
-      }
-      // Once the ring has evicted, the master fallback answers exactly
-      // what the ring answers.
-      if (committed.size() > kRingCap) {
-        auto mat = catalog.MaterializeAsOf("Bugs", seq);
-        ASSERT_EQ(mat.ok(), at.ok()) << mat.status();
-        if (mat.ok()) {
-          EXPECT_EQ(Fingerprint(**mat), Fingerprint(**at));
-        } else {
-          EXPECT_EQ(mat.status().code(), StatusCode::kOutOfRange);
-        }
       }
     }
   };
@@ -259,14 +235,14 @@ TEST(ServerCatalogTest, RingAnswersEveryRetainedSequenceAsThePlainReplay) {
   }
 }
 
-TEST(ServerCatalogTest, GcBoundsMasterVersionsUnderSustainedChurn) {
+TEST(ServerCatalogTest, ChurnLeavesOnlyTheRingAnswerable) {
   constexpr size_t kRingCap = 4;
   Catalog catalog(kRingCap);
   ASSERT_TRUE(catalog.CreateTable("Bugs", BugsSchema()).ok());
 
   // Churn: each round inserts a row valid from 100 and deletes it at
-  // tc 5, making the closed valid time always-empty — the superseded
-  // version becomes pure garbage once it falls below the ring.
+  // tc 5, making the closed valid time always-empty, so the delete
+  // removes the row.
   auto churn = [&catalog](int64_t bid) {
     EXPECT_TRUE(catalog.Insert("Bugs", BugRow(bid, "gc", 100)).ok());
     size_t deleted = 0;
@@ -279,44 +255,38 @@ TEST(ServerCatalogTest, GcBoundsMasterVersionsUnderSustainedChurn) {
   };
 
   // 40 rounds = 80 commits: an order of magnitude past the ring. The
-  // master must reach a steady state instead of growing by one
-  // superseded version per round.
+  // table keeps its current rows only, not one row per round.
   constexpr int kRounds = 40;
-  for (int64_t i = 0; i < kRounds / 2; ++i) churn(600 + i);
-  auto mid = catalog.MasterVersionCount("Bugs");
-  ASSERT_TRUE(mid.ok()) << mid.status();
-  for (int64_t i = kRounds / 2; i < kRounds; ++i) churn(600 + i);
-  auto end = catalog.MasterVersionCount("Bugs");
-  ASSERT_TRUE(end.ok());
-  EXPECT_EQ(*mid, *end);  // steady state, not linear growth
-  EXPECT_LE(*end, 2 * kRingCap + 2);  // bounded by the retention window
+  for (int64_t i = 0; i < kRounds; ++i) churn(600 + i);
+  auto rows = catalog.MasterVersionCount("Bugs");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(*rows, 0u);
 
-  // The horizon trails the newest commit by the ring capacity (every
-  // commit publishes this table, so the ring front is commit-dense).
-  auto horizon = catalog.GcHorizon("Bugs");
-  ASSERT_TRUE(horizon.ok());
-  EXPECT_EQ(*horizon, catalog.commit_seq() - kRingCap + 1);
-
-  // Reads at and above the horizon stay exact: the final round's insert
-  // and delete commits are version-accurate.
-  const uint64_t top = catalog.commit_seq();
-  auto at_insert = catalog.MaterializeAsOf("Bugs", top - 1);
+  // Only the last kRingCap sequences stay answerable (every commit
+  // publishes this table, so the ring is commit-dense), and they are
+  // version-accurate: the final round's insert and delete.
+  Snapshot snap = catalog.PinSnapshot();
+  const uint64_t top = snap.commit_seq();
+  const uint64_t oldest = top - kRingCap + 1;
+  for (uint64_t seq = oldest; seq <= top; ++seq) {
+    EXPECT_TRUE(snap.GetAsOf("Bugs", seq).ok()) << "seq " << seq;
+  }
+  auto at_insert = snap.GetAsOf("Bugs", top - 1);
   ASSERT_TRUE(at_insert.ok()) << at_insert.status();
   EXPECT_EQ((*at_insert)->size(), 1u);
-  auto at_delete = catalog.MaterializeAsOf("Bugs", top);
+  auto at_delete = snap.GetAsOf("Bugs", top);
   ASSERT_TRUE(at_delete.ok());
   EXPECT_EQ((*at_delete)->size(), 0u);
-  EXPECT_TRUE(catalog.MaterializeAsOf("Bugs", *horizon).ok());
 
-  // Below the horizon: a typed refusal, not a silently wrong answer.
-  auto below = catalog.MaterializeAsOf("Bugs", *horizon - 1);
+  // Below the ring: a typed refusal, not a silently wrong answer.
+  auto below = snap.GetAsOf("Bugs", oldest - 1);
   ASSERT_FALSE(below.ok());
   EXPECT_EQ(below.status().code(), StatusCode::kOutOfRange);
 }
 
-TEST(ServerCatalogTest, StampedModificationsMatchPlainOps) {
+TEST(ServerCatalogTest, ServedModificationsMatchPlainOps) {
   // The serving catalog's current state after a DML sequence equals the
-  // same sequence of PLAIN Torp modifications on a plain relation — the
+  // same sequence of plain Torp modifications on a plain relation — the
   // invariant the concurrent equivalence replay relies on.
   OngoingRelation plain(BugsSchema());
   ASSERT_TRUE(plain.Insert(BugRow(500, "spam", 10)).ok());
@@ -359,6 +329,21 @@ TEST(ServerCatalogTest, StampedModificationsMatchPlainOps) {
       catalog.CreateTable("Flat", Schema({{"X", ValueType::kInt64}})).ok());
   EXPECT_FALSE(
       catalog.TemporalDeleteWhere("Flat", 10, is_spam, nullptr).ok());
+
+  // An updater row the schema rejects (here one value short, which the
+  // update would otherwise write past) fails the commit: no new
+  // sequence, the current version unchanged.
+  auto one_value = [](const Tuple& t) {
+    return std::vector<Value>{t.value(0)};
+  };
+  const uint64_t before = catalog.commit_seq();
+  auto short_row = catalog.TemporalUpdateWhere("Bugs", 60, is_ui, one_value);
+  ASSERT_FALSE(short_row.ok());
+  EXPECT_EQ(short_row.status().code(), StatusCode::kSchemaMismatch);
+  EXPECT_EQ(catalog.commit_seq(), before);
+  auto unchanged = catalog.PinSnapshot().Get("Bugs");
+  ASSERT_TRUE(unchanged.ok());
+  EXPECT_EQ(Fingerprint(**unchanged), Fingerprint(plain));
 }
 
 TEST(ServerCatalogTest, SnapshotViewIsReadOnly) {
