@@ -42,9 +42,8 @@ Result<uint64_t> IntervalIndex::ColumnFingerprint(const OngoingRelation& r,
   ONGOINGDB_ASSIGN_OR_RETURN(size_t idx,
                              ValidateIntervalColumn(r, column_index));
   uint64_t h = MixBound(r.size(), idx);
-  for (size_t i = 0; i < r.size(); ++i) {
-    const Value& v = r.tuple(i).value(idx);
-    OngoingInterval iv = LiftIntervalValue(v);
+  for (const Tuple& t : r.tuples()) {
+    OngoingInterval iv = LiftIntervalValue(t.value(idx));
     h = MixBound(h, static_cast<uint64_t>(iv.start().a()));
     h = MixBound(h, static_cast<uint64_t>(iv.start().b()));
     h = MixBound(h, static_cast<uint64_t>(iv.end().a()));
@@ -64,8 +63,9 @@ Result<IntervalIndex> IntervalIndex::Build(const OngoingRelation& r,
   // ColumnFingerprint, which Ensure() compares against later): one pass
   // over the column instead of two.
   uint64_t h = MixBound(r.size(), idx);
-  for (size_t i = 0; i < r.size(); ++i) {
-    const Value& v = r.tuple(i).value(idx);
+  size_t i = 0;
+  for (const Tuple& t : r.tuples()) {
+    const Value& v = t.value(idx);
     Entry e;
     if (v.type() == ValueType::kFixedInterval) {
       FixedInterval f = v.AsInterval();
@@ -79,6 +79,7 @@ Result<IntervalIndex> IntervalIndex::Build(const OngoingRelation& r,
     h = MixBound(h, static_cast<uint64_t>(e.min_end));
     h = MixBound(h, static_cast<uint64_t>(e.max_end));
     index.entries_.push_back(e);
+    ++i;
   }
   index.fingerprint_ = h;
   std::sort(index.entries_.begin(), index.entries_.end(),

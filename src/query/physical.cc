@@ -78,8 +78,8 @@ inline bool EmitBaseTuple(const Tuple& t, ExecMode mode, TimePoint rt,
 // tuples against the query's memory budget. On error the child is
 // Close()d before the Status propagates, so a failed build never leaks
 // an open subtree.
-Status MaterializeInput(PhysicalOperator& child, std::vector<Tuple>* owned,
-                        const std::vector<Tuple>** out, QueryContext* ctx,
+Status MaterializeInput(PhysicalOperator& child, TupleStore* owned,
+                        const TupleStore** out, QueryContext* ctx,
                         MemoryCharge* charge) {
   if (const OngoingRelation* rel = child.BorrowedRelation()) {
     *out = &rel->tuples();
@@ -268,7 +268,7 @@ class TupleStream {
 
  private:
   PhysicalOperator* child_ = nullptr;
-  const std::vector<Tuple>* borrowed_ = nullptr;
+  const TupleStore* borrowed_ = nullptr;
   TupleBatch batch_;
   size_t pos_ = 0;
   bool exhausted_ = false;
@@ -284,7 +284,7 @@ class JoinHashTable {
  public:
   static constexpr uint32_t kEnd = UINT32_MAX;
 
-  void Build(const std::vector<Tuple>& tuples,
+  void Build(const TupleStore& tuples,
              const std::vector<size_t>& key_indices) {
     const size_t n = tuples.size();
     hashes_.resize(n);
@@ -293,9 +293,8 @@ class JoinHashTable {
     while (buckets < n * 2) buckets <<= 1;
     mask_ = buckets - 1;
     head_.assign(buckets, kEnd);
-    for (size_t i = 0; i < n; ++i) {
-      hashes_[i] = JoinKeyHash(tuples[i], key_indices);
-    }
+    size_t i = 0;
+    for (const Tuple& t : tuples) hashes_[i++] = JoinKeyHash(t, key_indices);
     // Head insertion in reverse so every bucket chain enumerates build
     // tuples in input order.
     for (size_t i = n; i-- > 0;) {
@@ -404,7 +403,7 @@ class ScanOp final : public PhysicalOperator {
   Status Next(TupleBatch* out) override {
     ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_next));
     out->Clear();
-    const std::vector<Tuple>& tuples = relation_->tuples();
+    const TupleStore& tuples = relation_->tuples();
     size_t i = 0;
     while (!out->full() && window_.Next(tuples.size(), &i)) {
       EmitBaseTuple(tuples[i], mode_, rt_, all_, out);
@@ -683,7 +682,7 @@ class IndexScanOp final : public PhysicalOperator {
     // empties entirely is refilled (never an empty batch mid-stream),
     // with the lifecycle check inside the loop like FilterOp's.
     const std::vector<size_t>& candidates = state_->candidates_after_ensure();
-    const std::vector<Tuple>& tuples = state_->relation->tuples();
+    const TupleStore& tuples = state_->relation->tuples();
     while (true) {
       ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_next));
       out->Clear();
@@ -839,8 +838,8 @@ class HashJoinOp final : public PhysicalOperator {
   QueryContext* ctx_;
   MemoryCharge charge_;
   // Build state.
-  std::vector<Tuple> owned_build_;
-  const std::vector<Tuple>* build_ = nullptr;
+  TupleStore owned_build_;
+  const TupleStore* build_ = nullptr;
   JoinHashTable table_;
   // Probe state: the stream position plus the suspended chain cursor.
   TupleStream probe_;
@@ -911,8 +910,8 @@ class NestedLoopJoinOp final : public PhysicalOperator {
   BatchJoinEmitter emitter_;
   QueryContext* ctx_;
   MemoryCharge charge_;
-  std::vector<Tuple> owned_inner_;
-  const std::vector<Tuple>* inner_ = nullptr;
+  TupleStore owned_inner_;
+  const TupleStore* inner_ = nullptr;
   TupleStream outer_;
   size_t inner_pos_ = 0;
 };
@@ -966,7 +965,7 @@ class IndexJoinOp final : public PhysicalOperator {
   Status NextBatch(TupleBatch* out) {
     ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_next));
     out->Clear();
-    const std::vector<Tuple>& inner = state_->relation->tuples();
+    const TupleStore& inner = state_->relation->tuples();
     while (true) {
       ONGOINGDB_ASSIGN_OR_RETURN(const Tuple* lt, outer_stream_.Current());
       if (lt == nullptr) return Status::OK();
@@ -1135,7 +1134,7 @@ class RepartitionOp final : public PhysicalOperator {
   size_t partition_;
   size_t num_partitions_;
   QueryContext* ctx_;
-  const std::vector<Tuple>* borrowed_ = nullptr;
+  const TupleStore* borrowed_ = nullptr;
   const IntervalSet all_ = IntervalSet::All();
   TupleBatch in_;
   size_t pos_ = 0;

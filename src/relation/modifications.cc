@@ -24,6 +24,64 @@ OngoingInterval CloseAt(const OngoingInterval& vt, TimePoint tc) {
                          Min(vt.end(), OngoingTimePoint::Fixed(tc)));
 }
 
+// A tuple a modification's filter matched: its position and its valid
+// time closed at tc.
+struct Match {
+  size_t pos;
+  OngoingInterval closed;
+};
+
+// A modification's first pass, which changes nothing: the tuples
+// `filter` matches, in position order. A matched tuple whose valid time
+// is not an ongoing interval (a NULL) has nothing to close and fails the
+// modification.
+Result<std::vector<Match>> MatchAndClose(const OngoingRelation& r,
+                                         size_t vt_index, TimePoint tc,
+                                         const ModificationFilter& filter) {
+  std::vector<Match> matches;
+  size_t pos = 0;
+  for (const Tuple& t : r.tuples()) {
+    if (filter(t)) {
+      const Value& vt = t.value(vt_index);
+      if (vt.type() != ValueType::kOngoingInterval) {
+        return Status::InvalidArgument(
+            "cannot close the valid time of " + t.ToString() + ": '" +
+            r.schema().attribute(vt_index).name + "' is " + vt.ToString());
+      }
+      matches.push_back({pos, CloseAt(vt.AsOngoingInterval(), tc)});
+    }
+    ++pos;
+  }
+  return matches;
+}
+
+// Closes every match in place and logs each matched tuple's removal
+// and, unless its closed valid time is always empty, the insertion of
+// the closed tuple. The always-empty ones are swap-removed last,
+// visiting positions from the end, so every swap moves a tuple this
+// modification keeps.
+void CloseInPlace(OngoingRelation* r, size_t vt_index,
+                  const std::vector<Match>& matches) {
+  ModificationLog* log = r->modification_log();
+  TupleStore::Edit edit = r->EditTuples();
+  std::vector<size_t> never_valid;
+  for (const Match& m : matches) {
+    if (log != nullptr) {
+      log->Append(Modification::Kind::kRemove, r->tuple(m.pos));
+    }
+    if (m.closed.IsAlwaysEmpty()) {
+      never_valid.push_back(m.pos);
+      continue;
+    }
+    Tuple& t = edit.Mutable(m.pos);
+    t.mutable_values()[vt_index] = Value::Ongoing(m.closed);
+    if (log != nullptr) log->Append(Modification::Kind::kInsert, t);
+  }
+  for (auto it = never_valid.rbegin(); it != never_valid.rend(); ++it) {
+    edit.SwapRemove(*it);
+  }
+}
+
 }  // namespace
 
 Result<size_t> VtIndexOf(const Schema& schema) {
@@ -49,34 +107,10 @@ Result<size_t> TemporalDelete(OngoingRelation* r, size_t vt_index,
                               TimePoint tc,
                               const ModificationFilter& filter) {
   ONGOINGDB_RETURN_NOT_OK(CheckVtIndex(*r, vt_index));
-  // The rebuild below replaces *r wholesale; carry the modification log
-  // across the replacement and log the precise close deltas here (the
-  // rebuilt relation has no log, so the pass-through appends stay silent).
-  std::shared_ptr<ModificationLog> log = r->SharedModificationLog();
-  OngoingRelation updated(r->schema());
-  updated.Reserve(r->size());
-  size_t modified = 0;
-  for (const Tuple& t : r->tuples()) {
-    if (!filter(t)) {
-      updated.AppendUnchecked(t);
-      continue;
-    }
-    ++modified;
-    if (log != nullptr) log->Append(Modification::Kind::kRemove, t);
-    OngoingInterval closed =
-        CloseAt(t.value(vt_index).AsOngoingInterval(), tc);
-    if (closed.IsAlwaysEmpty()) continue;  // never valid: remove entirely
-    std::vector<Value> values = t.values();
-    values[vt_index] = Value::Ongoing(closed);
-    Tuple replacement(std::move(values), t.rt());
-    if (log != nullptr) {
-      log->Append(Modification::Kind::kInsert, replacement);
-    }
-    updated.AppendUnchecked(std::move(replacement));
-  }
-  *r = std::move(updated);
-  r->AttachModificationLog(std::move(log));
-  return modified;
+  ONGOINGDB_ASSIGN_OR_RETURN(std::vector<Match> matches,
+                             MatchAndClose(*r, vt_index, tc, filter));
+  CloseInPlace(r, vt_index, matches);
+  return matches.size();
 }
 
 Result<size_t> TemporalUpdate(
@@ -84,49 +118,24 @@ Result<size_t> TemporalUpdate(
     const ModificationFilter& filter,
     const std::function<std::vector<Value>(const Tuple&)>& updater) {
   ONGOINGDB_RETURN_NOT_OK(CheckVtIndex(*r, vt_index));
-  // Same log carry-over as TemporalDelete: an update is a close of the
-  // old version plus an insert of the new one, logged per matched tuple.
-  // The entries wait in `deltas` until every updater row has validated,
-  // so a bad row leaves the log as untouched as *r.
-  std::shared_ptr<ModificationLog> log = r->SharedModificationLog();
-  std::vector<std::pair<Modification::Kind, Tuple>> deltas;
-  OngoingRelation updated(r->schema());
-  updated.Reserve(r->size() + 1);  // a one-row update adds one tuple
-  size_t modified = 0;
-  for (const Tuple& t : r->tuples()) {
-    if (!filter(t)) {
-      updated.AppendUnchecked(t);
-      continue;
-    }
-    std::vector<Value> new_values = updater(t);
-    ONGOINGDB_RETURN_NOT_OK(r->ValidateValues(new_values));
-    ++modified;
-    if (log != nullptr) deltas.emplace_back(Modification::Kind::kRemove, t);
-    // Close the old version at tc.
-    OngoingInterval closed =
-        CloseAt(t.value(vt_index).AsOngoingInterval(), tc);
-    if (!closed.IsAlwaysEmpty()) {
-      std::vector<Value> old_values = t.values();
-      old_values[vt_index] = Value::Ongoing(closed);
-      Tuple closed_old(std::move(old_values), t.rt());
-      if (log != nullptr) {
-        deltas.emplace_back(Modification::Kind::kInsert, closed_old);
-      }
-      updated.AppendUnchecked(std::move(closed_old));
-    }
+  ONGOINGDB_ASSIGN_OR_RETURN(std::vector<Match> matches,
+                             MatchAndClose(*r, vt_index, tc, filter));
+  // Every updater row validates before anything changes, so a bad row
+  // leaves *r and its log untouched.
+  std::vector<Tuple> new_versions;
+  new_versions.reserve(matches.size());
+  for (const Match& m : matches) {
+    const Tuple& old = r->tuple(m.pos);
+    std::vector<Value> values = updater(old);
+    ONGOINGDB_RETURN_NOT_OK(r->ValidateValues(values));
     // The new version is valid from tc on.
-    new_values[vt_index] = Value::Ongoing(OngoingInterval(
+    values[vt_index] = Value::Ongoing(OngoingInterval(
         OngoingTimePoint::Fixed(tc), OngoingTimePoint::Now()));
-    Tuple new_version(std::move(new_values), t.rt());
-    if (log != nullptr) {
-      deltas.emplace_back(Modification::Kind::kInsert, new_version);
-    }
-    updated.AppendUnchecked(std::move(new_version));
+    new_versions.emplace_back(std::move(values), old.rt());
   }
-  for (auto& [kind, tuple] : deltas) log->Append(kind, std::move(tuple));
-  *r = std::move(updated);
-  r->AttachModificationLog(std::move(log));
-  return modified;
+  CloseInPlace(r, vt_index, matches);
+  for (Tuple& t : new_versions) r->AppendUnchecked(std::move(t));
+  return matches.size();
 }
 
 }  // namespace ongoingdb

@@ -38,17 +38,23 @@ Status TemporalInsert(OngoingRelation* r, std::vector<Value> values,
 
 /// Logically deletes matching tuples at commit time tc: each matching
 /// tuple's valid-time end becomes min(end, tc). Tuples whose valid time
-/// thereby becomes empty at every reference time are removed. Returns
-/// the number of modified tuples.
+/// thereby becomes empty at every reference time are removed. Edits *r
+/// in place, so tuple order may change, and logs each matched tuple's
+/// removal and its closed replacement when *r's log is enabled. A
+/// matched tuple whose valid time is NULL fails the delete
+/// (InvalidArgument) with neither *r nor its log changed. Returns the
+/// number of modified tuples.
 Result<size_t> TemporalDelete(OngoingRelation* r, size_t vt_index,
                               TimePoint tc, const ModificationFilter& filter);
 
 /// Logically updates matching tuples at commit time tc: the old version
 /// is closed at tc (end := min(end, tc)) and a new version with values
-/// produced by `updater` becomes valid as [tc, now). Each updater row is
-/// validated against the schema (arity, types) before it is written to;
-/// a bad row fails the update with neither *r nor its modification log
-/// changed. Returns the number of updated tuples.
+/// produced by `updater` becomes valid as [tc, now). Edits and logs like
+/// TemporalDelete, plus each new version's insertion. Each updater row is
+/// validated against the schema (arity, types) before anything changes;
+/// a bad row, like a NULL valid time, fails the update with neither *r
+/// nor its modification log changed. Returns the number of updated
+/// tuples.
 Result<size_t> TemporalUpdate(
     OngoingRelation* r, size_t vt_index, TimePoint tc,
     const ModificationFilter& filter,

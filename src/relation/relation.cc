@@ -54,10 +54,7 @@ Status OngoingRelation::ValidateValues(
 
 Status OngoingRelation::Insert(std::vector<Value> values) {
   ONGOINGDB_RETURN_NOT_OK(ValidateValues(values));
-  tuples_.emplace_back(std::move(values));
-  if (log_ != nullptr) {
-    log_->Append(Modification::Kind::kInsert, tuples_.back());
-  }
+  AppendUnchecked(Tuple(std::move(values)));
   return Status::OK();
 }
 
@@ -69,29 +66,21 @@ Status OngoingRelation::InsertWithRt(std::vector<Value> values,
         "tuple with empty reference time belongs to no instantiated "
         "relation");
   }
-  tuples_.emplace_back(std::move(values), std::move(rt));
-  if (log_ != nullptr) {
-    log_->Append(Modification::Kind::kInsert, tuples_.back());
-  }
+  AppendUnchecked(Tuple(std::move(values), std::move(rt)));
   return Status::OK();
 }
 
 void OngoingRelation::AppendUnchecked(Tuple tuple) {
   if (tuple.rt().IsEmpty()) return;
+  if (log_ != nullptr) log_->Append(Modification::Kind::kInsert, tuple);
   tuples_.push_back(std::move(tuple));
-  if (log_ != nullptr) {
-    log_->Append(Modification::Kind::kInsert, tuples_.back());
-  }
 }
 
 void OngoingRelation::SwapRemove(size_t i) {
   if (log_ != nullptr) {
     log_->Append(Modification::Kind::kRemove, tuples_[i]);
   }
-  if (i + 1 != tuples_.size()) {
-    tuples_[i] = std::move(tuples_.back());
-  }
-  tuples_.pop_back();
+  EditTuples().SwapRemove(i);
 }
 
 void OngoingRelation::EnableModificationLog(size_t capacity) {

@@ -12,6 +12,7 @@
 
 #include "relation/schema.h"
 #include "relation/tuple.h"
+#include "relation/tuple_store.h"
 #include "util/result.h"
 
 namespace ongoingdb {
@@ -74,9 +75,12 @@ class OngoingRelation {
  public:
   OngoingRelation() = default;
   explicit OngoingRelation(Schema schema) : schema_(std::move(schema)) {}
-  OngoingRelation(Schema schema, std::vector<Tuple> tuples)
-      : schema_(std::move(schema)), tuples_(std::move(tuples)) {}
 
+  // A copy shares the tuples' full chunks (relation/tuple_store.h) and
+  // copies only the partial last one: O(size() / TupleStore::kChunkSize +
+  // TupleStore::kChunkSize). Mutating either side afterwards leaves the
+  // other unchanged.
+  //
   // The modification log is bound to the relation's *identity*, not its
   // value: a copy is a different relation and starts without a log, and
   // wholesale replacement via copy-assignment drops the target's log —
@@ -99,7 +103,9 @@ class OngoingRelation {
   const Schema& schema() const { return schema_; }
   size_t size() const { return tuples_.size(); }
   bool empty() const { return tuples_.empty(); }
-  const std::vector<Tuple>& tuples() const { return tuples_; }
+  /// The tuples' read view: range-for walks each chunk by pointer;
+  /// indexed access is a shift and a mask.
+  const TupleStore& tuples() const { return tuples_; }
   const Tuple& tuple(size_t i) const { return tuples_[i]; }
 
   /// Checks a row against the schema: arity, and the type of every
@@ -119,36 +125,38 @@ class OngoingRelation {
   /// matching the algebra's x.RT != {} conditions.
   void AppendUnchecked(Tuple tuple);
 
-  /// Removes tuple i by swapping the last tuple into its place: O(1),
-  /// tuple order is not preserved. Logs a kRemove entry when the
+  /// Removes tuple i by swapping the last tuple into its place; tuple
+  /// order is not preserved. O(1) when tuple i and the last tuple both
+  /// lie in the partial last chunk; full chunks are shared and immutable,
+  /// so each one the removal writes to is copied first,
+  /// O(TupleStore::kChunkSize). Logs a kRemove entry when the
   /// modification log is enabled.
   void SwapRemove(size_t i);
 
   /// Reserves capacity for n tuples.
   void Reserve(size_t n) { tuples_.reserve(n); }
 
+  /// Write access for one in-place modification (see TupleStore::Edit).
+  /// Logs nothing: the caller logs the deltas it makes, as the Torp
+  /// modifications in relation/modifications.cc do.
+  TupleStore::Edit EditTuples() { return TupleStore::Edit(&tuples_); }
+
   /// Enables the modification log (idempotent; an existing log and its
   /// entries are kept). Once enabled, Insert/InsertWithRt/AppendUnchecked
   /// log a kInsert for every tuple actually appended and SwapRemove logs
   /// a kRemove; the Torp modifications in relation/modifications.cc log
-  /// their rebuild-style close/update deltas explicitly. Opt-in because
-  /// operator intermediates churn through AppendUnchecked.
+  /// each matched tuple's removal and the insertions that replace it.
+  /// Opt-in because operator intermediates churn through AppendUnchecked.
   void EnableModificationLog(
       size_t capacity = ModificationLog::kDefaultCapacity);
 
   /// The modification log, or nullptr when not enabled.
   ModificationLog* modification_log() const { return log_.get(); }
 
-  /// Shares ownership of the log so rebuild-style mutators can carry it
-  /// across a wholesale replacement (see relation/modifications.cc).
+  /// Shares ownership of the log, so a consumer can hold it and detect
+  /// when the relation's log is replaced (query/view_maintenance.h).
   std::shared_ptr<ModificationLog> SharedModificationLog() const {
     return log_;
-  }
-
-  /// Re-attaches a previously shared log (or detaches with nullptr). The
-  /// caller vouches that it has logged the replacement's delta itself.
-  void AttachModificationLog(std::shared_ptr<ModificationLog> log) {
-    log_ = std::move(log);
   }
 
   /// The union of all reference times at which some tuple belongs to the
@@ -160,7 +168,7 @@ class OngoingRelation {
 
  private:
   Schema schema_;
-  std::vector<Tuple> tuples_;
+  TupleStore tuples_;
   std::shared_ptr<ModificationLog> log_;
 };
 

@@ -15,16 +15,6 @@ namespace {
 // fault-injection suite proves impossible.
 Failpoint& fp_catalog_commit = Failpoint::GetOrCreate("catalog.commit");
 
-// The copy a write modifies. It leaves room for one more row: a bare
-// copy is sized exactly, so an INSERT's append would double the array
-// that the published version then keeps for as long as the ring does.
-OngoingRelation CopyVersion(const OngoingRelation& current) {
-  std::vector<Tuple> tuples;
-  tuples.reserve(current.size() + 1);
-  tuples.insert(tuples.end(), current.tuples().begin(), current.tuples().end());
-  return OngoingRelation(current.schema(), std::move(tuples));
-}
-
 }  // namespace
 
 // --- Snapshot ---------------------------------------------------------------
@@ -110,7 +100,7 @@ Result<uint64_t> Catalog::Commit(
   ONGOINGDB_ASSIGN_OR_RETURN(std::shared_ptr<const OngoingRelation> current,
                              PinSnapshot().Get(name));
   ONGOINGDB_FAILPOINT(fp_catalog_commit);
-  OngoingRelation next = CopyVersion(*current);
+  OngoingRelation next = *current;
   ONGOINGDB_RETURN_NOT_OK(modify(&next));
   return Publish(name,
                  std::make_shared<const OngoingRelation>(std::move(next)));

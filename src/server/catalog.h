@@ -6,7 +6,9 @@
 // the catalog's single writer mutex, applies the plain Torp
 // modification (relation/modifications.h) to the copy, and publishes
 // the copy as the next version. Only the copy is ever touched, so a
-// failed write publishes nothing.
+// failed write publishes nothing. Versions share their unchanged tuple
+// chunks (relation/tuple_store.h): the copy costs O(n / 256 + 256) for
+// n rows, and the modification copies only the chunks it writes.
 //
 // Publication protocol (RCU over util/published_ptr.h). The published
 // unit is a CatalogState: the commit sequence plus, per table, a short
@@ -131,12 +133,13 @@ class Catalog {
   uint64_t commit_seq() const { return state_.Load()->commit_seq; }
 
   // --- write path (serialized on the commit lock) -------------------------
-  // Each write copies the table's current version, applies the
-  // modification to the copy, and publishes the next CatalogState. On
-  // any failure — including the `catalog.commit` failpoint — nothing is
-  // published: a reader can never observe a half-applied write, and a
-  // failed commit consumes no sequence number. All return the commit
-  // sequence they published.
+  // Each write copies the table's current version (sharing its full
+  // chunks), applies the modification to the copy in place, and
+  // publishes the next CatalogState, so a commit costs O(delta) plus a
+  // DELETE's or UPDATE's filter scan. On any failure — including the
+  // `catalog.commit` failpoint — nothing is published: a reader can
+  // never observe a half-applied write, and a failed commit consumes no
+  // sequence number. All return the commit sequence they published.
 
   /// Creates an empty table. Fails if the name exists.
   Result<uint64_t> CreateTable(const std::string& name, Schema schema);

@@ -121,14 +121,11 @@ std::multiset<std::string> ReplayAt(const OngoingRelation& base,
   return Fingerprint(*result);
 }
 
-class ConcurrentServingTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ConcurrentServingTest, ReadersSeeExactSerialStatesAtTheirSnapshots) {
-  const uint64_t seed = GetParam();
-  ONGOINGDB_FUZZ_SEED_TRACE(seed);
-
+// The readers-and-writers run and its serial-replay oracle over a base
+// table of `base_rows` rows.
+void ExpectReadersSeeExactSerialStates(uint64_t seed, size_t base_rows) {
   Rng base_rng(seed);
-  const OngoingRelation base = MakeBase(base_rng, "T_", 12);
+  const OngoingRelation base = MakeBase(base_rng, "T_", base_rows);
   const uint64_t base_seq = 1;  // RegisterTable publishes one commit
 
   Catalog catalog;
@@ -252,6 +249,23 @@ TEST_P(ConcurrentServingTest, ReadersSeeExactSerialStatesAtTheirSnapshots) {
   ASSERT_TRUE(final_state.ok());
   EXPECT_EQ(Fingerprint(**final_state),
             ReplayAt(base, write_log, catalog.commit_seq(), 0));
+}
+
+class ConcurrentServingTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ConcurrentServingTest, ReadersSeeExactSerialStatesAtTheirSnapshots) {
+  const uint64_t seed = GetParam();
+  ONGOINGDB_FUZZ_SEED_TRACE(seed);
+  ExpectReadersSeeExactSerialStates(seed, 12);
+}
+
+TEST_P(ConcurrentServingTest, ReadersSeeExactSerialStatesOverSharedChunks) {
+  // Three full chunks plus five rows: every version shares full chunks
+  // with its predecessor while readers scan it, and each DELETE or
+  // UPDATE writes copies of the chunks it touches.
+  const uint64_t seed = GetParam();
+  ONGOINGDB_FUZZ_SEED_TRACE(seed);
+  ExpectReadersSeeExactSerialStates(seed, 3 * TupleStore::kChunkSize + 5);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConcurrentServingTest,

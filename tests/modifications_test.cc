@@ -222,6 +222,47 @@ TEST(ModificationsTest, UpdateRejectsBadUpdaterRowsWithNothingChanged) {
   }
 }
 
+TEST(ModificationsTest, NullValidTimeFailsWithNothingChanged) {
+  // A NULL valid time passes the schema check, but a delete or update
+  // that matches the row has no interval to close: it fails before
+  // anything changes instead of reading the NULL as an interval.
+  OngoingRelation r(ContractSchema());
+  r.EnableModificationLog();
+  ASSERT_TRUE(TemporalInsert(&r,
+                             {Value::Int64(1), Value::String("dev"),
+                              Value::Null()},
+                             kVt, MD(1, 1))
+                  .ok());
+  ASSERT_TRUE(
+      r.Insert({Value::Int64(2), Value::String("qa"), Value::Null()}).ok());
+  ModificationLog* log = r.modification_log();
+  const uint64_t logged = log->next_seq();
+  auto rows = [&r] {
+    std::vector<std::string> out;
+    for (const Tuple& t : r.tuples()) out.push_back(t.ToString());
+    return out;
+  };
+  const std::vector<std::string> before = rows();
+  const ModificationFilter all = [](const Tuple&) { return true; };
+
+  auto deleted = TemporalDelete(&r, kVt, MD(6, 1), all);
+  ASSERT_FALSE(deleted.ok());
+  EXPECT_EQ(deleted.status().code(), StatusCode::kInvalidArgument);
+  auto updated = TemporalUpdate(&r, kVt, MD(6, 1), all,
+                                [](const Tuple& t) { return t.values(); });
+  ASSERT_FALSE(updated.ok());
+  EXPECT_EQ(updated.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(rows(), before);
+  EXPECT_EQ(log->next_seq(), logged);
+
+  // A filter that skips the NULL row modifies the rest as usual.
+  auto first_only = TemporalDelete(&r, kVt, MD(6, 1), [](const Tuple& t) {
+    return t.value(0).AsInt64() == 1;
+  });
+  ASSERT_TRUE(first_only.ok()) << first_only.status();
+  EXPECT_EQ(*first_only, 1u);
+}
+
 TEST(ModificationsTest, ValidationErrors) {
   OngoingRelation r(Schema({{"ID", ValueType::kInt64}}));
   EXPECT_FALSE(TemporalInsert(&r, {Value::Int64(1)}, 0, 0).ok());

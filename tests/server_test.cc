@@ -1,7 +1,8 @@
 // Unit tests of the serving layer (server/catalog.h, server/session.h):
 // the thread-safe catalog's commit/publish protocol, snapshot pinning
 // and stability, time travel over the version ring (OutOfRange below
-// it), the read-only snapshot views, session statement execution with
+// it), commits that allocate their delta rather than the table, the
+// read-only snapshot views, session statement execution with
 // per-session knobs, and the SessionManager.
 //
 // The *concurrent* equivalence guarantees are covered by
@@ -22,6 +23,7 @@
 #include "sql/parser.h"
 #include "sql/statement.h"
 #include "testing/plan_fuzz.h"
+#include "util/alloc_counter.h"
 
 namespace ongoingdb {
 namespace server {
@@ -133,11 +135,12 @@ TEST(ServerCatalogTest, TimeTravelWithinRingAndOutOfRangeBelowIt) {
   }
 }
 
-TEST(ServerCatalogTest, RingAnswersEveryRetainedSequenceAsThePlainReplay) {
-  // The served-table contract: every sequence the ring retains resolves
-  // to the committed prefix replayed through the plain Torp functions,
-  // older sequences are OutOfRange, and a failing write consumes no
-  // sequence. One commit to a second table leaves a gap in Bugs' ring.
+// The served-table contract: every sequence the ring retains resolves
+// to the committed prefix replayed through the plain Torp functions
+// from `base`, older sequences are OutOfRange, and a failing write
+// consumes no sequence. One commit to a second table leaves a gap in
+// Bugs' ring.
+void ExpectRingAnswersAsThePlainReplay(const OngoingRelation& base) {
   constexpr size_t kRingCap = 3;
   Catalog catalog(kRingCap);
 
@@ -147,15 +150,15 @@ TEST(ServerCatalogTest, RingAnswersEveryRetainedSequenceAsThePlainReplay) {
     std::function<void(OngoingRelation*)> apply;
   };
   std::vector<Committed> committed;
-  auto replay = [&committed](uint64_t seq) {
-    OngoingRelation plain(BugsSchema());
+  auto replay = [&committed, &base](uint64_t seq) {
+    OngoingRelation plain = base;
     for (const Committed& c : committed) {
       if (c.seq <= seq) c.apply(&plain);
     }
     return Fingerprint(plain);
   };
 
-  auto created = catalog.CreateTable("Bugs", BugsSchema());
+  auto created = catalog.RegisterTable("Bugs", base);
   ASSERT_TRUE(created.ok()) << created.status();
   committed.push_back({*created, [](OngoingRelation*) {}});
   ASSERT_TRUE(
@@ -233,6 +236,25 @@ TEST(ServerCatalogTest, RingAnswersEveryRetainedSequenceAsThePlainReplay) {
       check("after the failing writes");
     }
   }
+}
+
+TEST(ServerCatalogTest, RingAnswersEveryRetainedSequenceAsThePlainReplay) {
+  ExpectRingAnswersAsThePlainReplay(OngoingRelation(BugsSchema()));
+}
+
+TEST(ServerCatalogTest, RingOverSharedChunksAnswersAsThePlainReplay) {
+  // Three full chunks plus five rows, a third of them "ui": the versions
+  // in the ring share chunks, and the updates write into every one.
+  OngoingRelation base(BugsSchema());
+  const std::string components[] = {"spam", "ui", "perf"};
+  const size_t rows = 3 * TupleStore::kChunkSize + 5;
+  for (size_t i = 0; i < rows; ++i) {
+    ASSERT_TRUE(base.Insert(BugRow(static_cast<int64_t>(10000 + i),
+                                   components[i % 3],
+                                   static_cast<TimePoint>(i % 90)))
+                    .ok());
+  }
+  ExpectRingAnswersAsThePlainReplay(base);
 }
 
 TEST(ServerCatalogTest, ChurnLeavesOnlyTheRingAnswerable) {
@@ -344,6 +366,93 @@ TEST(ServerCatalogTest, ServedModificationsMatchPlainOps) {
   auto unchanged = catalog.PinSnapshot().Get("Bugs");
   ASSERT_TRUE(unchanged.ok());
   EXPECT_EQ(Fingerprint(**unchanged), Fingerprint(plain));
+}
+
+TEST(ServerCatalogTest, NullValidTimeFailsTheCommitAndPublishesNothing) {
+  // The INSERT is accepted (NULL passes the schema check), but a DELETE
+  // or UPDATE that matches the row has no valid time to close.
+  Catalog catalog;
+  ASSERT_TRUE(catalog.CreateTable("T", Schema({{"ID", ValueType::kInt64},
+                                               {"VT", ValueType::kOngoingInterval}}))
+                  .ok());
+  ASSERT_TRUE(catalog.Insert("T", {Value::Int64(1), Value::Null()}).ok());
+  const uint64_t before = catalog.commit_seq();
+  const ModificationFilter all = [](const Tuple&) { return true; };
+
+  auto deleted = catalog.TemporalDeleteWhere("T", 10, all);
+  ASSERT_FALSE(deleted.ok());
+  EXPECT_EQ(deleted.status().code(), StatusCode::kInvalidArgument);
+  auto updated = catalog.TemporalUpdateWhere(
+      "T", 10, all, [](const Tuple& t) { return t.values(); });
+  ASSERT_FALSE(updated.ok());
+  EXPECT_EQ(updated.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(catalog.commit_seq(), before);
+  auto current = catalog.PinSnapshot().Get("T");
+  ASSERT_TRUE(current.ok());
+  ASSERT_EQ((*current)->size(), 1u);
+  EXPECT_TRUE((*current)->tuple(0).value(1).is_null());
+}
+
+TEST(ServerCatalogTest, CommitsAllocateTheirDeltaNotTheTable) {
+  // A commit copies the current version and edits the copy. Versions
+  // share their full chunks, so a one-row write allocates about a chunk
+  // and the chunk pointers, far below one copy of a 200k-row table
+  // (which is about 47 MB).
+  constexpr int64_t kRows = 200000;
+  constexpr uint64_t kDeltaBytes = 1 << 20;
+  OngoingRelation data(BugsSchema());
+  data.Reserve(kRows);
+  for (int64_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(data.Insert(BugRow(i, "c", i % 100)).ok());
+  }
+  Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterTable("Bugs", data).ok());
+  auto by_bid = [](int64_t bid) -> ModificationFilter {
+    return [bid](const Tuple& t) { return t.value(0).AsInt64() == bid; };
+  };
+  auto recomponent = [](const Tuple& t) {
+    std::vector<Value> values = t.values();
+    values[1] = Value::String("d");
+    return values;
+  };
+
+  {
+    AllocScope scope;
+    ASSERT_TRUE(catalog.Insert("Bugs", BugRow(kRows, "c", 5)).ok());
+    EXPECT_LT(scope.bytes(), kDeltaBytes) << "INSERT";
+  }
+  {
+    AllocScope scope;
+    size_t deleted = 0;
+    ASSERT_TRUE(
+        catalog.TemporalDeleteWhere("Bugs", 150, by_bid(kRows / 2), &deleted)
+            .ok());
+    EXPECT_EQ(deleted, 1u);
+    EXPECT_LT(scope.bytes(), kDeltaBytes) << "DELETE by ID";
+  }
+  {
+    AllocScope scope;
+    size_t updated = 0;
+    ASSERT_TRUE(catalog
+                    .TemporalUpdateWhere("Bugs", 150, by_bid(kRows / 3),
+                                         recomponent, &updated)
+                    .ok());
+    EXPECT_EQ(updated, 1u);
+    EXPECT_LT(scope.bytes(), kDeltaBytes) << "UPDATE by ID";
+  }
+  {
+    // A DELETE matching every row copies each chunk once, not once per
+    // row it changes.
+    AllocScope scope;
+    size_t deleted = 0;
+    ASSERT_TRUE(catalog
+                    .TemporalDeleteWhere(
+                        "Bugs", 150, [](const Tuple&) { return true; },
+                        &deleted)
+                    .ok());
+    EXPECT_EQ(deleted, static_cast<size_t>(kRows + 2));
+    EXPECT_LE(scope.count(), 3 * deleted) << "DELETE matching every row";
+  }
 }
 
 TEST(ServerCatalogTest, SnapshotViewIsReadOnly) {
