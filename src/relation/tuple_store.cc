@@ -4,21 +4,6 @@
 
 namespace ongoingdb {
 
-void TupleStore::const_iterator::EnterChunk() {
-  const size_t full = store_->chunks_.size();
-  while (next_chunk_ <= full) {
-    const Chunk& chunk = next_chunk_ < full ? *store_->chunks_[next_chunk_]
-                                            : store_->tail_;
-    ++next_chunk_;
-    if (!chunk.empty()) {
-      cur_ = chunk.data();
-      stop_ = cur_ + chunk.size();
-      return;
-    }
-  }
-  cur_ = stop_ = nullptr;
-}
-
 TupleStore::Chunk& TupleStore::Edit::Owned(size_t c) {
   if (owned_.size() <= c) owned_.resize(store_->chunks_.size(), nullptr);
   if (owned_[c] == nullptr) {
@@ -53,20 +38,12 @@ void TupleStore::Edit::SwapRemove(size_t i) {
   tail.pop_back();
 }
 
-void TupleStore::push_back(Tuple&& t) {
-  if (tail_.size() == tail_.capacity()) {
-    // A store that has filled a chunk is likely to fill the next, so its
-    // tail takes a whole chunk at once; a smaller one grows geometrically.
-    // Either way a full tail becomes a chunk without spare slots.
-    tail_.reserve(chunks_.empty() ? std::min(kChunkSize,
-                                             std::max<size_t>(8, 2 * tail_.size()))
-                                  : kChunkSize);
-  }
-  tail_.push_back(std::move(t));
-  if (tail_.size() == kChunkSize) {
-    chunks_.push_back(std::make_shared<const Chunk>(std::move(tail_)));
-    tail_.clear();
-  }
+void TupleStore::GrowTail() {
+  // A store that has filled a chunk is likely to fill the next, so its
+  // tail takes a whole chunk at once; a smaller one grows geometrically.
+  // Either way a full tail becomes a chunk without spare slots.
+  const size_t grown = std::max<size_t>(8, 2 * tail_.size());
+  tail_.reserve(chunks_.empty() ? std::min(kChunkSize, grown) : kChunkSize);
 }
 
 void TupleStore::reserve(size_t n) {

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <iterator>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "relation/tuple.h"
@@ -62,8 +63,23 @@ class TupleStore {
       EnterChunk();
     }
     // Moves to the first tuple of the next non-empty chunk (the tail
-    // last), or to the end.
-    void EnterChunk();
+    // last), or to the end. Defined in the class so that range-for
+    // loops can inline it.
+    void EnterChunk() {
+      const size_t full = store_->chunks_.size();
+      while (next_chunk_ <= full) {
+        const Chunk& chunk = next_chunk_ < full
+                                 ? *store_->chunks_[next_chunk_]
+                                 : store_->tail_;
+        ++next_chunk_;
+        if (!chunk.empty()) {
+          cur_ = chunk.data();
+          stop_ = cur_ + chunk.size();
+          return;
+        }
+      }
+      cur_ = stop_ = nullptr;
+    }
 
     const TupleStore* store_ = nullptr;
     size_t next_chunk_ = 0;  // full chunks, then the tail at chunks_.size()
@@ -114,7 +130,14 @@ class TupleStore {
   const_iterator end() const { return const_iterator(); }
 
   /// Appends t; a tail that fills up becomes a shared full chunk.
-  void push_back(Tuple&& t);
+  void push_back(Tuple&& t) {
+    if (tail_.size() == tail_.capacity()) GrowTail();
+    tail_.push_back(std::move(t));
+    if (tail_.size() == kChunkSize) {
+      chunks_.push_back(std::make_shared<const Chunk>(std::move(tail_)));
+      tail_.clear();
+    }
+  }
 
   /// Reserves room for n tuples: chunk pointers, and the tail up to one
   /// chunk.
@@ -123,6 +146,9 @@ class TupleStore {
   void clear();
 
  private:
+  // Makes room for one more tuple in a full tail.
+  void GrowTail();
+
   std::vector<std::shared_ptr<const Chunk>> chunks_;
   Chunk tail_;  // < kChunkSize tuples
 };

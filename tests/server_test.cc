@@ -372,9 +372,9 @@ TEST(ServerCatalogTest, NullValidTimeFailsTheCommitAndPublishesNothing) {
   // The INSERT is accepted (NULL passes the schema check), but a DELETE
   // or UPDATE that matches the row has no valid time to close.
   Catalog catalog;
-  ASSERT_TRUE(catalog.CreateTable("T", Schema({{"ID", ValueType::kInt64},
-                                               {"VT", ValueType::kOngoingInterval}}))
-                  .ok());
+  Schema schema(
+      {{"ID", ValueType::kInt64}, {"VT", ValueType::kOngoingInterval}});
+  ASSERT_TRUE(catalog.CreateTable("T", std::move(schema)).ok());
   ASSERT_TRUE(catalog.Insert("T", {Value::Int64(1), Value::Null()}).ok());
   const uint64_t before = catalog.commit_seq();
   const ModificationFilter all = [](const Tuple&) { return true; };
