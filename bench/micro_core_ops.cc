@@ -5,7 +5,8 @@
 //    five-case enumeration;
 //  * the Algorithm 1 sweep-line conjunction (single pass, sorted output
 //    for free) vs a sort-then-merge implementation;
-//  * the Allen predicates, interval-set operations, and instantiation.
+//  * the Allen predicates (one-pass gap form, by operand shape),
+//    interval-set operations, and instantiation.
 //
 // Every benchmark additionally reports allocs_per_op / bytes_per_op via
 // the counting allocator, so the allocation-lean claims of DESIGN.md are
@@ -358,6 +359,67 @@ void BM_BeforePredicate(benchmark::State& state) {
   ReportAllocs(state, alloc_scope);
 }
 BENCHMARK(BM_BeforePredicate);
+
+// ns and allocations per call of the one-pass ongoing predicates
+// (core/operations.h) by operand shape: both operands fixed, fixed
+// against ongoing, and both ongoing ([s, now) intervals; a+ points for
+// CONTAINS). Every shape computes its St from a stack array into the
+// result's inline storage, so allocs_per_op reads 0 throughout.
+enum class OngoingPredicate { kOverlaps, kBefore, kContains };
+
+void BM_OngoingPredicate(benchmark::State& state, OngoingPredicate pred,
+                         bool lhs_ongoing, bool rhs_ongoing) {
+  Rng rng(37);
+  auto interval = [&rng](bool ongoing) {
+    const TimePoint s = rng.Uniform(0, 500);
+    return ongoing ? OngoingInterval::SinceUntilNow(s)
+                   : OngoingInterval::Fixed(s, s + rng.Uniform(1, 90));
+  };
+  std::vector<OngoingInterval> lhs, rhs;
+  std::vector<OngoingTimePoint> points;
+  for (int i = 0; i < 1024; ++i) {
+    lhs.push_back(interval(lhs_ongoing));
+    rhs.push_back(interval(rhs_ongoing));
+    const TimePoint p = rng.Uniform(0, 600);
+    points.push_back(rhs_ongoing ? OngoingTimePoint::Growing(p)
+                                 : OngoingTimePoint::Fixed(p));
+  }
+  size_t i = 0;
+  AllocScope alloc_scope;
+  for (auto _ : state) {
+    const size_t k = i++ % lhs.size();
+    switch (pred) {
+      case OngoingPredicate::kOverlaps:
+        benchmark::DoNotOptimize(Overlaps(lhs[k], rhs[k]));
+        break;
+      case OngoingPredicate::kBefore:
+        benchmark::DoNotOptimize(Before(lhs[k], rhs[k]));
+        break;
+      case OngoingPredicate::kContains:
+        benchmark::DoNotOptimize(Contains(lhs[k], points[k]));
+        break;
+    }
+  }
+  ReportAllocs(state, alloc_scope);
+}
+BENCHMARK_CAPTURE(BM_OngoingPredicate, overlaps_fixed_fixed,
+                  OngoingPredicate::kOverlaps, false, false);
+BENCHMARK_CAPTURE(BM_OngoingPredicate, overlaps_fixed_ongoing,
+                  OngoingPredicate::kOverlaps, false, true);
+BENCHMARK_CAPTURE(BM_OngoingPredicate, overlaps_ongoing_ongoing,
+                  OngoingPredicate::kOverlaps, true, true);
+BENCHMARK_CAPTURE(BM_OngoingPredicate, before_fixed_fixed,
+                  OngoingPredicate::kBefore, false, false);
+BENCHMARK_CAPTURE(BM_OngoingPredicate, before_fixed_ongoing,
+                  OngoingPredicate::kBefore, false, true);
+BENCHMARK_CAPTURE(BM_OngoingPredicate, before_ongoing_ongoing,
+                  OngoingPredicate::kBefore, true, true);
+BENCHMARK_CAPTURE(BM_OngoingPredicate, contains_fixed_fixed,
+                  OngoingPredicate::kContains, false, false);
+BENCHMARK_CAPTURE(BM_OngoingPredicate, contains_fixed_ongoing,
+                  OngoingPredicate::kContains, false, true);
+BENCHMARK_CAPTURE(BM_OngoingPredicate, contains_ongoing_ongoing,
+                  OngoingPredicate::kContains, true, true);
 
 void BM_Instantiate(benchmark::State& state) {
   auto points = RandomPoints(1024, 31);

@@ -18,12 +18,6 @@ bool IntervalSet::IsNormalized(const FixedInterval* intervals, size_t count) {
   return true;
 }
 
-IntervalSet::IntervalSet(std::vector<FixedInterval> intervals) {
-  assert(IsNormalized(intervals.data(), intervals.size()));
-  intervals_.reserve(intervals.size());
-  for (const FixedInterval& iv : intervals) intervals_.push_back(iv);
-}
-
 IntervalSet::IntervalSet(std::initializer_list<FixedInterval> intervals) {
   *this = FromUnsorted(std::vector<FixedInterval>(intervals));
 }
@@ -61,6 +55,15 @@ IntervalSet IntervalSet::FromUnsorted(std::vector<FixedInterval> intervals) {
     }
   }
   assert(IsNormalized(merged.data(), merged.size()));
+  return result;
+}
+
+IntervalSet IntervalSet::FromNormalized(const FixedInterval* intervals,
+                                        size_t count) {
+  assert(IsNormalized(intervals, count));
+  IntervalSet result;
+  result.intervals_.reserve(count);
+  for (size_t i = 0; i < count; ++i) result.intervals_.push_back(intervals[i]);
   return result;
 }
 

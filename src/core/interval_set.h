@@ -41,11 +41,6 @@ class IntervalSet {
   /// Constructs the empty set.
   IntervalSet() = default;
 
-  /// Constructs from intervals that must already be non-empty, sorted,
-  /// disjoint and maximal (adjacent intervals merged). Checked with
-  /// assertions in debug builds; use FromUnsorted for arbitrary input.
-  explicit IntervalSet(std::vector<FixedInterval> intervals);
-
   /// Convenience literal constructor; intervals may be given in any order
   /// and are normalized.
   IntervalSet(std::initializer_list<FixedInterval> intervals);
@@ -63,6 +58,15 @@ class IntervalSet {
   /// Normalizes arbitrary (possibly overlapping, unsorted, empty)
   /// intervals: drops empties, sorts, merges overlapping and adjacent.
   static IntervalSet FromUnsorted(std::vector<FixedInterval> intervals);
+
+  /// Copies `count` intervals that must already be non-empty, sorted,
+  /// disjoint and maximal (adjacent intervals merged). Checked with
+  /// assertions in debug builds; use FromUnsorted for arbitrary input.
+  /// Up to the inline capacity this never allocates; the ongoing
+  /// predicates (core/operations.cc) build their results from stack
+  /// arrays with it.
+  static IntervalSet FromNormalized(const FixedInterval* intervals,
+                                    size_t count);
 
   /// True iff `intervals` satisfies the class invariant: every interval
   /// is non-empty, lies within the time domain [-inf, +inf], and the list

@@ -7,11 +7,18 @@
 //     forall rt:  ||Less(t1, t2)||rt  <=>  ||t1||rt <  ||t2||rt
 //     forall rt:  ||Min(t1, t2)||rt   ==   min(||t1||rt, ||t2||rt)
 //
-// The six core operations <, min, max, and ^, v, not are implemented with
-// the equivalences proven in Theorem 1 (the less-than predicate uses the
-// Fig. 6 decision tree with at most three fixed-value comparisons). All
-// other predicates and functions — including the Allen interval relations
-// of Table II — are expressed through the core operations.
+// The six core operations <, min, max, and ^, v, not are defined by the
+// equivalences proven in Theorem 1, and every other predicate — the
+// comparisons and the Allen interval relations of Table II — is a
+// composition of them. The predicates compute that composition in one
+// pass, without heap allocation. The Fig. 6 decision tree (at most three
+// fixed-value comparisons) puts the reference times at which a+b < c+d
+// is false into a single interval, its "gap". A conjunction of <=/=
+// terms is then one window, a conjunction of < terms is the complement
+// of the union of their gaps, and each Table II predicate is a window
+// minus at most four gaps (During and Equals: the union of two such
+// parts), swept once from a stack array straight into the result's
+// inline interval storage.
 #pragma once
 
 #include "core/ongoing_boolean.h"

@@ -212,7 +212,8 @@ Result<Tuple> DeserializeTuple(const Schema& schema,
   if (!reader.AtEnd()) {
     return Status::IOError("trailing bytes after tuple");
   }
-  return Tuple(std::move(values), IntervalSet(std::move(intervals)));
+  return Tuple(std::move(values),
+               IntervalSet::FromNormalized(intervals.data(), intervals.size()));
 }
 
 size_t SerializedTupleSize(const Tuple& tuple) {

@@ -8,6 +8,9 @@
 // beyond the operand range.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/operations.h"
 #include "util/alloc_counter.h"
 #include "util/rng.h"
@@ -194,6 +197,212 @@ TEST_P(CorePropertyTest, SmallIntervalSetOpsAreAllocationFree) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, CorePropertyTest,
                          ::testing::Range<uint64_t>(0, 100));
+
+// --- Exhaustive check of the one-pass (gap form) predicates -------------
+//
+// Every ongoing point a+b with components from a small set that holds
+// both infinities, every interval built from two such points, and every
+// pair of them. For each pair and each predicate:
+//   (a) St equals a reference that composes the Fig. 6 Less with
+//       And/Not/Or term by term, as the Table II definitions read;
+//   (b) the result instantiates to the fixed predicate at every rt;
+//   (c) the call allocates nothing (the result fits IntervalSet's
+//       inline storage).
+
+// The Fig. 6 decision tree with its St built from a vector.
+OngoingBoolean RefLess(const OngoingTimePoint& t1, const OngoingTimePoint& t2) {
+  const TimePoint a = t1.a(), b = t1.b(), c = t2.a(), d = t2.b();
+  std::vector<FixedInterval> st;
+  if (b < d) {
+    if (b < c) return OngoingBoolean::True();
+    if (a < c) st.push_back({kMinInfinity, c});
+    if (b + 1 < kMaxInfinity) st.push_back({b + 1, kMaxInfinity});
+  } else if (a < c) {
+    st.push_back({kMinInfinity, c});
+  }
+  return OngoingBoolean(IntervalSet::FromUnsorted(std::move(st)));
+}
+OngoingBoolean RefLessEqual(const OngoingTimePoint& x,
+                            const OngoingTimePoint& y) {
+  return RefLess(y, x).Not();
+}
+OngoingBoolean RefEqual(const OngoingTimePoint& x, const OngoingTimePoint& y) {
+  return RefLessEqual(x, y).And(RefLessEqual(y, x));
+}
+OngoingBoolean RefNonEmpty(const OngoingInterval& i) {
+  return RefLess(i.start(), i.end());
+}
+OngoingBoolean RefBoth(const OngoingInterval& i1, const OngoingInterval& i2) {
+  return RefNonEmpty(i1).And(RefNonEmpty(i2));
+}
+
+struct IntervalPredicate {
+  const char* name;
+  OngoingBoolean (*fn)(const OngoingInterval&, const OngoingInterval&);
+  bool (*fixed)(const FixedInterval&, const FixedInterval&);
+  OngoingBoolean (*ref)(const OngoingInterval&, const OngoingInterval&);
+};
+
+const IntervalPredicate kAllenPredicates[] = {
+    {"before", Before, BeforeF,
+     [](const OngoingInterval& i1, const OngoingInterval& i2) {
+       return RefLessEqual(i1.end(), i2.start()).And(RefBoth(i1, i2));
+     }},
+    {"meets", Meets, MeetsF,
+     [](const OngoingInterval& i1, const OngoingInterval& i2) {
+       return RefEqual(i1.end(), i2.start()).And(RefBoth(i1, i2));
+     }},
+    {"overlaps", Overlaps, OverlapsF,
+     [](const OngoingInterval& i1, const OngoingInterval& i2) {
+       return RefLess(i1.start(), i2.end())
+           .And(RefLess(i2.start(), i1.end()))
+           .And(RefBoth(i1, i2));
+     }},
+    {"starts", Starts, StartsF,
+     [](const OngoingInterval& i1, const OngoingInterval& i2) {
+       return RefEqual(i1.start(), i2.start()).And(RefBoth(i1, i2));
+     }},
+    {"finishes", Finishes, FinishesF,
+     [](const OngoingInterval& i1, const OngoingInterval& i2) {
+       return RefEqual(i1.end(), i2.end()).And(RefBoth(i1, i2));
+     }},
+    {"during", During, DuringF,
+     [](const OngoingInterval& i1, const OngoingInterval& i2) {
+       return RefLessEqual(i2.start(), i1.start())
+           .And(RefLessEqual(i1.end(), i2.end()))
+           .And(RefBoth(i1, i2))
+           .Or(RefLessEqual(i1.end(), i1.start()).And(RefNonEmpty(i2)));
+     }},
+    {"equals", Equals, EqualsF,
+     [](const OngoingInterval& i1, const OngoingInterval& i2) {
+       return RefEqual(i1.start(), i2.start())
+           .And(RefEqual(i1.end(), i2.end()))
+           .And(RefBoth(i1, i2))
+           .Or(RefLessEqual(i1.end(), i1.start())
+                   .And(RefLessEqual(i2.end(), i2.start())));
+     }},
+};
+
+// Every a+b with a <= b and both components in `components`.
+std::vector<OngoingTimePoint> AllPoints(
+    const std::vector<TimePoint>& components) {
+  std::vector<OngoingTimePoint> points;
+  for (TimePoint a : components) {
+    for (TimePoint b : components) {
+      if (a <= b) points.emplace_back(a, b);
+    }
+  }
+  return points;
+}
+
+const std::vector<TimePoint> kIntervalComponents = {kMinInfinity, 0, 1, 2, 3,
+                                                    kMaxInfinity};
+const std::vector<TimePoint> kPointComponents = {
+    kMinInfinity, 0, 1, 2, 3, kMaxInfinity - 1, kMaxInfinity};
+const TimePoint kProbeTimes[] = {kMinInfinity, -1, 0, 1, 2, 3, 4,
+                                 kMaxInfinity - 1};
+
+// Counts mismatches and keeps the first one's description, so a broken
+// kernel reports one line instead of hundreds of thousands.
+struct Mismatches {
+  size_t count = 0;
+  std::string first;
+  void Add(const std::string& what) {
+    if (count++ == 0) first = what;
+  }
+};
+
+TEST(OnePassPredicateTest, AllenPredicatesMatchComposedReference) {
+  const std::vector<OngoingTimePoint> points = AllPoints(kIntervalComponents);
+  std::vector<OngoingInterval> intervals;
+  for (const OngoingTimePoint& s : points) {
+    for (const OngoingTimePoint& e : points) intervals.emplace_back(s, e);
+  }
+  Mismatches st, bind, allocs;
+  for (const OngoingInterval& i1 : intervals) {
+    for (const OngoingInterval& i2 : intervals) {
+      for (const IntervalPredicate& p : kAllenPredicates) {
+        auto what = [&] {
+          return std::string(p.name) + "(" + i1.ToString() + ", " +
+                 i2.ToString() + ")";
+        };
+        AllocScope scope;
+        const OngoingBoolean got = p.fn(i1, i2);
+        if (scope.count() != 0) allocs.Add(what());
+        if (got != p.ref(i1, i2)) st.Add(what() + " = " + got.ToString());
+        for (TimePoint rt : kProbeTimes) {
+          if (got.Instantiate(rt) !=
+              p.fixed(i1.Instantiate(rt), i2.Instantiate(rt))) {
+            bind.Add(what() + " at rt " + std::to_string(rt));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(st.count, 0u) << st.first;
+  EXPECT_EQ(bind.count, 0u) << bind.first;
+  EXPECT_EQ(allocs.count, 0u) << "allocating call: " << allocs.first;
+}
+
+TEST(OnePassPredicateTest, ContainsMatchesComposedReference) {
+  const std::vector<OngoingTimePoint> iv_points =
+      AllPoints(kIntervalComponents);
+  const std::vector<OngoingTimePoint> points = AllPoints(kPointComponents);
+  Mismatches st, bind, allocs;
+  for (const OngoingTimePoint& s : iv_points) {
+    for (const OngoingTimePoint& e : iv_points) {
+      const OngoingInterval iv(s, e);
+      for (const OngoingTimePoint& t : points) {
+        auto what = [&] {
+          return "contains(" + iv.ToString() + ", " + t.ToString() + ")";
+        };
+        AllocScope scope;
+        const OngoingBoolean got = Contains(iv, t);
+        if (scope.count() != 0) allocs.Add(what());
+        if (got != RefLessEqual(s, t).And(RefLess(t, e))) st.Add(what());
+        for (TimePoint rt : kProbeTimes) {
+          if (got.Instantiate(rt) !=
+              ContainsF(iv.Instantiate(rt), t.Instantiate(rt))) {
+            bind.Add(what() + " at rt " + std::to_string(rt));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(st.count, 0u) << st.first;
+  EXPECT_EQ(bind.count, 0u) << bind.first;
+  EXPECT_EQ(allocs.count, 0u) << "allocating call: " << allocs.first;
+}
+
+TEST(OnePassPredicateTest, PointPredicatesMatchComposedReference) {
+  const std::vector<OngoingTimePoint> points = AllPoints(kPointComponents);
+  Mismatches st, bind, allocs;
+  for (const OngoingTimePoint& x : points) {
+    for (const OngoingTimePoint& y : points) {
+      auto what = [&] {
+        return "(" + x.ToString() + ", " + y.ToString() + ")";
+      };
+      AllocScope scope;
+      const OngoingBoolean lt = Less(x, y);
+      const OngoingBoolean le = LessEqual(x, y);
+      const OngoingBoolean eq = Equal(x, y);
+      if (scope.count() != 0) allocs.Add(what());
+      if (lt != RefLess(x, y)) st.Add("less" + what());
+      if (le != RefLessEqual(x, y)) st.Add("less_equal" + what());
+      if (eq != RefEqual(x, y)) st.Add("equal" + what());
+      for (TimePoint rt : kProbeTimes) {
+        const TimePoint u = x.Instantiate(rt), v = y.Instantiate(rt);
+        if (lt.Instantiate(rt) != (u < v) || le.Instantiate(rt) != (u <= v) ||
+            eq.Instantiate(rt) != (u == v)) {
+          bind.Add(what() + " at rt " + std::to_string(rt));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(st.count, 0u) << st.first;
+  EXPECT_EQ(bind.count, 0u) << bind.first;
+  EXPECT_EQ(allocs.count, 0u) << "allocating call: " << allocs.first;
+}
 
 }  // namespace
 }  // namespace ongoingdb

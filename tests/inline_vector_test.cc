@@ -200,8 +200,9 @@ TEST_P(SmallBufferEquivalenceTest, MatchesVectorBackedBehavior) {
     EXPECT_EQ(diff.Contains(t), in_a && !in_b) << t;
   }
 
-  // Round-trip through the checked vector constructor reproduces the set.
-  EXPECT_EQ(IntervalSet(ToVector(uni)), uni);
+  // Round-trip through the checked FromNormalized reproduces the set.
+  const std::vector<FixedInterval> vu = ToVector(uni);
+  EXPECT_EQ(IntervalSet::FromNormalized(vu.data(), vu.size()), uni);
 
   // Destination-passing variants agree with the allocating versions and
   // survive destination reuse (including a previously spilled one).
