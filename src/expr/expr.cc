@@ -89,8 +89,9 @@ bool ApplyCompare(CompareOp op, const T& a, const T& b) {
   return false;
 }
 
-// Fixed comparison of two instantiated values.
-Result<bool> CompareFixedValues(CompareOp op, const Value& a, const Value& b) {
+}  // namespace
+
+Result<bool> EvalCompareFixed(CompareOp op, const Value& a, const Value& b) {
   if (a.type() == ValueType::kInt64 && b.type() == ValueType::kInt64) {
     return ApplyCompare(op, a.AsInt64(), b.AsInt64());
   }
@@ -117,9 +118,8 @@ Result<bool> CompareFixedValues(CompareOp op, const Value& a, const Value& b) {
                            ValueTypeToString(b.type()));
 }
 
-// Ongoing comparison: time-point families get time-dependent semantics.
-Result<OngoingBoolean> CompareOngoingValues(CompareOp op, const Value& a,
-                                            const Value& b) {
+Result<OngoingBoolean> EvalCompare(CompareOp op, const Value& a,
+                                   const Value& b) {
   if (IsPointFamily(a.type()) && IsPointFamily(b.type())) {
     OngoingTimePoint x = LiftPoint(a), y = LiftPoint(b);
     switch (op) {
@@ -142,9 +142,65 @@ Result<OngoingBoolean> CompareOngoingValues(CompareOp op, const Value& a,
     return Status::TypeError("intervals support only = and != comparisons");
   }
   // Fixed value families: constant result.
-  ONGOINGDB_ASSIGN_OR_RETURN(bool v, CompareFixedValues(op, a, b));
+  ONGOINGDB_ASSIGN_OR_RETURN(bool v, EvalCompareFixed(op, a, b));
   return OngoingBoolean::FromBool(v);
 }
+
+
+Result<OngoingBoolean> EvalAllen(AllenOp op, const Value& a, const Value& b) {
+  if (!IsIntervalFamily(a.type()) || !IsIntervalFamily(b.type())) {
+    return Status::TypeError("Allen predicate requires interval operands");
+  }
+  OngoingInterval x = LiftInterval(a), y = LiftInterval(b);
+  switch (op) {
+    case AllenOp::kBefore: return Before(x, y);
+    case AllenOp::kMeets: return Meets(x, y);
+    case AllenOp::kOverlaps: return Overlaps(x, y);
+    case AllenOp::kStarts: return Starts(x, y);
+    case AllenOp::kFinishes: return Finishes(x, y);
+    case AllenOp::kDuring: return During(x, y);
+    case AllenOp::kEquals: return Equals(x, y);
+  }
+  return Status::Internal("unreachable");
+}
+
+Result<bool> EvalAllenFixed(AllenOp op, const Value& a, const Value& b) {
+  if (a.type() != ValueType::kFixedInterval ||
+      b.type() != ValueType::kFixedInterval) {
+    return Status::TypeError(
+        "fixed Allen predicate requires fixed interval operands");
+  }
+  FixedInterval x = a.AsInterval(), y = b.AsInterval();
+  switch (op) {
+    case AllenOp::kBefore: return BeforeF(x, y);
+    case AllenOp::kMeets: return MeetsF(x, y);
+    case AllenOp::kOverlaps: return OverlapsF(x, y);
+    case AllenOp::kStarts: return StartsF(x, y);
+    case AllenOp::kFinishes: return FinishesF(x, y);
+    case AllenOp::kDuring: return DuringF(x, y);
+    case AllenOp::kEquals: return EqualsF(x, y);
+  }
+  return Status::Internal("unreachable");
+}
+
+Result<OngoingBoolean> EvalContains(const Value& interval,
+                                    const Value& point) {
+  if (!IsIntervalFamily(interval.type()) || !IsPointFamily(point.type())) {
+    return Status::TypeError("contains requires an interval and a time point");
+  }
+  return Contains(LiftInterval(interval), LiftPoint(point));
+}
+
+Result<bool> EvalContainsFixed(const Value& interval, const Value& point) {
+  if (interval.type() != ValueType::kFixedInterval ||
+      point.type() != ValueType::kTimePoint) {
+    return Status::TypeError(
+        "fixed contains requires a fixed interval and time point");
+  }
+  return ContainsF(interval.AsInterval(), point.AsTime());
+}
+
+namespace {
 
 // --- node classes ----------------------------------------------------------
 
@@ -233,7 +289,7 @@ class CompareExpr final : public Expr {
                                        const Tuple& tuple) const override {
     ONGOINGDB_ASSIGN_OR_RETURN(Value a, lhs_->EvalScalar(schema, tuple));
     ONGOINGDB_ASSIGN_OR_RETURN(Value b, rhs_->EvalScalar(schema, tuple));
-    return CompareOngoingValues(op_, a, b);
+    return EvalCompare(op_, a, b);
   }
 
   Result<bool> EvalPredicateFixed(const Schema& schema, const Tuple& tuple,
@@ -242,7 +298,7 @@ class CompareExpr final : public Expr {
                                lhs_->EvalScalarFixed(schema, tuple, rt));
     ONGOINGDB_ASSIGN_OR_RETURN(Value b,
                                rhs_->EvalScalarFixed(schema, tuple, rt));
-    return CompareFixedValues(op_, a, b);
+    return EvalCompareFixed(op_, a, b);
   }
 
   std::string ToString() const override {
@@ -286,20 +342,7 @@ class AllenExpr final : public Expr {
                                        const Tuple& tuple) const override {
     ONGOINGDB_ASSIGN_OR_RETURN(Value a, lhs_->EvalScalar(schema, tuple));
     ONGOINGDB_ASSIGN_OR_RETURN(Value b, rhs_->EvalScalar(schema, tuple));
-    if (!IsIntervalFamily(a.type()) || !IsIntervalFamily(b.type())) {
-      return Status::TypeError("Allen predicate requires interval operands");
-    }
-    OngoingInterval x = LiftInterval(a), y = LiftInterval(b);
-    switch (op_) {
-      case AllenOp::kBefore: return Before(x, y);
-      case AllenOp::kMeets: return Meets(x, y);
-      case AllenOp::kOverlaps: return Overlaps(x, y);
-      case AllenOp::kStarts: return Starts(x, y);
-      case AllenOp::kFinishes: return Finishes(x, y);
-      case AllenOp::kDuring: return During(x, y);
-      case AllenOp::kEquals: return Equals(x, y);
-    }
-    return Status::Internal("unreachable");
+    return EvalAllen(op_, a, b);
   }
 
   Result<bool> EvalPredicateFixed(const Schema& schema, const Tuple& tuple,
@@ -308,22 +351,7 @@ class AllenExpr final : public Expr {
                                lhs_->EvalScalarFixed(schema, tuple, rt));
     ONGOINGDB_ASSIGN_OR_RETURN(Value b,
                                rhs_->EvalScalarFixed(schema, tuple, rt));
-    if (a.type() != ValueType::kFixedInterval ||
-        b.type() != ValueType::kFixedInterval) {
-      return Status::TypeError(
-          "fixed Allen predicate requires fixed interval operands");
-    }
-    FixedInterval x = a.AsInterval(), y = b.AsInterval();
-    switch (op_) {
-      case AllenOp::kBefore: return BeforeF(x, y);
-      case AllenOp::kMeets: return MeetsF(x, y);
-      case AllenOp::kOverlaps: return OverlapsF(x, y);
-      case AllenOp::kStarts: return StartsF(x, y);
-      case AllenOp::kFinishes: return FinishesF(x, y);
-      case AllenOp::kDuring: return DuringF(x, y);
-      case AllenOp::kEquals: return EqualsF(x, y);
-    }
-    return Status::Internal("unreachable");
+    return EvalAllenFixed(op_, a, b);
   }
 
   void CollectColumns(std::vector<std::string>* out) const override {
@@ -491,11 +519,7 @@ class ContainsNode final : public Expr {
                                        const Tuple& tuple) const override {
     ONGOINGDB_ASSIGN_OR_RETURN(Value a, lhs_->EvalScalar(schema, tuple));
     ONGOINGDB_ASSIGN_OR_RETURN(Value b, rhs_->EvalScalar(schema, tuple));
-    if (!IsIntervalFamily(a.type()) || !IsPointFamily(b.type())) {
-      return Status::TypeError(
-          "contains requires an interval and a time point");
-    }
-    return Contains(LiftInterval(a), LiftPoint(b));
+    return EvalContains(a, b);
   }
 
   Result<bool> EvalPredicateFixed(const Schema& schema, const Tuple& tuple,
@@ -504,12 +528,7 @@ class ContainsNode final : public Expr {
                                lhs_->EvalScalarFixed(schema, tuple, rt));
     ONGOINGDB_ASSIGN_OR_RETURN(Value b,
                                rhs_->EvalScalarFixed(schema, tuple, rt));
-    if (a.type() != ValueType::kFixedInterval ||
-        b.type() != ValueType::kTimePoint) {
-      return Status::TypeError(
-          "fixed contains requires a fixed interval and time point");
-    }
-    return ContainsF(a.AsInterval(), b.AsTime());
+    return EvalContainsFixed(a, b);
   }
 
   void CollectColumns(std::vector<std::string>* out) const override {

@@ -149,6 +149,31 @@ ExprPtr ContainsExpr(ExprPtr lhs, ExprPtr rhs);
 /// duration 0.
 ExprPtr DurationCompare(CompareOp op, ExprPtr interval, int64_t ticks);
 
+// --- Value-level predicate evaluation ----------------------------------------
+// The per-kind operand dispatch of the comparison, Allen and CONTAINS
+// nodes, shared with the join's pair path (query/join.h, PairPredicate)
+// so a conjunct evaluated on stored tuples has the Expr node's exact
+// semantics and errors. The ongoing forms lift fixed operands (a fixed
+// interval is the ongoing interval [s, e)); the *Fixed forms take
+// instantiated operands, as EvalPredicateFixed does.
+
+/// Ongoing `a op b`: time-point families compare with time-dependent
+/// semantics (Fig. 6), interval families support = and != only, other
+/// families yield a constant boolean.
+Result<OngoingBoolean> EvalCompare(CompareOp op, const Value& a,
+                                   const Value& b);
+Result<bool> EvalCompareFixed(CompareOp op, const Value& a, const Value& b);
+
+/// Ongoing `a op b` for an Allen predicate; TypeError unless both
+/// operands are intervals.
+Result<OngoingBoolean> EvalAllen(AllenOp op, const Value& a, const Value& b);
+Result<bool> EvalAllenFixed(AllenOp op, const Value& a, const Value& b);
+
+/// Ongoing `interval CONTAINS point`; TypeError unless the operands are
+/// an interval and a time point.
+Result<OngoingBoolean> EvalContains(const Value& interval, const Value& point);
+Result<bool> EvalContainsFixed(const Value& interval, const Value& point);
+
 // --- Conjunction splitting (Sec. VIII) -------------------------------------
 
 /// The two halves of a conjunctive predicate: `fixed_part` references

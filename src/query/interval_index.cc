@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/operations.h"
+#include "storage/stats.h"
 
 namespace ongoingdb {
 
@@ -14,6 +15,11 @@ OngoingInterval LiftIntervalValue(const Value& v) {
     return OngoingInterval::Fixed(f.start, f.end);
   }
   return v.AsOngoingInterval();
+}
+
+// The error of every index path on a non-interval value (a NULL).
+Status NotAnInterval() {
+  return Status::TypeError("interval index requires an interval attribute");
 }
 
 inline uint64_t MixBound(uint64_t h, uint64_t v) {
@@ -43,11 +49,12 @@ Result<uint64_t> IntervalIndex::ColumnFingerprint(const OngoingRelation& r,
                              ValidateIntervalColumn(r, column_index));
   uint64_t h = MixBound(r.size(), idx);
   for (const Tuple& t : r.tuples()) {
-    OngoingInterval iv = LiftIntervalValue(t.value(idx));
-    h = MixBound(h, static_cast<uint64_t>(iv.start().a()));
-    h = MixBound(h, static_cast<uint64_t>(iv.start().b()));
-    h = MixBound(h, static_cast<uint64_t>(iv.end().a()));
-    h = MixBound(h, static_cast<uint64_t>(iv.end().b()));
+    const std::optional<IntervalBounds> b = IntervalBoundsOfValue(t.value(idx));
+    if (!b.has_value()) return NotAnInterval();
+    h = MixBound(h, static_cast<uint64_t>(b->min_start));
+    h = MixBound(h, static_cast<uint64_t>(b->max_start));
+    h = MixBound(h, static_cast<uint64_t>(b->min_end));
+    h = MixBound(h, static_cast<uint64_t>(b->max_end));
   }
   return h;
 }
@@ -65,15 +72,9 @@ Result<IntervalIndex> IntervalIndex::Build(const OngoingRelation& r,
   uint64_t h = MixBound(r.size(), idx);
   size_t i = 0;
   for (const Tuple& t : r.tuples()) {
-    const Value& v = t.value(idx);
-    Entry e;
-    if (v.type() == ValueType::kFixedInterval) {
-      FixedInterval f = v.AsInterval();
-      e = Entry{f.start, f.start, f.end, f.end, i};
-    } else {
-      const OngoingInterval& iv = v.AsOngoingInterval();
-      e = Entry{iv.start().a(), iv.start().b(), iv.end().a(), iv.end().b(), i};
-    }
+    const std::optional<IntervalBounds> b = IntervalBoundsOfValue(t.value(idx));
+    if (!b.has_value()) return NotAnInterval();
+    const Entry e{b->min_start, b->max_start, b->min_end, b->max_end, i};
     h = MixBound(h, static_cast<uint64_t>(e.min_start));
     h = MixBound(h, static_cast<uint64_t>(e.max_start));
     h = MixBound(h, static_cast<uint64_t>(e.min_end));
@@ -102,18 +103,11 @@ Status IntervalIndex::ApplyInsert(const Tuple& tuple, size_t tuple_index) {
     return Status::InvalidArgument(
         "tuple is too narrow for the indexed column");
   }
-  const Value& v = tuple.value(column_index_);
-  Entry e;
-  if (v.type() == ValueType::kFixedInterval) {
-    FixedInterval f = v.AsInterval();
-    e = Entry{f.start, f.start, f.end, f.end, tuple_index};
-  } else if (v.type() == ValueType::kOngoingInterval) {
-    const OngoingInterval& iv = v.AsOngoingInterval();
-    e = Entry{iv.start().a(), iv.start().b(), iv.end().a(), iv.end().b(),
-              tuple_index};
-  } else {
-    return Status::TypeError("interval index requires an interval attribute");
-  }
+  const std::optional<IntervalBounds> b =
+      IntervalBoundsOfValue(tuple.value(column_index_));
+  if (!b.has_value()) return NotAnInterval();
+  const Entry e{b->min_start, b->max_start, b->min_end, b->max_end,
+                tuple_index};
   const auto pos_it = std::upper_bound(
       entries_.begin(), entries_.end(), e.min_start,
       [](TimePoint v_, const Entry& x) { return v_ < x.min_start; });

@@ -129,6 +129,90 @@ bool JoinKeysEqual(const Tuple& a, const std::vector<size_t>& a_indices,
   return true;
 }
 
+PairPredicate::PairPredicate(const ExprPtr& conjunction, const Schema& joined,
+                             size_t left_arity, bool at_reference_time,
+                             TimePoint rt) {
+  if (conjunction == nullptr) return;
+  // An operand the pair path can read without the joined tuple: a
+  // column of either input or a literal (instantiated at rt under
+  // Clifford semantics). A name that does not resolve stays with the
+  // scalar path, which reports it.
+  auto operand = [&](const ExprPtr& e, Operand* out) {
+    if (std::optional<std::string> name = AsColumnName(e)) {
+      Result<size_t> idx = joined.IndexOf(*name);
+      if (!idx.ok()) return false;
+      const bool left = *idx < left_arity;
+      out->source = left ? Operand::Source::kLeft : Operand::Source::kRight;
+      out->ordinal = left ? *idx : *idx - left_arity;
+      return true;
+    }
+    if (std::optional<Value> literal = AsLiteralValue(e)) {
+      out->source = Operand::Source::kLiteral;
+      out->literal = at_reference_time ? literal->Instantiate(rt) : *literal;
+      return true;
+    }
+    return false;
+  };
+  std::vector<ExprPtr> conjuncts, rest;
+  CollectTopLevelConjuncts(conjunction, &conjuncts);
+  for (const ExprPtr& conjunct : conjuncts) {
+    Atom atom;
+    atom.kind = conjunct->kind();
+    ExprPtr lhs, rhs;
+    if (std::optional<CompareParts> cmp = AsCompare(conjunct)) {
+      atom.compare = cmp->op;
+      lhs = cmp->lhs;
+      rhs = cmp->rhs;
+    } else if (std::optional<AllenParts> allen = AsAllen(conjunct)) {
+      atom.allen = allen->op;
+      lhs = allen->lhs;
+      rhs = allen->rhs;
+    } else if (std::optional<ContainsParts> contains = AsContains(conjunct)) {
+      lhs = contains->interval;
+      rhs = contains->point;
+    }
+    if (lhs != nullptr && operand(lhs, &atom.lhs) && operand(rhs, &atom.rhs)) {
+      atoms_.push_back(std::move(atom));
+    } else {
+      rest.push_back(conjunct);
+    }
+  }
+  remainder_ = AndAll(rest);
+}
+
+Status PairPredicate::Restrict(const Tuple& l, const Tuple& r,
+                               IntervalSet* rt, IntervalSet* scratch) const {
+  for (const Atom& atom : atoms_) {
+    const Value& a = Resolve(atom.lhs, l, r);
+    const Value& b = Resolve(atom.rhs, l, r);
+    Result<OngoingBoolean> st =
+        atom.kind == ExprKind::kAllen      ? EvalAllen(atom.allen, a, b)
+        : atom.kind == ExprKind::kContains ? EvalContains(a, b)
+                                           : EvalCompare(atom.compare, a, b);
+    if (!st.ok()) return st.status();
+    if (st->IsAlwaysTrue()) continue;
+    rt->IntersectInto(st->st(), scratch);
+    *rt = *scratch;
+    if (rt->IsEmpty()) break;
+  }
+  return Status::OK();
+}
+
+Result<bool> PairPredicate::Holds(const Tuple& l, const Tuple& r) const {
+  for (const Atom& atom : atoms_) {
+    const Value& a = Resolve(atom.lhs, l, r);
+    const Value& b = Resolve(atom.rhs, l, r);
+    Result<bool> holds =
+        atom.kind == ExprKind::kAllen ? EvalAllenFixed(atom.allen, a, b)
+        : atom.kind == ExprKind::kContains
+            ? EvalContainsFixed(a, b)
+            : EvalCompareFixed(atom.compare, a, b);
+    if (!holds.ok()) return holds.status();
+    if (!*holds) return false;
+  }
+  return true;
+}
+
 namespace {
 
 // The relation-level joins lower a Join(Scan, Scan) plan with the

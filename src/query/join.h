@@ -80,6 +80,67 @@ size_t JoinKeyPartition(size_t hash, size_t num_partitions);
 bool JoinKeysEqual(const Tuple& a, const std::vector<size_t>& a_indices,
                    const Tuple& b, const std::vector<size_t>& b_indices);
 
+/// A join predicate compiled against the two stored input tuples of a
+/// candidate pair, so a join rejects a pair before it copies it.
+/// Construction splits the top-level conjuncts once: an Allen, CONTAINS
+/// or comparison conjunct whose operands are each a literal or a column
+/// becomes a pair atom, its columns resolved to (input side, ordinal) by
+/// joined ordinal against the left input's arity. Every other conjunct
+/// (disjunctions, negations, DURATION, nested scalars) stays in
+/// remainder(), which the caller evaluates on the joined tuple. Atoms
+/// evaluate through the Expr nodes' value-level dispatch (expr/expr.h),
+/// so results and errors equal the scalar path's, and on interval
+/// operands they allocate nothing (core/operations.h).
+class PairPredicate {
+ public:
+  /// Compiles `conjunction` (null = true) against `joined`, the
+  /// concatenation of a `left_arity`-attribute left input and the right
+  /// input. With `at_reference_time` (Clifford semantics at `rt`)
+  /// literals are instantiated at rt, as LiteralExpr::EvalScalarFixed
+  /// does; the inputs are expected to be instantiated already.
+  PairPredicate(const ExprPtr& conjunction, const Schema& joined,
+                size_t left_arity, bool at_reference_time, TimePoint rt);
+
+  /// Ongoing semantics: intersects *rt with each atom's St on (l, r),
+  /// stopping once it is empty. `scratch` is a reusable buffer that
+  /// must not alias *rt.
+  Status Restrict(const Tuple& l, const Tuple& r, IntervalSet* rt,
+                  IntervalSet* scratch) const;
+
+  /// Clifford semantics: true iff every atom holds on (l, r).
+  Result<bool> Holds(const Tuple& l, const Tuple& r) const;
+
+  /// The conjuncts left for evaluation on the joined tuple (null = true).
+  const ExprPtr& remainder() const { return remainder_; }
+
+ private:
+  struct Operand {
+    enum class Source : uint8_t { kLeft, kRight, kLiteral };
+    Source source = Source::kLiteral;
+    size_t ordinal = 0;
+    Value literal;
+  };
+  struct Atom {
+    ExprKind kind = ExprKind::kCompare;  // kCompare, kAllen or kContains
+    CompareOp compare = CompareOp::kEq;
+    AllenOp allen = AllenOp::kOverlaps;
+    Operand lhs, rhs;
+  };
+
+  static const Value& Resolve(const Operand& o, const Tuple& l,
+                              const Tuple& r) {
+    switch (o.source) {
+      case Operand::Source::kLeft: return l.value(o.ordinal);
+      case Operand::Source::kRight: return r.value(o.ordinal);
+      case Operand::Source::kLiteral: break;
+    }
+    return o.literal;
+  }
+
+  std::vector<Atom> atoms_;
+  ExprPtr remainder_;
+};
+
 /// Nested-loop theta join (ongoing semantics).
 Result<OngoingRelation> NestedLoopJoin(const OngoingRelation& left,
                                        const OngoingRelation& right,

@@ -1,12 +1,13 @@
 // Vectorized interval-predicate kernels (docs/DESIGN.md, "Vectorized
-// kernels"). The hot predicate paths of the batched pipeline — temporal
-// selections and join residuals — are dominated by Allen comparisons of
-// a fixed-interval column against a literal or a paired column. The
-// scalar path pays per row for virtual Expr dispatch, a by-name column
-// lookup per operand and a Value round trip; the kernels here instead
-// run branch-lean loops over TupleBatch's contiguous column views
-// (relation/tuple_batch.h) and communicate survivors through a
-// selection vector.
+// kernels"). Temporal selections — FilterOp and IndexScanOp's residual —
+// are dominated by Allen comparisons of a fixed-interval column against
+// a literal or a paired column. The scalar path pays per row for
+// virtual Expr dispatch, a by-name column lookup per operand and a
+// Value round trip; the kernels here instead run branch-lean loops over
+// TupleBatch's contiguous column views (relation/tuple_batch.h) and
+// communicate survivors through a selection vector. Join residuals do
+// not come here: a join evaluates them on the stored input pair before
+// it copies anything (query/join.h, PairPredicate).
 //
 // Division of labor:
 //
@@ -35,7 +36,7 @@
 // (matching LiteralExpr::EvalScalarFixed), required to already be fixed
 // in kOngoing mode. An eligible atom is therefore fixed-only
 // (Expr::IsFixedOnly), which is what makes extracting it from an
-// ongoing-mode residual exact: a fixed-only conjunct contributes a
+// ongoing-mode predicate exact: a fixed-only conjunct contributes a
 // constant reference-time set (everything or nothing), so evaluating it
 // as a boolean batch filter commutes with the RT intersection the
 // remaining conjuncts perform.
@@ -92,9 +93,10 @@ size_t FilterIntervalContainsPoint(const TimePoint* start,
                                    uint32_t* out);
 
 // --- global toggle ----------------------------------------------------------
-// The scalar-vs-columnar ablation seam (benches, equivalence tests).
-// Checked at BatchPredicate::Compile time, so it must be set before the
-// plan is compiled; not thread-safe against concurrent compilation.
+// The scalar-vs-columnar ablation seam of the filters (benches,
+// equivalence tests). Checked at BatchPredicate::Compile time, so it
+// must be set before the plan is compiled; not thread-safe against
+// concurrent compilation. Joins are unaffected.
 
 void SetKernelFilteringEnabled(bool enabled);
 bool KernelFilteringEnabled();

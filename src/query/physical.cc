@@ -115,76 +115,63 @@ Status MaterializeInput(PhysicalOperator& child, TupleStore* owned,
 }
 
 // Emits joined tuples for candidate pairs directly into an output
-// batch. A rejected pair performs no heap allocation, and an accepted
-// one reuses the claimed slot's storage: the input reference times are
-// intersected straight into the slot's RT (reusing its interval
-// buffer), and the residual is evaluated on the slot *before* it is
-// committed (PopLast un-claims it).
-//
-// Kernel-eligible residual conjuncts (query/kernels.h) are split off at
-// construction and deferred: Emit() applies only the scalar remainder
-// per pair, and the owning join runs FinishBatch() over each filled
-// batch to evaluate the deferred atoms columnar. The extraction is
-// exact because eligible atoms are fixed-only — in ongoing mode such a
-// conjunct contributes a constant reference-time set (everything or
-// nothing), so dropping failing rows afterwards equals intersecting
-// their RT with the empty set inside Emit().
+// batch, evaluating the residual on the two stored tuples before
+// anything is copied. The residual's pair atoms (query/join.h,
+// PairPredicate) run on (lt, st) by resolved ordinal: in ongoing mode
+// they restrict the pair's RT in a reused emitter buffer; under
+// Clifford semantics they test at rt. Only a surviving pair claims a
+// batch slot, so a rejected one copies nothing and allocates nothing.
+// The claimed slot reuses its value vector and interval buffer, and the
+// scalar remainder runs on it (PopLast un-claims it on rejection).
 class BatchJoinEmitter {
  public:
-  BatchJoinEmitter(const Schema& joined_schema, ExprPtr residual,
-                   ExecMode mode, TimePoint rt)
-      : joined_schema_(joined_schema), mode_(mode), rt_(rt) {
-    kernel_.Compile(residual, joined_schema_,
-                    mode == ExecMode::kAtReferenceTime, rt);
-    residual_ = kernel_.remainder();
-  }
-
-  // The deferred columnar pass over a batch Emit() filled; compacts the
-  // batch in place. Joins call this before handing the batch out.
-  Status FinishBatch(TupleBatch* out) { return kernel_.Apply(out); }
+  BatchJoinEmitter(const Schema& joined_schema, size_t left_arity,
+                   const ExprPtr& residual, ExecMode mode, TimePoint rt)
+      : joined_schema_(joined_schema),
+        pair_(residual, joined_schema, left_arity,
+              mode == ExecMode::kAtReferenceTime, rt),
+        mode_(mode),
+        rt_(rt) {}
 
   // Appends the joined tuple for (lt, st) to *out unless the pair is
   // rejected. The caller guarantees the batch is not full.
   Status Emit(const Tuple& lt, const Tuple& st, TupleBatch* out) {
-    Tuple& slot = out->NextSlot();
+    const ExprPtr& remainder = pair_.remainder();
     if (mode_ == ExecMode::kAtReferenceTime) {
       // Clifford semantics: the inputs are instantiated, the residual
       // evaluates fixed at rt, and the result is valid at rt only
       // (trivial RT, like every instantiated tuple).
+      ONGOINGDB_ASSIGN_OR_RETURN(bool keep, pair_.Holds(lt, st));
+      if (!keep) return Status::OK();
+      Tuple& slot = out->NextSlot();
       FillValues(lt, st, slot);
-      if (residual_ != nullptr) {
-        auto keep = residual_->EvalPredicateFixed(joined_schema_, slot, rt_);
-        if (!keep.ok()) {
+      if (remainder != nullptr) {
+        auto rest = remainder->EvalPredicateFixed(joined_schema_, slot, rt_);
+        if (!rest.ok() || !*rest) {
           out->PopLast();
-          return keep.status();
-        }
-        if (!*keep) {
-          out->PopLast();
-          return Status::OK();
+          return rest.status();
         }
       }
       slot.mutable_rt() = all_;
       return Status::OK();
     }
-    lt.rt().IntersectInto(st.rt(), &slot.mutable_rt());
-    if (slot.rt().IsEmpty()) {
-      out->PopLast();
+    lt.rt().IntersectInto(st.rt(), &pair_rt_);
+    if (pair_rt_.IsEmpty()) return Status::OK();
+    ONGOINGDB_RETURN_NOT_OK(pair_.Restrict(lt, st, &pair_rt_, &rt_scratch_));
+    if (pair_rt_.IsEmpty()) return Status::OK();
+    Tuple& slot = out->NextSlot();
+    FillValues(lt, st, slot);
+    if (remainder == nullptr) {
+      slot.mutable_rt() = pair_rt_;
       return Status::OK();
     }
-    FillValues(lt, st, slot);
-    if (residual_ != nullptr) {
-      auto pred = residual_->EvalPredicate(joined_schema_, slot);
-      if (!pred.ok()) {
-        out->PopLast();
-        return pred.status();
-      }
-      slot.rt().IntersectInto(pred->st(), &rt_scratch_);
-      if (rt_scratch_.IsEmpty()) {
-        out->PopLast();
-        return Status::OK();
-      }
-      slot.mutable_rt() = rt_scratch_;
+    auto pred = remainder->EvalPredicate(joined_schema_, slot);
+    if (!pred.ok()) {
+      out->PopLast();
+      return pred.status();
     }
+    pair_rt_.IntersectInto(pred->st(), &slot.mutable_rt());
+    if (slot.rt().IsEmpty()) out->PopLast();
     return Status::OK();
   }
 
@@ -197,30 +184,13 @@ class BatchJoinEmitter {
   }
 
   const Schema& joined_schema_;
-  kernels::BatchPredicate kernel_;
-  ExprPtr residual_;  // kernel_.remainder(): the scalar per-pair part
+  PairPredicate pair_;
   ExecMode mode_;
   TimePoint rt_;
   const IntervalSet all_ = IntervalSet::All();
+  IntervalSet pair_rt_;  // the candidate pair's RT, before it is claimed
   IntervalSet rt_scratch_;
 };
-
-// The join-side half of the deferred-residual protocol: pulls raw
-// batches from the join's emission loop and runs the emitter's columnar
-// pass over each. A batch the kernels empty entirely is refilled — the
-// raw loops only return an empty batch at stream end, so empty still
-// means exhausted to the consumer.
-template <typename NextBatchFn>
-Status JoinNextWithDeferredResidual(NextBatchFn&& next_batch,
-                                    BatchJoinEmitter& emitter,
-                                    TupleBatch* out) {
-  while (true) {
-    ONGOINGDB_RETURN_NOT_OK(next_batch(out));
-    if (out->empty()) return Status::OK();
-    ONGOINGDB_RETURN_NOT_OK(emitter.FinishBatch(out));
-    if (!out->empty()) return Status::OK();
-  }
-}
 
 // Tuple-at-a-time view over a physical input for the streaming side of
 // a join: borrows an ongoing-mode scan's relation outright, otherwise
@@ -772,7 +742,8 @@ class HashJoinOp final : public PhysicalOperator {
         right_(std::move(right)),
         left_indices_(std::move(plan.left_indices)),
         right_indices_(std::move(plan.right_indices)),
-        emitter_(schema(), std::move(plan.residual), mode, rt),
+        emitter_(schema(), left_->schema().num_attributes(), plan.residual,
+                 mode, rt),
         ctx_(ctx) {}
 
   Status Open() override {
@@ -786,14 +757,9 @@ class HashJoinOp final : public PhysicalOperator {
     return Status::OK();
   }
 
+  // Candidate pairs through the emitter; the suspension state is
+  // preserved across calls.
   Status Next(TupleBatch* out) override {
-    return JoinNextWithDeferredResidual(
-        [this](TupleBatch* b) { return NextBatch(b); }, emitter_, out);
-  }
-
-  // The raw emission loop: candidate pairs through the emitter's scalar
-  // part, suspension state preserved across calls.
-  Status NextBatch(TupleBatch* out) {
     ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_next));
     out->Clear();
     while (true) {
@@ -859,7 +825,8 @@ class NestedLoopJoinOp final : public PhysicalOperator {
       : PhysicalOperator(std::move(joined)),
         left_(std::move(left)),
         right_(std::move(right)),
-        emitter_(schema(), std::move(predicate), mode, rt),
+        emitter_(schema(), left_->schema().num_attributes(), predicate, mode,
+                 rt),
         ctx_(ctx) {}
 
   Status Open() override {
@@ -873,11 +840,6 @@ class NestedLoopJoinOp final : public PhysicalOperator {
   }
 
   Status Next(TupleBatch* out) override {
-    return JoinNextWithDeferredResidual(
-        [this](TupleBatch* b) { return NextBatch(b); }, emitter_, out);
-  }
-
-  Status NextBatch(TupleBatch* out) {
     ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_next));
     out->Clear();
     while (true) {
@@ -942,7 +904,8 @@ class IndexJoinOp final : public PhysicalOperator {
         mode_(mode),
         rt_(rt),
         exchange_(std::move(exchange)),
-        emitter_(schema(), std::move(predicate), mode, rt),
+        emitter_(schema(), outer_->schema().num_attributes(), predicate, mode,
+                 rt),
         ctx_(ctx) {}
 
   const char* Name() const override { return "IndexJoin"; }
@@ -958,11 +921,6 @@ class IndexJoinOp final : public PhysicalOperator {
   }
 
   Status Next(TupleBatch* out) override {
-    return JoinNextWithDeferredResidual(
-        [this](TupleBatch* b) { return NextBatch(b); }, emitter_, out);
-  }
-
-  Status NextBatch(TupleBatch* out) {
     ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_next));
     out->Clear();
     const TupleStore& inner = state_->relation->tuples();
@@ -970,9 +928,13 @@ class IndexJoinOp final : public PhysicalOperator {
       ONGOINGDB_ASSIGN_OR_RETURN(const Tuple* lt, outer_stream_.Current());
       if (lt == nullptr) return Status::OK();
       if (!cands_valid_) {
-        state_->index_after_ensure().CandidatesInto(
-            state_->op, IntervalBoundsOfValue(lt->value(outer_column_index_)),
-            &cands_);
+        std::optional<IntervalBounds> probe =
+            IntervalBoundsOfValue(lt->value(outer_column_index_));
+        if (!probe.has_value()) {
+          return Status::TypeError("index join requires an interval probe");
+        }
+        state_->index_after_ensure().CandidatesInto(state_->op, *probe,
+                                                    &cands_);
         cand_pos_ = 0;
         cands_valid_ = true;
       }

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "query/interval_index.h"
+#include "query/join.h"
 #include "query/optimizer.h"
 #include "query/physical.h"
 #include "storage/stats.h"
@@ -98,7 +99,8 @@ struct ViewDeltaMaintainer::DeltaNode {
   // Children (Filter/Project use `left` only).
   std::unique_ptr<DeltaNode> left, right;
 
-  // Join.
+  // Join: the predicate compiled against the stored input pair.
+  std::optional<PairPredicate> pair;
   CachedInput left_cache, right_cache;
   std::optional<IndexJoinInfo> index_info;
   std::optional<IntervalIndex> index;  // over right_cache.rel
@@ -162,6 +164,9 @@ std::unique_ptr<ViewDeltaMaintainer::DeltaNode> ViewDeltaMaintainer::BuildNode(
       if (n->predicate == nullptr) return nullptr;
       n->schema = n->left->schema.Concat(n->right->schema, join->left_prefix(),
                                          join->right_prefix());
+      n->pair.emplace(n->predicate, n->schema,
+                      n->left->schema.num_attributes(),
+                      /*at_reference_time=*/false, 0);
       n->index_info =
           MatchIndexJoin(*join, n->left->schema, n->right->schema);
       return n;
@@ -381,18 +386,25 @@ bool ViewDeltaMaintainer::PreferDeltaApply() const {
 Status ViewDeltaMaintainer::EmitJoinPair(DeltaNode* n, const Tuple& lt,
                                          const Tuple& rt, int sign,
                                          MemoryCharge* charge) {
+  // The pair atoms run on the stored tuples first; only a surviving
+  // pair is copied into a joined tuple.
   IntervalSet joined_rt = lt.rt().Intersect(rt.rt());
+  if (joined_rt.IsEmpty()) return Status::OK();
+  IntervalSet scratch;
+  ONGOINGDB_RETURN_NOT_OK(n->pair->Restrict(lt, rt, &joined_rt, &scratch));
   if (joined_rt.IsEmpty()) return Status::OK();
   std::vector<Value> values;
   values.reserve(lt.num_values() + rt.num_values());
   values.insert(values.end(), lt.values().begin(), lt.values().end());
   values.insert(values.end(), rt.values().begin(), rt.values().end());
-  Tuple c(std::move(values), std::move(joined_rt));
-  ONGOINGDB_ASSIGN_OR_RETURN(OngoingBoolean b,
-                             n->predicate->EvalPredicate(n->schema, c));
-  IntervalSet restricted = c.rt().Intersect(b.st());
-  if (restricted.IsEmpty()) return Status::OK();
-  Tuple out(std::move(c.mutable_values()), std::move(restricted));
+  Tuple out(std::move(values), std::move(joined_rt));
+  if (const ExprPtr& remainder = n->pair->remainder(); remainder != nullptr) {
+    ONGOINGDB_ASSIGN_OR_RETURN(OngoingBoolean b,
+                               remainder->EvalPredicate(n->schema, out));
+    IntervalSet restricted = out.rt().Intersect(b.st());
+    if (restricted.IsEmpty()) return Status::OK();
+    out.mutable_rt() = std::move(restricted);
+  }
   ONGOINGDB_RETURN_NOT_OK(charge->Add(ApproxTupleBytes(out)));
   n->delta.push_back(DeltaEntry{sign, std::move(out)});
   return Status::OK();
@@ -477,10 +489,12 @@ Status ViewDeltaMaintainer::ComputeDelta(DeltaNode* n, QueryContext* ctx,
       std::vector<size_t> candidates;
       for (const DeltaEntry& dl : n->left->delta) {
         if (use_index) {
-          const Value& probe =
-              dl.tuple.value(n->index_info->outer_column_index);
-          n->index->CandidatesInto(n->index_info->op,
-                                   IntervalBoundsOfValue(probe), &candidates);
+          std::optional<IntervalBounds> probe = IntervalBoundsOfValue(
+              dl.tuple.value(n->index_info->outer_column_index));
+          if (!probe.has_value()) {
+            return Status::TypeError("index join requires an interval probe");
+          }
+          n->index->CandidatesInto(n->index_info->op, *probe, &candidates);
           for (size_t ri : candidates) {
             ONGOINGDB_RETURN_NOT_OK(tick());
             ONGOINGDB_RETURN_NOT_OK(EmitJoinPair(

@@ -97,12 +97,6 @@ double IntervalColumnStats::EstimateProbeSelectivity(
   return 1.0;
 }
 
-IntervalBounds IntervalBoundsOfValue(const Value& v) {
-  return v.type() == ValueType::kFixedInterval
-             ? IntervalBounds::Of(v.AsInterval())
-             : IntervalBounds::Of(v.AsOngoingInterval());
-}
-
 double IntervalColumnStats::EstimateSweepFraction(
     IntervalProbeOp op, const IntervalBounds& probe) const {
   if (tuple_count == 0) return 0.0;
@@ -152,12 +146,14 @@ Result<IntervalColumnStats> ComputeIntervalColumnStats(
   max_ends.reserve(expect);
   durations.reserve(expect);
   for (size_t i = 0; i < r.size(); i += stride) {
-    IntervalBounds b = IntervalBoundsOfValue(r.tuple(i).value(column_index));
-    min_starts.push_back(b.min_start);
-    max_starts.push_back(b.max_start);
-    min_ends.push_back(b.min_end);
-    max_ends.push_back(b.max_end);
-    durations.push_back(b.max_end - b.min_start);
+    std::optional<IntervalBounds> b =
+        IntervalBoundsOfValue(r.tuple(i).value(column_index));
+    if (!b.has_value()) continue;
+    min_starts.push_back(b->min_start);
+    max_starts.push_back(b->max_start);
+    min_ends.push_back(b->min_end);
+    max_ends.push_back(b->max_end);
+    durations.push_back(b->max_end - b->min_start);
   }
   stats.min_start = BuildEquiDepthHistogram(std::move(min_starts), buckets);
   stats.max_start = BuildEquiDepthHistogram(std::move(max_starts), buckets);

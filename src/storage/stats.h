@@ -11,6 +11,7 @@
 //    anything.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "core/interval_bounds.h"
@@ -81,11 +82,20 @@ EquiDepthHistogram BuildEquiDepthHistogram(std::vector<TimePoint> samples,
                                            size_t buckets);
 
 /// The conservative IntervalBounds of an interval-typed value (ongoing
-/// or fixed). The single conversion the histogram sampler, the cost
-/// model's probe sampling, and the index-join probing all share — so
-/// the estimators and the execution path cannot disagree about a
-/// probe's bounds.
-IntervalBounds IntervalBoundsOfValue(const Value& v);
+/// or fixed); nullopt for any other value (a NULL). The single
+/// conversion the histogram sampler, the cost model's probe sampling,
+/// the index build and the index-join probing all share — so the
+/// estimators and the execution path cannot disagree about a probe's
+/// bounds. The samplers skip a nullopt; the index paths report it as a
+/// TypeError.
+inline std::optional<IntervalBounds> IntervalBoundsOfValue(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kFixedInterval: return IntervalBounds::Of(v.AsInterval());
+    case ValueType::kOngoingInterval:
+      return IntervalBounds::Of(v.AsOngoingInterval());
+    default: return std::nullopt;
+  }
+}
 
 /// Equi-depth histograms of one interval column's conservative endpoint
 /// bounds (core/interval_bounds.h) and durations. The selectivity

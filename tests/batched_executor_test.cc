@@ -423,5 +423,83 @@ TEST(BatchedEmissionAllocTest, EmitDominatedJoinStaysNearOneAllocPerTuple) {
       << "allocs=" << allocs << " for " << out_size << " emitted tuples";
 }
 
+// A rejected join pair costs no heap allocation: the residual's pair
+// atoms run on the two stored tuples (no copy into a batch slot) and
+// the ongoing Allen predicate computes its St in one allocation-free
+// pass. Doubling the inputs quadruples the key-equal pairs, nearly all
+// rejected; the drain's allocation count must stay flat.
+TEST(BatchedJoinAllocationTest, RejectedPairsDoNotAllocate) {
+  // One key, so every pair is key-equal. Left VTs are [s, now) starting
+  // far after every right VT ends, so `L.VT overlaps R.VT` rejects every
+  // pair except the few right tuples placed late — and the ongoing end
+  // keeps the predicate off the constant fast paths.
+  auto make_left = [](size_t n) {
+    OngoingRelation r(Schema(
+        {{"K", ValueType::kInt64}, {"VT", ValueType::kOngoingInterval}}));
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(r.Insert({Value::Int64(0),
+                            Value::Ongoing(OngoingInterval::SinceUntilNow(
+                                1000000 + static_cast<TimePoint>(i)))})
+                      .ok());
+    }
+    return r;
+  };
+  auto make_right = [](size_t n) {
+    OngoingRelation r(Schema(
+        {{"K", ValueType::kInt64}, {"VT", ValueType::kOngoingInterval}}));
+    for (size_t i = 0; i < n; ++i) {
+      const TimePoint s =
+          i < 3 ? 2000000 : static_cast<TimePoint>(i % 1000);
+      EXPECT_TRUE(r.Insert({Value::Int64(0),
+                            Value::Ongoing(OngoingInterval::Fixed(s, s + 5))})
+                      .ok());
+    }
+    return r;
+  };
+  // Allocations of one full drain, pulling batches into one recycled
+  // TupleBatch (no DrainToRelation); also reports the rows emitted.
+  auto drain_allocs = [&](size_t n, size_t* rows) {
+    OngoingRelation left = make_left(n);
+    OngoingRelation right = make_right(n);
+    PlanPtr plan = Join(Scan(&left, "L"), Scan(&right, "R"),
+                        And(Eq(Col("L.K"), Col("R.K")),
+                            OverlapsExpr(Col("L.VT"), Col("R.VT"))),
+                        "L", "R", JoinAlgorithm::kHash);
+    Result<PhysicalOpPtr> op = Compile(plan, ExecMode::kOngoing);
+    EXPECT_TRUE(op.ok());
+    TupleBatch batch;
+    // Warm-up drain: batch slots and the build table reach capacity.
+    EXPECT_TRUE((*op)->Open().ok());
+    while ((*op)->Next(&batch).ok() && !batch.empty()) {
+    }
+    (*op)->Close();
+    AllocScope scope;
+    *rows = 0;
+    EXPECT_TRUE((*op)->Open().ok());
+    while (true) {
+      EXPECT_TRUE((*op)->Next(&batch).ok());
+      if (batch.empty()) break;
+      *rows += batch.size();
+    }
+    (*op)->Close();
+    return scope.count();
+  };
+  constexpr size_t kSmall = 150;
+  size_t rows_small = 0, rows_large = 0;
+  const uint64_t small = drain_allocs(kSmall, &rows_small);
+  const uint64_t large = drain_allocs(2 * kSmall, &rows_large);
+  // The late right tuples overlap every left tuple.
+  EXPECT_EQ(rows_small, 3 * kSmall);
+  EXPECT_EQ(rows_large, 3 * 2 * kSmall);
+  const double extra_rejected =
+      static_cast<double>((2 * kSmall) * (2 * kSmall) - rows_large) -
+      static_cast<double>(kSmall * kSmall - rows_small);
+  const double extra_allocs =
+      static_cast<double>(large) - static_cast<double>(small);
+  EXPECT_LT(extra_allocs, extra_rejected / 100.0)
+      << "allocations " << small << " -> " << large << " for "
+      << extra_rejected << " extra rejected pairs";
+}
+
 }  // namespace
 }  // namespace ongoingdb

@@ -330,5 +330,67 @@ TEST(IndexJoinBatchBoundaryTest, SuspendsAndResumesAtTinyCapacities) {
   }
 }
 
+// A NULL in an interval attribute is not an interval. Every access path
+// and join algorithm reports the TypeError the scalar predicate path
+// reports, instead of aborting in the index build, the histogram
+// sampler or the index-join probe — serially and at 4 workers, in both
+// execution modes.
+TEST(NullIntervalTest, EveryLoweringReturnsTypeError) {
+  OngoingRelation t(Schema({{"ID", ValueType::kInt64},
+                            {"K", ValueType::kInt64},
+                            {"VT", ValueType::kOngoingInterval}}));
+  Rng rng(7);
+  for (int64_t i = 0; i < 2000; ++i) {
+    const TimePoint s = rng.Uniform(0, 990);
+    const OngoingInterval vt = i % 5 == 0
+                                   ? OngoingInterval::SinceUntilNow(s)
+                                   : OngoingInterval::Fixed(s, s + 20);
+    ASSERT_TRUE(
+        t.Insert({Value::Int64(i), Value::Int64(i % 50), Value::Ongoing(vt)})
+            .ok());
+  }
+  // K = 3 matches other rows, so every plan below reaches the NULL.
+  ASSERT_TRUE(
+      t.Insert({Value::Int64(2000), Value::Int64(3), Value::Null()}).ok());
+
+  const ExprPtr selection =
+      And(Eq(Col("K"), Lit(int64_t{3})),
+          OverlapsExpr(Col("VT"), Lit(OngoingInterval::Fixed(100, 200))));
+  const ExprPtr join_pred =
+      And(Eq(Col("A.K"), Col("B.K")), OverlapsExpr(Col("A.VT"), Col("B.VT")));
+  const std::vector<std::pair<std::string, PlanPtr>> plans = {
+      {"full scan", Filter(Scan(&t, "T"), selection, AccessPath::kFullScan)},
+      {"index scan", Filter(Scan(&t, "T"), selection, AccessPath::kIndex)},
+      {"auto scan", Filter(Scan(&t, "T"), selection)},
+      {"auto join",
+       Join(Scan(&t, "T"), Scan(&t, "T"), join_pred, "A", "B")},
+      {"hash", Join(Scan(&t, "T"), Scan(&t, "T"), join_pred, "A", "B",
+                    JoinAlgorithm::kHash)},
+      {"nested loop", Join(Scan(&t, "T"), Scan(&t, "T"), join_pred, "A", "B",
+                           JoinAlgorithm::kNestedLoop)},
+      {"index nested loop",
+       Join(Scan(&t, "T"), Scan(&t, "T"), join_pred, "A", "B",
+            JoinAlgorithm::kIndexNL)},
+  };
+  for (const auto& [name, plan] : plans) {
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(::testing::Message() << name << ", workers " << workers);
+      Result<OngoingRelation> ongoing =
+          Execute(plan, ForcedParallel(workers, 256));
+      ASSERT_FALSE(ongoing.ok());
+      EXPECT_EQ(ongoing.status().code(), StatusCode::kTypeError)
+          << ongoing.status();
+      Result<OngoingRelation> at =
+          ExecuteAtReferenceTime(plan, 150, ForcedParallel(workers, 256));
+      ASSERT_FALSE(at.ok());
+      EXPECT_EQ(at.status().code(), StatusCode::kTypeError) << at.status();
+    }
+  }
+  // The row itself stays readable.
+  Result<OngoingRelation> all = Execute(Scan(&t, "T"));
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->size(), 2001u);
+}
+
 }  // namespace
 }  // namespace ongoingdb

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "query/executor.h"
+#include "query/join.h"
 #include "query/physical.h"
 #include "relation/tuple_batch.h"
 #include "testing/plan_fuzz.h"
@@ -280,8 +281,9 @@ TEST_P(KernelFuzzTest, FilterVsLiteralEquivalence) {
 }
 
 // Column-vs-column atoms via join residuals: the Allen conjunct pairs
-// the two sides' fixed-interval columns, so it can only run in the
-// emitters' batch predicates.
+// the two sides' fixed-interval columns, so it runs in the join
+// emitter's pair path (query/join.h, PairPredicate); the kernel toggle
+// governs only filters and must not change a join's result.
 TEST_P(KernelFuzzTest, JoinColumnColumnEquivalence) {
   const uint64_t seed = GetParam();
   ONGOINGDB_FUZZ_SEED_TRACE(seed);
@@ -341,6 +343,145 @@ TEST_P(KernelFuzzTest, ContainsEquivalence) {
       &rel, ContainsExpr(Col("C_FT"), Lit(Value::Time(rng.Uniform(0, 120)))),
       rt);
   ExpectFilterEquivalence(&rel, ContainsExpr(Col("C_FT"), Col("C_TP")), rt);
+}
+
+// --- join pair path ---------------------------------------------------------
+// Join residuals evaluate on the stored input pair before the copy
+// (query/join.h, PairPredicate). These tests pin which conjuncts become
+// pair atoms and check every lowering of every atom shape against the
+// reference evaluator.
+
+TEST(PairPredicateTest, ClassifiesConjuncts) {
+  Schema left(
+      {{"A_ID", ValueType::kInt64}, {"A_VT", ValueType::kOngoingInterval}});
+  Schema right(
+      {{"B_ID", ValueType::kInt64}, {"B_VT", ValueType::kOngoingInterval}});
+  const Schema joined = left.Concat(right, "L", "R");
+  auto remainder = [&](const ExprPtr& e) {
+    return PairPredicate(e, joined, left.num_attributes(), false, 0)
+        .remainder();
+  };
+  const ExprPtr allen = OverlapsExpr(Col("B_VT"), Col("A_VT"));
+  const ExprPtr literal =
+      Allen(AllenOp::kDuring, Lit(OngoingInterval::SinceUntilNow(4)),
+            Col("B_VT"));
+  const ExprPtr compare = Lt(Col("A_ID"), Col("B_ID"));
+  const ExprPtr contains = ContainsExpr(Col("A_VT"), Lit(Value::Time(7)));
+  EXPECT_EQ(remainder(And(And(allen, literal), And(compare, contains))),
+            nullptr);
+  // Disjunctions, negations, DURATION and unresolved names stay scalar.
+  const ExprPtr disjunction = Or(allen, compare);
+  EXPECT_EQ(remainder(And(allen, disjunction)), disjunction);
+  const ExprPtr negation = Not(allen);
+  EXPECT_EQ(remainder(negation), negation);
+  const ExprPtr duration = DurationCompare(CompareOp::kLt, Col("A_VT"), 5);
+  EXPECT_EQ(remainder(And(duration, compare)), duration);
+  const ExprPtr unknown = Eq(Col("A_NOPE"), Col("B_ID"));
+  EXPECT_EQ(remainder(unknown), unknown);
+}
+
+// Join inputs for the pair-path sweep: a two-value key (hash joins find
+// keys), ongoing and fixed interval columns, and a time point.
+OngoingRelation MakePairRelation(uint64_t seed, const std::string& p,
+                                 size_t n) {
+  Rng rng(seed);
+  OngoingRelation r(Schema({{p + "ID", ValueType::kInt64},
+                            {p + "K", ValueType::kInt64},
+                            {p + "VT", ValueType::kOngoingInterval},
+                            {p + "FT", ValueType::kFixedInterval},
+                            {p + "TP", ValueType::kTimePoint}}));
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(
+        r.Insert({Value::Int64(static_cast<int64_t>(i)),
+                  Value::Int64(rng.Uniform(0, 1)),
+                  Value::Ongoing(plan_fuzz::RandomOngoingInterval(rng)),
+                  Value::Interval(RandomFixed(rng)),
+                  Value::Time(rng.Uniform(0, 120))})
+            .ok());
+  }
+  return r;
+}
+
+class PairPathTest : public ::testing::TestWithParam<uint64_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PairPathTest,
+                         ::testing::ValuesIn(FuzzSeeds(2)));
+
+// Every Allen op and CONTAINS, in both operand orders, column against
+// column (ongoing, fixed and mixed) and against a literal on either
+// side; each alone, with a non-temporal comparison and with a
+// disjunction the pair path leaves to the remainder. Each plan runs
+// through hash, nested-loop and (where eligible) index-NL joins, in
+// both modes, at workers 1/2/4.
+TEST_P(PairPathTest, JoinResidualsMatchReference) {
+  const uint64_t seed = GetParam();
+  ONGOINGDB_FUZZ_SEED_TRACE(seed);
+  Rng rng(seed ^ 0x27d4eb2f165667c5ull);
+  OngoingRelation a = MakePairRelation(seed, "A_", 10);
+  OngoingRelation b = MakePairRelation(seed + 1000, "B_", 10);
+  const TimePoint rt = rng.Uniform(0, 120);
+  auto interval_literal = [&rng]() {
+    return rng.Bernoulli(0.5)
+               ? Lit(Value::Interval(RandomFixed(rng)))
+               : Lit(plan_fuzz::RandomOngoingInterval(rng));
+  };
+  std::vector<ExprPtr> atoms;
+  for (AllenOp op : AllAllenOps()) {
+    for (const char* c : {"VT", "FT"}) {
+      atoms.push_back(Allen(op, Col(std::string("A_") + c),
+                            Col(std::string("B_") + c)));
+      atoms.push_back(Allen(op, Col(std::string("B_") + c),
+                            Col(std::string("A_") + c)));
+    }
+    atoms.push_back(Allen(op, Col("A_VT"), Col("B_FT")));
+    atoms.push_back(Allen(op, Col("A_FT"), interval_literal()));
+    atoms.push_back(Allen(op, interval_literal(), Col("B_VT")));
+  }
+  atoms.push_back(ContainsExpr(Col("A_VT"), Col("B_TP")));
+  atoms.push_back(ContainsExpr(Col("B_FT"), Col("A_TP")));
+  atoms.push_back(
+      ContainsExpr(Col("A_FT"), Lit(Value::Time(rng.Uniform(0, 120)))));
+  atoms.push_back(ContainsExpr(Col("B_VT"), Lit(OngoingTimePoint::Now())));
+  atoms.push_back(ContainsExpr(interval_literal(), Col("A_TP")));
+
+  for (const ExprPtr& atom : atoms) {
+    const ExprPtr mixes[] = {
+        atom, And(atom, Lt(Col("A_ID"), Col("B_ID"))),
+        And(Or(Lt(Col("A_ID"), Lit(rng.Uniform(0, 10))),
+               Eq(Col("B_K"), Lit(int64_t{1}))),
+            atom)};
+    for (const ExprPtr& residual : mixes) {
+      SCOPED_TRACE(residual->ToString());
+      PlanPtr plan = Join(Scan(&a, "A"), Scan(&b, "B"),
+                          And(Eq(Col("A_K"), Col("B_K")), residual), "L", "R");
+      Result<OngoingRelation> expect_ongoing = ReferenceExecute(plan);
+      Result<OngoingRelation> expect_at = ReferenceExecuteAt(plan, rt);
+      ASSERT_TRUE(expect_ongoing.ok()) << expect_ongoing.status();
+      ASSERT_TRUE(expect_at.ok()) << expect_at.status();
+      for (JoinAlgorithm algorithm :
+           {JoinAlgorithm::kHash, JoinAlgorithm::kNestedLoop,
+            JoinAlgorithm::kIndexNL}) {
+        PlanPtr forced = plan_fuzz::WithAlgorithm(plan, algorithm);
+        if (algorithm == JoinAlgorithm::kIndexNL &&
+            !Compile(forced, ExecMode::kOngoing).ok()) {
+          continue;  // no index-eligible conjunct
+        }
+        for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "algorithm " << static_cast<int>(algorithm)
+                       << " workers " << workers);
+          Result<OngoingRelation> got =
+              Execute(forced, ForcedParallel(workers, 3));
+          ASSERT_TRUE(got.ok()) << got.status();
+          EXPECT_EQ(Fingerprint(*got), Fingerprint(*expect_ongoing));
+          Result<OngoingRelation> got_at =
+              ExecuteAtReferenceTime(forced, rt, ForcedParallel(workers, 3));
+          ASSERT_TRUE(got_at.ok()) << got_at.status();
+          EXPECT_EQ(Fingerprint(*got_at), Fingerprint(*expect_at));
+        }
+      }
+    }
+  }
 }
 
 // Exact batch-boundary result sizes through the kernel filter path: the

@@ -151,7 +151,7 @@ TEST_F(LoweringPinTest, OperatorCountsPerDrain) {
        {"rows=812 open=2 materialize=0 index_build=0 route=0 next=4",
         "rows=812 open=9 materialize=4 index_build=0 route=8",
         "rows=812 open=17 materialize=8 index_build=0 route=16"},
-       {"rows=282 open=4 materialize=3 index_build=0 route=0 next=22",
+       {"rows=282 open=4 materialize=3 index_build=0 route=0 next=10",
         "rows=282 open=13 materialize=4 index_build=0 route=8",
         "rows=282 open=25 materialize=8 index_build=0 route=16"}},
       {"keyless nested loop",
@@ -161,7 +161,7 @@ TEST_F(LoweringPinTest, OperatorCountsPerDrain) {
        {"rows=6244 open=1 materialize=0 index_build=0 route=0 next=8",
         "rows=6244 open=5 materialize=0 index_build=0 route=0",
         "rows=6244 open=9 materialize=0 index_build=0 route=0"},
-       {"rows=1615 open=3 materialize=2 index_build=0 route=0 next=57",
+       {"rows=1615 open=3 materialize=2 index_build=0 route=0 next=8",
         "rows=1615 open=7 materialize=4 index_build=0 route=0",
         "rows=1615 open=13 materialize=8 index_build=0 route=0"}},
       {"nested loop, computed inner",
@@ -172,7 +172,7 @@ TEST_F(LoweringPinTest, OperatorCountsPerDrain) {
        {"rows=4736 open=3 materialize=2 index_build=0 route=0 next=10",
         "rows=4736 open=9 materialize=4 index_build=0 route=0",
         "rows=4736 open=17 materialize=8 index_build=0 route=0"},
-       {"rows=1221 open=4 materialize=2 index_build=0 route=0 next=47",
+       {"rows=1221 open=4 materialize=2 index_build=0 route=0 next=10",
         "rows=1221 open=9 materialize=4 index_build=0 route=0",
         "rows=1221 open=17 materialize=8 index_build=0 route=0"}},
       {"index nested loop",
@@ -182,7 +182,7 @@ TEST_F(LoweringPinTest, OperatorCountsPerDrain) {
        {"rows=6244 open=1 materialize=0 index_build=1 route=0 next=8",
         "rows=6244 open=5 materialize=0 index_build=1 route=0",
         "rows=6244 open=9 materialize=0 index_build=1 route=0"},
-       {"rows=1615 open=2 materialize=0 index_build=1 route=0 next=8",
+       {"rows=1615 open=2 materialize=0 index_build=1 route=0 next=6",
         "rows=1615 open=5 materialize=0 index_build=1 route=0",
         "rows=1615 open=9 materialize=0 index_build=1 route=0"}},
       {"hash join, computed inputs",
