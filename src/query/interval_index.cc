@@ -2,20 +2,11 @@
 
 #include <algorithm>
 
-#include "core/operations.h"
 #include "storage/stats.h"
 
 namespace ongoingdb {
 
 namespace {
-
-OngoingInterval LiftIntervalValue(const Value& v) {
-  if (v.type() == ValueType::kFixedInterval) {
-    FixedInterval f = v.AsInterval();
-    return OngoingInterval::Fixed(f.start, f.end);
-  }
-  return v.AsOngoingInterval();
-}
 
 // The error of every index path on a non-interval value (a NULL).
 Status NotAnInterval() {
@@ -268,42 +259,6 @@ std::vector<size_t> IntervalIndex::BeforeCandidates(
   CandidatesInto(IntervalProbeOp::kBefore, IntervalBounds::Of(probe),
                  &candidates);
   return candidates;
-}
-
-Result<OngoingRelation> IntervalIndex::SelectOverlaps(
-    const OngoingRelation& r, const FixedInterval& probe) const {
-  // The stored ordinal, not a schema scan: on a bitemporal relation the
-  // "first interval attribute" may be a different column than the one
-  // the index was built on.
-  ONGOINGDB_ASSIGN_OR_RETURN(size_t col,
-                             ValidateIntervalColumn(r, column_index_));
-  OngoingInterval probe_iv = OngoingInterval::Fixed(probe.start, probe.end);
-  OngoingRelation result(r.schema());
-  for (size_t i : OverlapCandidates(probe)) {
-    const Tuple& t = r.tuple(i);
-    OngoingBoolean pred =
-        Overlaps(LiftIntervalValue(t.value(col)), probe_iv);
-    IntervalSet rt = t.rt().Intersect(pred.st());
-    if (rt.IsEmpty()) continue;
-    result.AppendUnchecked(Tuple(t.values(), std::move(rt)));
-  }
-  return result;
-}
-
-Result<OngoingRelation> IntervalIndex::SelectBefore(
-    const OngoingRelation& r, const FixedInterval& probe) const {
-  ONGOINGDB_ASSIGN_OR_RETURN(size_t col,
-                             ValidateIntervalColumn(r, column_index_));
-  OngoingInterval probe_iv = OngoingInterval::Fixed(probe.start, probe.end);
-  OngoingRelation result(r.schema());
-  for (size_t i : BeforeCandidates(probe)) {
-    const Tuple& t = r.tuple(i);
-    OngoingBoolean pred = Before(LiftIntervalValue(t.value(col)), probe_iv);
-    IntervalSet rt = t.rt().Intersect(pred.st());
-    if (rt.IsEmpty()) continue;
-    result.AppendUnchecked(Tuple(t.values(), std::move(rt)));
-  }
-  return result;
 }
 
 }  // namespace ongoingdb

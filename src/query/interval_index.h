@@ -107,15 +107,6 @@ class IntervalIndex {
   /// entries.
   bool fingerprint_current() const { return fingerprint_current_; }
 
-  /// Index-accelerated ongoing selection: equivalent to
-  /// Select(r, pred(col, probe)) for pred in {overlaps, before}, but the
-  /// exact ongoing predicate is evaluated only on the index's candidate
-  /// set. `r` must be the relation the index was built on.
-  Result<OngoingRelation> SelectOverlaps(const OngoingRelation& r,
-                                         const FixedInterval& probe) const;
-  Result<OngoingRelation> SelectBefore(const OngoingRelation& r,
-                                       const FixedInterval& probe) const;
-
  private:
   struct Entry {
     TimePoint min_start;  // earliest possible start

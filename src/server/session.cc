@@ -4,8 +4,9 @@
 #include <cctype>
 #include <chrono>
 
+#include "query/executor.h"
+#include "query/optimizer.h"
 #include "query/physical.h"
-#include "sql/parser.h"
 #include "util/failpoint.h"
 
 namespace ongoingdb {
@@ -54,10 +55,7 @@ Result<uint64_t> Session::PinSnapshot() {
 // SET knob = value;  — knobs are session-local and take effect on the
 // next statement. Returns nullopt when the statement is not a SET.
 std::optional<Result<ExecResult>> Session::TrySet(
-    const std::string& statement) {
-  auto tokens = sql::Tokenize(statement);
-  if (!tokens.ok()) return std::nullopt;
-  const std::vector<sql::Token>& ts = *tokens;
+    const std::vector<sql::Token>& ts) {
   // Shape: SET <identifier> = <number> [;]
   if (ts.size() < 4 || Upper(ts[0].text) != "SET" ||
       !ts[1].Is(sql::TokenType::kIdentifier)) {
@@ -116,7 +114,11 @@ std::optional<Result<ExecResult>> Session::TrySet(
 }
 
 Result<ExecResult> Session::Execute(const std::string& statement) {
-  if (auto set = TrySet(statement)) return *std::move(set);
+  // Tokenized once: a SET runs on these tokens, and every other
+  // statement, a SELECT's plan included, is parsed from them.
+  ONGOINGDB_ASSIGN_OR_RETURN(std::vector<sql::Token> tokens,
+                             sql::Tokenize(statement));
+  if (auto set = TrySet(tokens)) return *std::move(set);
 
   // Arm this statement's lifecycle from the session knobs.
   ctx_.Reset();
@@ -130,7 +132,7 @@ Result<ExecResult> Session::Execute(const std::string& statement) {
   ONGOINGDB_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot());
   sql::Catalog view = snap.View();
   ONGOINGDB_ASSIGN_OR_RETURN(sql::ParsedStatement parsed,
-                             sql::ParseStatement(statement, view));
+                             sql::ParseTokens(tokens, view));
 
   ExecResult out;
   switch (parsed.kind) {
@@ -139,9 +141,10 @@ Result<ExecResult> Session::Execute(const std::string& statement) {
       ParallelOptions popts;
       popts.workers = options_.workers;
       popts.batch_size = options_.batch_size;
+      ONGOINGDB_ASSIGN_OR_RETURN(PlanPtr optimized, Optimize(parsed.plan));
       ONGOINGDB_ASSIGN_OR_RETURN(
           OngoingRelation relation,
-          sql::RunQuery(parsed.text, view, popts, &ctx_));
+          ongoingdb::Execute(optimized, popts, &ctx_));
       out.snapshot_seq = snap.commit_seq();
       out.result.affected = relation.size();
       out.result.message = std::to_string(relation.size()) + " row(s)";

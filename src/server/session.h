@@ -2,13 +2,14 @@
 //
 // A Session owns one QueryContext and a set of execution knobs (worker
 // count, memory budget, statement timeout). Execute() runs one SQL
-// statement:
+// statement, which it tokenizes once:
 //
 //  * SELECT pins a transaction-time snapshot of the serving catalog
-//    (one atomic load — never blocked by writers), stamps the snapshot
-//    sequence into the QueryContext, and compiles + executes the plan
-//    against the pinned, immutable relation versions. Concurrent
-//    sessions drain their plans on the shared TaskScheduler.
+//    (one atomic load — never blocked by writers), parses its plan
+//    against the pinned, immutable relation versions, stamps the
+//    snapshot sequence into the QueryContext, then optimizes and
+//    executes the plan. Concurrent sessions drain their plans on the
+//    shared TaskScheduler.
 //  * DDL/DML parse against a snapshot's schemas, then route through the
 //    serving catalog's commit path (server/catalog.h), which serializes
 //    writers and publishes each commit atomically.
@@ -105,9 +106,10 @@ class Session {
   /// pin (through the `session.snapshot_pin` failpoint).
   Result<Snapshot> ReadSnapshot();
 
-  /// Handles `SET knob = value;`, or returns nullopt if `statement`
-  /// is not a SET.
-  std::optional<Result<ExecResult>> TrySet(const std::string& statement);
+  /// Handles `SET knob = value;` from a statement's tokens, or returns
+  /// nullopt if they are not a SET.
+  std::optional<Result<ExecResult>> TrySet(
+      const std::vector<sql::Token>& tokens);
 
   const uint64_t id_;
   Catalog* const catalog_;

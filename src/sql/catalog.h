@@ -1,14 +1,9 @@
-// The catalog: named ongoing relations that SQL queries can reference in
-// FROM clauses. Two kinds of entries coexist:
-//
-//  * owned entries (Register) — the embedded-library mode: the catalog
-//    owns the relation and hands out mutable access for modification
-//    statements;
-//  * shared entries (RegisterShared) — the serving mode: the entry
-//    borrows an immutable relation published by a server snapshot
-//    (server/catalog.h). Plans scan it in place and the shared_ptr
-//    keeps the pinned version alive for the life of the catalog view;
-//    GetMutable refuses — writes go through the server's commit path.
+// The catalog: named ongoing relations that SQL statements reference.
+// Every entry is a read-only view of a shared, immutable relation — in
+// serving, a version published by a server snapshot (server/catalog.h,
+// Snapshot::View). Plans scan it in place, and the shared_ptr keeps the
+// pinned version alive for the life of the catalog. There is no mutable
+// access: writes go through the server catalog's commit path.
 #pragma once
 
 #include <map>
@@ -21,27 +16,15 @@
 namespace ongoingdb {
 namespace sql {
 
-/// A registry of named base relations.
+/// A registry of named, read-only base relations.
 class Catalog {
  public:
-  /// Registers (or replaces) an owned, mutable relation under `name`.
-  void Register(const std::string& name, OngoingRelation relation) {
-    Entry entry;
-    entry.relation =
-        std::make_shared<OngoingRelation>(std::move(relation));
-    entry.writable = true;
-    relations_[name] = std::move(entry);
-  }
-
   /// Registers (or replaces) a read-only view of a shared immutable
   /// relation (a pinned snapshot version). The catalog participates in
   /// the relation's lifetime but never mutates it.
   void RegisterShared(const std::string& name,
                       std::shared_ptr<const OngoingRelation> relation) {
-    Entry entry;
-    entry.relation = std::move(relation);
-    entry.writable = false;
-    relations_[name] = std::move(entry);
+    relations_[name] = std::move(relation);
   }
 
   /// Looks up a relation; the pointer stays valid until the relation is
@@ -51,44 +34,11 @@ class Catalog {
     if (it == relations_.end()) {
       return Status::NotFound("no relation named '" + name + "'");
     }
-    return it->second.relation.get();
-  }
-
-  /// Mutable access for modification statements. Fails for shared
-  /// (snapshot-view) entries, which are immutable by contract.
-  Result<OngoingRelation*> GetMutable(const std::string& name) {
-    auto it = relations_.find(name);
-    if (it == relations_.end()) {
-      return Status::NotFound("no relation named '" + name + "'");
-    }
-    if (!it->second.writable) {
-      return Status::InvalidArgument(
-          "relation '" + name +
-          "' is a read-only snapshot view; route modifications through "
-          "the serving catalog");
-    }
-    // Owned entries were created non-const by Register(); the const in
-    // the member type only protects shared snapshot views.
-    return const_cast<OngoingRelation*>(it->second.relation.get());
-  }
-
-  bool Contains(const std::string& name) const {
-    return relations_.count(name) > 0;
-  }
-
-  std::vector<std::string> Names() const {
-    std::vector<std::string> names;
-    for (const auto& [name, _] : relations_) names.push_back(name);
-    return names;
+    return it->second.get();
   }
 
  private:
-  struct Entry {
-    std::shared_ptr<const OngoingRelation> relation;
-    bool writable = false;
-  };
-
-  std::map<std::string, Entry> relations_;
+  std::map<std::string, std::shared_ptr<const OngoingRelation>> relations_;
 };
 
 }  // namespace sql

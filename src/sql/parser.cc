@@ -1,21 +1,24 @@
 #include "sql/parser.h"
 
-#include "query/executor.h"
-#include "query/optimizer.h"
-#include "sql/lexer.h"
-
 namespace ongoingdb {
 namespace sql {
 
 namespace {
 
-/// Recursive-descent parser over the token stream.
+/// Recursive-descent parser over a borrowed token stream.
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, const Catalog& catalog)
-      : tokens_(std::move(tokens)), catalog_(catalog) {}
+  Parser(const std::vector<Token>& tokens, const Catalog& catalog)
+      : tokens_(tokens), catalog_(catalog) {}
 
   // Fragment parsing for the statement layer (statement.h).
+  Result<PlanPtr> ParseQueryFragment(size_t* pos) {
+    pos_ = *pos;
+    auto result = ParseQuery();
+    *pos = pos_;
+    return result;
+  }
+
   Result<ExprPtr> ParseExprFragment(size_t* pos) {
     pos_ = *pos;
     auto result = ParseExpr();
@@ -28,6 +31,16 @@ class Parser {
     auto result = ParseLiteralValue();
     *pos = pos_;
     return result;
+  }
+
+  // An optional ';', then the end of the input.
+  Status ExpectStatementEnd(size_t pos) {
+    pos_ = pos;
+    if (Peek().IsPunct(";")) Advance();
+    if (!Peek().Is(TokenType::kEnd)) {
+      return Fail("unexpected trailing input");
+    }
+    return Status::OK();
   }
 
   Result<PlanPtr> ParseQuery() {
@@ -76,10 +89,6 @@ class Parser {
       Advance();
       ONGOINGDB_ASSIGN_OR_RETURN(ExprPtr predicate, ParseExpr());
       plan = Filter(std::move(plan), std::move(predicate));
-    }
-    if (Peek().IsPunct(";")) Advance();
-    if (!Peek().Is(TokenType::kEnd)) {
-      return Fail("unexpected trailing input");
     }
     if (!select_all) {
       for (std::string& col : select_columns) col = Unqualify(col);
@@ -354,48 +363,46 @@ class Parser {
     return OngoingTimePoint::Fixed(tp);
   }
 
-  std::vector<Token> tokens_;
+  const std::vector<Token>& tokens_;
   const Catalog& catalog_;
   size_t pos_ = 0;
   std::string single_table_alias_;
 };
 
+// Expressions, literals and the statement end name no relation.
+const Catalog& NoRelations() {
+  static const Catalog kEmpty;
+  return kEmpty;
+}
+
 }  // namespace
 
 Result<PlanPtr> ParseQuery(const std::string& query, const Catalog& catalog) {
   ONGOINGDB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(query));
-  Parser parser(std::move(tokens), catalog);
-  return parser.ParseQuery();
+  size_t pos = 0;
+  ONGOINGDB_ASSIGN_OR_RETURN(PlanPtr plan,
+                             ParseQueryFragment(tokens, &pos, catalog));
+  ONGOINGDB_RETURN_NOT_OK(ExpectStatementEnd(tokens, pos));
+  return plan;
 }
 
-Result<OngoingRelation> RunQuery(const std::string& query,
-                                 const Catalog& catalog, QueryContext* ctx) {
-  ONGOINGDB_ASSIGN_OR_RETURN(PlanPtr plan, ParseQuery(query, catalog));
-  ONGOINGDB_ASSIGN_OR_RETURN(PlanPtr optimized, Optimize(plan));
-  return Execute(optimized, ctx);
-}
-
-Result<OngoingRelation> RunQuery(const std::string& query,
-                                 const Catalog& catalog,
-                                 const ParallelOptions& options,
-                                 QueryContext* ctx) {
-  ONGOINGDB_ASSIGN_OR_RETURN(PlanPtr plan, ParseQuery(query, catalog));
-  ONGOINGDB_ASSIGN_OR_RETURN(PlanPtr optimized, Optimize(plan));
-  return Execute(optimized, options, ctx);
+Result<PlanPtr> ParseQueryFragment(const std::vector<Token>& tokens,
+                                   size_t* pos, const Catalog& catalog) {
+  return Parser(tokens, catalog).ParseQueryFragment(pos);
 }
 
 Result<ExprPtr> ParseExpressionFragment(const std::vector<Token>& tokens,
                                         size_t* pos) {
-  static const Catalog kEmptyCatalog;
-  Parser parser(tokens, kEmptyCatalog);
-  return parser.ParseExprFragment(pos);
+  return Parser(tokens, NoRelations()).ParseExprFragment(pos);
 }
 
 Result<Value> ParseLiteralFragment(const std::vector<Token>& tokens,
                                    size_t* pos) {
-  static const Catalog kEmptyCatalog;
-  Parser parser(tokens, kEmptyCatalog);
-  return parser.ParseLiteralFragment(pos);
+  return Parser(tokens, NoRelations()).ParseLiteralFragment(pos);
+}
+
+Status ExpectStatementEnd(const std::vector<Token>& tokens, size_t pos) {
+  return Parser(tokens, NoRelations()).ExpectStatementEnd(pos);
 }
 
 }  // namespace sql

@@ -25,8 +25,8 @@
 // so columns are referenced as  alias.column  after a join (e.g. b.VT).
 #pragma once
 
-#include "query/exec_context.h"
-#include "query/physical.h"
+#include <vector>
+
 #include "query/plan.h"
 #include "sql/catalog.h"
 #include "sql/lexer.h"
@@ -40,34 +40,27 @@ namespace sql {
 /// outlive the plan.
 Result<PlanPtr> ParseQuery(const std::string& query, const Catalog& catalog);
 
-/// Parses, optimizes, and executes a query in one call. A non-null
-/// `ctx` (query/exec_context.h) makes execution observe the query
-/// lifecycle: cancellation, deadline, and memory budget surface as
-/// their typed Status.
-Result<OngoingRelation> RunQuery(const std::string& query,
-                                 const Catalog& catalog,
-                                 QueryContext* ctx = nullptr);
-
-/// As above, draining the plan with `options.workers` parallel partition
-/// pipelines (query/physical.h). The per-session execution entry point
-/// of the serving layer: each session passes its own worker knob while
-/// all sessions share the global TaskScheduler.
-Result<OngoingRelation> RunQuery(const std::string& query,
-                                 const Catalog& catalog,
-                                 const ParallelOptions& options,
-                                 QueryContext* ctx = nullptr);
-
 // --- Fragment entry points (used by the statement parser) ------------------
+// The parsers start at token index *pos and advance *pos past what they
+// read.
 
-/// Parses a predicate expression starting at token index *pos; advances
-/// *pos past the expression.
-Result<ExprPtr> ParseExpressionFragment(const std::vector<sql::Token>& tokens,
+/// Parses a query (SELECT ... [WHERE expr]) into a logical plan over
+/// `catalog`'s relations, leaving the statement end to the caller.
+Result<PlanPtr> ParseQueryFragment(const std::vector<Token>& tokens,
+                                   size_t* pos, const Catalog& catalog);
+
+/// Parses a predicate expression.
+Result<ExprPtr> ParseExpressionFragment(const std::vector<Token>& tokens,
                                         size_t* pos);
 
 /// Parses one literal value (number, 'string', TRUE/FALSE, DATE '...',
-/// NOW, PERIOD [...]) starting at token index *pos; advances *pos.
-Result<Value> ParseLiteralFragment(const std::vector<sql::Token>& tokens,
+/// NOW, PERIOD [...]).
+Result<Value> ParseLiteralFragment(const std::vector<Token>& tokens,
                                    size_t* pos);
+
+/// Succeeds when only an optional ';' is left from token index `pos`
+/// on; otherwise fails with "unexpected trailing input".
+Status ExpectStatementEnd(const std::vector<Token>& tokens, size_t pos);
 
 }  // namespace sql
 }  // namespace ongoingdb

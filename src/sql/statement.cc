@@ -53,91 +53,84 @@ Result<ValueType> ParseColumnType(const std::vector<Token>& tokens,
 }
 
 // CREATE TABLE name (col TYPE, ...)
-Result<ParsedStatement> ParseCreateTable(const std::vector<Token>& tokens,
-                                         size_t pos) {
+Status ParseCreateTable(const std::vector<Token>& tokens, size_t* pos,
+                        ParsedStatement* ps) {
   // "TABLE" is not a reserved keyword; accept identifier spelling.
-  if (Upper(tokens[pos].text) != "TABLE") {
-    return FailAt(tokens, pos, "expected TABLE");
+  if (Upper(tokens[*pos].text) != "TABLE") {
+    return FailAt(tokens, *pos, "expected TABLE");
   }
-  ++pos;
-  if (!tokens[pos].Is(TokenType::kIdentifier)) {
-    return FailAt(tokens, pos, "expected table name");
+  ++*pos;
+  if (!tokens[*pos].Is(TokenType::kIdentifier)) {
+    return FailAt(tokens, *pos, "expected table name");
   }
-  ParsedStatement ps;
-  ps.kind = StatementKind::kCreateTable;
-  ps.table = tokens[pos++].text;
-  if (!tokens[pos].IsPunct("(")) return FailAt(tokens, pos, "expected '('");
-  ++pos;
+  ps->kind = StatementKind::kCreateTable;
+  ps->table = tokens[(*pos)++].text;
+  if (!tokens[*pos].IsPunct("(")) return FailAt(tokens, *pos, "expected '('");
+  ++*pos;
   while (true) {
-    if (!tokens[pos].Is(TokenType::kIdentifier)) {
-      return FailAt(tokens, pos, "expected column name");
+    if (!tokens[*pos].Is(TokenType::kIdentifier)) {
+      return FailAt(tokens, *pos, "expected column name");
     }
-    std::string column = tokens[pos++].text;
-    ONGOINGDB_ASSIGN_OR_RETURN(ValueType type,
-                               ParseColumnType(tokens, &pos));
-    ONGOINGDB_RETURN_NOT_OK(ps.schema.AddAttribute(std::move(column), type));
-    if (tokens[pos].IsPunct(",")) {
-      ++pos;
+    std::string column = tokens[(*pos)++].text;
+    ONGOINGDB_ASSIGN_OR_RETURN(ValueType type, ParseColumnType(tokens, pos));
+    ONGOINGDB_RETURN_NOT_OK(ps->schema.AddAttribute(std::move(column), type));
+    if (tokens[*pos].IsPunct(",")) {
+      ++*pos;
       continue;
     }
     break;
   }
-  if (!tokens[pos].IsPunct(")")) return FailAt(tokens, pos, "expected ')'");
-  ++pos;
-  return ps;
+  if (!tokens[*pos].IsPunct(")")) return FailAt(tokens, *pos, "expected ')'");
+  ++*pos;
+  return Status::OK();
 }
 
 // INSERT INTO name VALUES (lit, ...)
-Result<ParsedStatement> ParseInsert(const std::vector<Token>& tokens,
-                                    size_t pos, const Catalog& catalog) {
-  if (Upper(tokens[pos].text) != "INTO") {
-    return FailAt(tokens, pos, "expected INTO");
+Status ParseInsert(const std::vector<Token>& tokens, size_t* pos,
+                   const Catalog& catalog, ParsedStatement* ps) {
+  if (Upper(tokens[*pos].text) != "INTO") {
+    return FailAt(tokens, *pos, "expected INTO");
   }
-  ++pos;
-  if (!tokens[pos].Is(TokenType::kIdentifier)) {
-    return FailAt(tokens, pos, "expected table name");
+  ++*pos;
+  if (!tokens[*pos].Is(TokenType::kIdentifier)) {
+    return FailAt(tokens, *pos, "expected table name");
   }
-  ParsedStatement ps;
-  ps.kind = StatementKind::kInsert;
-  ps.table = tokens[pos].text;
+  ps->kind = StatementKind::kInsert;
+  ps->table = tokens[*pos].text;
   // Fail early when the table is unknown (the values may still be
   // parseable, but the statement cannot apply anywhere).
-  ONGOINGDB_RETURN_NOT_OK(catalog.Get(ps.table).status());
-  ++pos;
-  if (Upper(tokens[pos].text) != "VALUES") {
-    return FailAt(tokens, pos, "expected VALUES");
+  ONGOINGDB_RETURN_NOT_OK(catalog.Get(ps->table).status());
+  ++*pos;
+  if (Upper(tokens[*pos].text) != "VALUES") {
+    return FailAt(tokens, *pos, "expected VALUES");
   }
-  ++pos;
-  if (!tokens[pos].IsPunct("(")) return FailAt(tokens, pos, "expected '('");
-  ++pos;
+  ++*pos;
+  if (!tokens[*pos].IsPunct("(")) return FailAt(tokens, *pos, "expected '('");
+  ++*pos;
   while (true) {
-    ONGOINGDB_ASSIGN_OR_RETURN(Value v, ParseLiteralFragment(tokens, &pos));
-    ps.values.push_back(std::move(v));
-    if (tokens[pos].IsPunct(",")) {
-      ++pos;
+    ONGOINGDB_ASSIGN_OR_RETURN(Value v, ParseLiteralFragment(tokens, pos));
+    ps->values.push_back(std::move(v));
+    if (tokens[*pos].IsPunct(",")) {
+      ++*pos;
       continue;
     }
     break;
   }
-  if (!tokens[pos].IsPunct(")")) return FailAt(tokens, pos, "expected ')'");
-  ++pos;
-  if (tokens[pos].IsPunct(";")) ++pos;
-  if (!tokens[pos].Is(TokenType::kEnd)) {
-    return FailAt(tokens, pos, "unexpected trailing input");
-  }
-  return ps;
+  if (!tokens[*pos].IsPunct(")")) return FailAt(tokens, *pos, "expected ')'");
+  ++*pos;
+  return Status::OK();
 }
 
-// Shared by DELETE/UPDATE: parses [WHERE expr] AT DATE 'tc', returning
-// the (fixed-only) filter and commit time.
-Result<std::pair<ExprPtr, TimePoint>> ParseWhereAt(
-    const std::vector<Token>& tokens, size_t* pos, const Schema& schema) {
-  ExprPtr predicate;
+// Shared by DELETE/UPDATE: parses [WHERE expr] AT DATE 'tc' into the
+// (fixed-only) predicate and commit time, then checks that the table
+// has the valid-time column the modification closes.
+Status ParseWhereAt(const std::vector<Token>& tokens, size_t* pos,
+                    const Schema& schema, ParsedStatement* ps) {
   if (tokens[*pos].IsKeyword("WHERE")) {
     ++*pos;
-    ONGOINGDB_ASSIGN_OR_RETURN(predicate,
+    ONGOINGDB_ASSIGN_OR_RETURN(ps->predicate,
                                ParseExpressionFragment(tokens, pos));
-    if (!predicate->IsFixedOnly(schema)) {
+    if (!ps->predicate->IsFixedOnly(schema)) {
       return Status::InvalidArgument(
           "modification predicates must reference fixed attributes only");
     }
@@ -153,81 +146,80 @@ Result<std::pair<ExprPtr, TimePoint>> ParseWhereAt(
   if (!tokens[*pos].Is(TokenType::kString)) {
     return FailAt(tokens, *pos, "expected date string");
   }
-  ONGOINGDB_ASSIGN_OR_RETURN(TimePoint tc,
-                             ParseTimePoint(tokens[*pos].text));
+  ONGOINGDB_ASSIGN_OR_RETURN(ps->tc, ParseTimePoint(tokens[*pos].text));
   ++*pos;
-  return std::make_pair(predicate, tc);
+  return VtIndexOf(schema).status();
 }
 
 // DELETE FROM name [WHERE pred] AT DATE 'tc'
-Result<ParsedStatement> ParseDelete(const std::vector<Token>& tokens,
-                                    size_t pos, const Catalog& catalog) {
-  if (!tokens[pos].IsKeyword("FROM")) {
-    return FailAt(tokens, pos, "expected FROM");
+Status ParseDelete(const std::vector<Token>& tokens, size_t* pos,
+                   const Catalog& catalog, ParsedStatement* ps) {
+  if (!tokens[*pos].IsKeyword("FROM")) {
+    return FailAt(tokens, *pos, "expected FROM");
   }
-  ++pos;
-  if (!tokens[pos].Is(TokenType::kIdentifier)) {
-    return FailAt(tokens, pos, "expected table name");
+  ++*pos;
+  if (!tokens[*pos].Is(TokenType::kIdentifier)) {
+    return FailAt(tokens, *pos, "expected table name");
   }
-  ParsedStatement ps;
-  ps.kind = StatementKind::kDelete;
-  ps.table = tokens[pos].text;
+  ps->kind = StatementKind::kDelete;
+  ps->table = tokens[*pos].text;
   ONGOINGDB_ASSIGN_OR_RETURN(const OngoingRelation* relation,
-                             catalog.Get(ps.table));
-  ++pos;
-  ONGOINGDB_ASSIGN_OR_RETURN(auto where_at,
-                             ParseWhereAt(tokens, &pos, relation->schema()));
-  ONGOINGDB_ASSIGN_OR_RETURN(ps.vt_index, VtIndexOf(relation->schema()));
-  ps.predicate = std::move(where_at.first);
-  ps.tc = where_at.second;
-  return ps;
+                             catalog.Get(ps->table));
+  ++*pos;
+  return ParseWhereAt(tokens, pos, relation->schema(), ps);
 }
 
 // UPDATE name SET col = lit [, ...] [WHERE pred] AT DATE 'tc'
-Result<ParsedStatement> ParseUpdate(const std::vector<Token>& tokens,
-                                    size_t pos, const Catalog& catalog) {
-  if (!tokens[pos].Is(TokenType::kIdentifier)) {
-    return FailAt(tokens, pos, "expected table name");
+Status ParseUpdate(const std::vector<Token>& tokens, size_t* pos,
+                   const Catalog& catalog, ParsedStatement* ps) {
+  if (!tokens[*pos].Is(TokenType::kIdentifier)) {
+    return FailAt(tokens, *pos, "expected table name");
   }
-  ParsedStatement ps;
-  ps.kind = StatementKind::kUpdate;
-  ps.table = tokens[pos].text;
+  ps->kind = StatementKind::kUpdate;
+  ps->table = tokens[*pos].text;
   ONGOINGDB_ASSIGN_OR_RETURN(const OngoingRelation* relation,
-                             catalog.Get(ps.table));
-  ++pos;
-  if (Upper(tokens[pos].text) != "SET") {
-    return FailAt(tokens, pos, "expected SET");
+                             catalog.Get(ps->table));
+  const Schema& schema = relation->schema();
+  ++*pos;
+  if (Upper(tokens[*pos].text) != "SET") {
+    return FailAt(tokens, *pos, "expected SET");
   }
-  ++pos;
+  ++*pos;
+  const Result<size_t> vt = VtIndexOf(schema);
   while (true) {
-    if (!tokens[pos].Is(TokenType::kIdentifier)) {
-      return FailAt(tokens, pos, "expected column name");
+    if (!tokens[*pos].Is(TokenType::kIdentifier)) {
+      return FailAt(tokens, *pos, "expected column name");
     }
-    ONGOINGDB_ASSIGN_OR_RETURN(size_t idx,
-                               relation->schema().IndexOf(tokens[pos].text));
-    ++pos;
-    if (!tokens[pos].Is(TokenType::kOperator) || tokens[pos].text != "=") {
-      return FailAt(tokens, pos, "expected '='");
+    ONGOINGDB_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(tokens[*pos].text));
+    ++*pos;
+    if (!tokens[*pos].Is(TokenType::kOperator) || tokens[*pos].text != "=") {
+      return FailAt(tokens, *pos, "expected '='");
     }
-    ++pos;
-    ONGOINGDB_ASSIGN_OR_RETURN(Value v, ParseLiteralFragment(tokens, &pos));
-    if (v.type() != relation->schema().attribute(idx).type) {
+    ++*pos;
+    ONGOINGDB_ASSIGN_OR_RETURN(Value v, ParseLiteralFragment(tokens, pos));
+    const std::string& column = schema.attribute(idx).name;
+    if (v.type() != schema.attribute(idx).type) {
       return Status::TypeError("assignment type mismatch for column '" +
-                               relation->schema().attribute(idx).name + "'");
+                               column + "'");
     }
-    ps.assignments.emplace_back(idx, std::move(v));
-    if (tokens[pos].IsPunct(",")) {
-      ++pos;
+    if (vt.ok() && idx == *vt) {
+      return Status::InvalidArgument(
+          "UPDATE cannot assign the valid-time column '" + column + "'");
+    }
+    for (const auto& assignment : ps->assignments) {
+      if (assignment.first == idx) {
+        return Status::InvalidArgument("column '" + column +
+                                       "' is assigned more than once");
+      }
+    }
+    ps->assignments.emplace_back(idx, std::move(v));
+    if (tokens[*pos].IsPunct(",")) {
+      ++*pos;
       continue;
     }
     break;
   }
-  ONGOINGDB_ASSIGN_OR_RETURN(auto where_at,
-                             ParseWhereAt(tokens, &pos, relation->schema()));
-  ONGOINGDB_ASSIGN_OR_RETURN(ps.vt_index, VtIndexOf(relation->schema()));
-  ps.predicate = std::move(where_at.first);
-  ps.tc = where_at.second;
-  return ps;
+  return ParseWhereAt(tokens, pos, schema, ps);
 }
 
 }  // namespace
@@ -252,91 +244,41 @@ std::function<std::vector<Value>(const Tuple&)> MakeAssignmentUpdater(
   };
 }
 
-Result<ParsedStatement> ParseStatement(const std::string& statement,
-                                       const Catalog& catalog) {
-  ONGOINGDB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(statement));
+Result<ParsedStatement> ParseTokens(const std::vector<Token>& tokens,
+                                    const Catalog& catalog) {
   if (tokens.empty() || tokens[0].Is(TokenType::kEnd)) {
     return Status::InvalidArgument("empty statement");
   }
-  if (tokens[0].IsKeyword("SELECT")) {
-    ParsedStatement ps;
-    ps.kind = StatementKind::kSelect;
-    ps.text = statement;
-    return ps;
-  }
+  ParsedStatement ps;
+  size_t pos = 1;  // past the statement's first keyword
   const std::string first = Upper(tokens[0].text);
-  if (first == "CREATE") return ParseCreateTable(tokens, 1);
-  if (first == "INSERT") return ParseInsert(tokens, 1, catalog);
-  if (first == "DELETE") return ParseDelete(tokens, 1, catalog);
-  if (first == "UPDATE") return ParseUpdate(tokens, 1, catalog);
-  return Status::InvalidArgument("unknown statement '" + tokens[0].text +
-                                 "'");
-}
-
-Result<StatementResult> ApplyStatement(const ParsedStatement& ps,
-                                       Catalog* catalog, QueryContext* ctx) {
-  StatementResult result;
-  switch (ps.kind) {
-    case StatementKind::kSelect: {
-      ONGOINGDB_ASSIGN_OR_RETURN(OngoingRelation relation,
-                                 RunQuery(ps.text, *catalog, ctx));
-      result.affected = relation.size();
-      result.message = std::to_string(relation.size()) + " row(s)";
-      result.relation = std::move(relation);
-      return result;
-    }
-    case StatementKind::kCreateTable: {
-      if (catalog->Contains(ps.table)) {
-        return Status::AlreadyExists("table '" + ps.table +
-                                     "' already exists");
-      }
-      catalog->Register(ps.table, OngoingRelation(ps.schema));
-      result.message = "table '" + ps.table + "' created";
-      return result;
-    }
-    case StatementKind::kInsert: {
-      ONGOINGDB_ASSIGN_OR_RETURN(OngoingRelation * relation,
-                                 catalog->GetMutable(ps.table));
-      ONGOINGDB_RETURN_NOT_OK(relation->Insert(ps.values));
-      result.message = "1 row inserted";
-      result.affected = 1;
-      return result;
-    }
-    case StatementKind::kDelete: {
-      ONGOINGDB_ASSIGN_OR_RETURN(OngoingRelation * relation,
-                                 catalog->GetMutable(ps.table));
-      ONGOINGDB_ASSIGN_OR_RETURN(
-          size_t deleted,
-          TemporalDelete(
-              relation, ps.vt_index, ps.tc,
-              MakeModificationFilter(ps.predicate, relation->schema())));
-      result.affected = deleted;
-      result.message =
-          std::to_string(deleted) + " row(s) logically deleted";
-      return result;
-    }
-    case StatementKind::kUpdate: {
-      ONGOINGDB_ASSIGN_OR_RETURN(OngoingRelation * relation,
-                                 catalog->GetMutable(ps.table));
-      ONGOINGDB_ASSIGN_OR_RETURN(
-          size_t updated,
-          TemporalUpdate(
-              relation, ps.vt_index, ps.tc,
-              MakeModificationFilter(ps.predicate, relation->schema()),
-              MakeAssignmentUpdater(ps.assignments)));
-      result.affected = updated;
-      result.message = std::to_string(updated) + " row(s) updated";
-      return result;
-    }
+  if (tokens[0].IsKeyword("SELECT")) {
+    ps.kind = StatementKind::kSelect;
+    pos = 0;  // the query parser reads SELECT itself
+    ONGOINGDB_ASSIGN_OR_RETURN(ps.plan,
+                               ParseQueryFragment(tokens, &pos, catalog));
+  } else if (first == "CREATE") {
+    ONGOINGDB_RETURN_NOT_OK(ParseCreateTable(tokens, &pos, &ps));
+  } else if (first == "INSERT") {
+    ONGOINGDB_RETURN_NOT_OK(ParseInsert(tokens, &pos, catalog, &ps));
+  } else if (first == "DELETE") {
+    ONGOINGDB_RETURN_NOT_OK(ParseDelete(tokens, &pos, catalog, &ps));
+  } else if (first == "UPDATE") {
+    ONGOINGDB_RETURN_NOT_OK(ParseUpdate(tokens, &pos, catalog, &ps));
+  } else {
+    return Status::InvalidArgument("unknown statement '" + tokens[0].text +
+                                   "'");
   }
-  return Status::Internal("unknown statement kind");
+  ONGOINGDB_RETURN_NOT_OK(ExpectStatementEnd(tokens, pos));
+  return ps;
 }
 
-Result<StatementResult> RunStatement(const std::string& statement,
-                                     Catalog* catalog, QueryContext* ctx) {
-  ONGOINGDB_ASSIGN_OR_RETURN(ParsedStatement ps,
-                             ParseStatement(statement, *catalog));
-  return ApplyStatement(ps, catalog, ctx);
+Result<ParsedStatement> ParseStatement(const std::string& statement,
+                                       const Catalog& catalog) {
+  ONGOINGDB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(statement));
+  ONGOINGDB_ASSIGN_OR_RETURN(ParsedStatement ps, ParseTokens(tokens, catalog));
+  ps.text = statement;
+  return ps;
 }
 
 }  // namespace sql

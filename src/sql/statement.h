@@ -1,23 +1,26 @@
-// SQL statements beyond SELECT: DDL and temporal DML against a catalog.
+// SQL statements: SELECT, DDL and temporal DML against a catalog.
 //
+//   SELECT ...                               (grammar in parser.h)
 //   CREATE TABLE name (col TYPE, ...)        TYPE: INT, TEXT, BOOL,
 //                                            DATE, INTERVAL, PERIOD
 //   INSERT INTO name VALUES (lit, ...)       literals as in SELECT
 //   DELETE FROM name [WHERE pred] AT DATE 'tc'
 //   UPDATE name SET col = lit [, ...] [WHERE pred] AT DATE 'tc'
-//   SELECT ...                               (delegates to parser.h)
+//
+// Every statement ends at an optional ';'; input after it is an error.
 //
 // DELETE and UPDATE use the Torp temporal modification semantics
 // (relation/modifications.h): the commit time tc closes valid times with
 // min(end, tc), which stays exact because Omega is closed under min. The
 // WHERE predicate of a modification must reference fixed attributes only
 // (the modification applies to the *tuple*, not to reference times).
+// UPDATE gives each new version the valid time [tc, now), so it may not
+// assign the valid-time column, nor any column twice.
 //
-// Statement handling is split into parse and apply so the two execution
-// paths share one grammar: RunStatement (below) parses and applies
-// against an embedded catalog in one call, while the serving layer
-// (server/session.h) parses against a pinned snapshot's schemas and
-// routes the parsed statement through the server catalog's commit path.
+// Parsing only reads the catalog: it resolves names against its schemas
+// and builds a SELECT's plan over its relations. The serving layer
+// (server/session.h) runs the result: a SELECT against the snapshot it
+// was parsed against, a write through the server catalog's commit path.
 #pragma once
 
 #include <optional>
@@ -26,10 +29,11 @@
 #include <vector>
 
 #include "expr/expr.h"
-#include "query/exec_context.h"
+#include "query/plan.h"
 #include "relation/modifications.h"
 #include "relation/relation.h"
 #include "sql/catalog.h"
+#include "sql/lexer.h"
 #include "util/result.h"
 
 namespace ongoingdb {
@@ -47,14 +51,14 @@ struct StatementResult {
 
 enum class StatementKind { kSelect, kCreateTable, kInsert, kDelete, kUpdate };
 
-/// A parsed, schema-validated statement, decoupled from the catalog it
-/// will be applied to. SELECT statements keep their text (the query
-/// parser builds the plan at execution time against the executing
-/// catalog view); DML carries the resolved pieces the apply step needs.
+/// A parsed, schema-validated statement: everything its execution needs.
 struct ParsedStatement {
   StatementKind kind = StatementKind::kSelect;
-  /// The original statement text (used to run SELECTs).
+  /// The statement text, as passed to ParseStatement.
   std::string text;
+  /// SELECT: the logical plan. It borrows the parsing catalog's
+  /// relations, so that catalog must outlive it.
+  PlanPtr plan;
   /// Target table of DDL/DML.
   std::string table;
   /// CREATE TABLE: the new table's schema.
@@ -65,15 +69,20 @@ struct ParsedStatement {
   ExprPtr predicate;
   /// DELETE/UPDATE: the commit time from AT DATE.
   TimePoint tc = 0;
-  /// DELETE/UPDATE: the valid-time (PERIOD) attribute index.
-  size_t vt_index = 0;
-  /// UPDATE: (column index, new value) assignments, type-checked.
+  /// UPDATE: (column index, new value) assignments, type-checked, one
+  /// per column, none to the valid-time column.
   std::vector<std::pair<size_t, Value>> assignments;
 };
 
-/// Parses one statement, resolving and validating DML against the
-/// schemas in `catalog` (which is only read). CREATE TABLE existence is
-/// checked at apply time, not here — parsing is side-effect free.
+/// Parses one tokenized statement (Tokenize), resolving and validating
+/// it against the schemas in `catalog`, which is only read. CREATE TABLE
+/// existence is checked when the statement runs, not here. `text` stays
+/// empty.
+Result<ParsedStatement> ParseTokens(const std::vector<Token>& tokens,
+                                    const Catalog& catalog);
+
+/// Tokenizes `statement` and parses it with ParseTokens, keeping the
+/// text.
 Result<ParsedStatement> ParseStatement(const std::string& statement,
                                        const Catalog& catalog);
 
@@ -87,19 +96,6 @@ ModificationFilter MakeModificationFilter(const ExprPtr& predicate,
 /// The updater applying UPDATE assignments to a tuple's values.
 std::function<std::vector<Value>(const Tuple&)> MakeAssignmentUpdater(
     std::vector<std::pair<size_t, Value>> assignments);
-
-/// Applies a parsed statement to an embedded catalog. SELECT execution
-/// observes a non-null `ctx` (cancellation, deadline, memory budget);
-/// DDL/DML run unconditionally.
-Result<StatementResult> ApplyStatement(const ParsedStatement& statement,
-                                       Catalog* catalog,
-                                       QueryContext* ctx = nullptr);
-
-/// Parses and executes one statement against (and possibly mutating)
-/// `catalog`: ParseStatement + ApplyStatement in one call.
-Result<StatementResult> RunStatement(const std::string& statement,
-                                     Catalog* catalog,
-                                     QueryContext* ctx = nullptr);
 
 }  // namespace sql
 }  // namespace ongoingdb

@@ -1,8 +1,8 @@
 // A minimal slotted-page heap file for ongoing relations: fixed-size
-// pages with a slot directory, append and full-scan access. This is the
-// storage substrate used by the Table V experiment to measure realistic
-// per-tuple footprints (page headers and slot overhead included), and by
-// the quickstart example to persist relations.
+// pages with a slot directory, append and full-scan access. The
+// temporal_audit example persists a relation to it and scans it back;
+// storage_test and robustness_test check the page layout. (The Table V
+// experiment sizes tuples with storage/stats.h instead.)
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,8 @@
-// Tests of the related-work baselines: Clifford instantiation, Torp's Tf
-// domain (including its non-closure, Table I), the Forever substitution's
-// incorrectness, and Anselma's partial instantiation.
+// Tests of the related-work baselines: Clifford instantiation and Torp's
+// Tf domain (including its non-closure, Table I).
 #include <gtest/gtest.h>
 
-#include "baselines/anselma.h"
 #include "baselines/clifford.h"
-#include "baselines/forever.h"
 #include "baselines/torp.h"
 #include "core/operations.h"
 
@@ -152,65 +149,6 @@ TEST(TorpTest, IntersectionLeavesTfForComplexEndpoints) {
                   TfTimePoint::Fixed(MD(10, 10)), TfTimePoint::MinNow(MD(10, 19)));
   (void)bad;  // either representation outcome is acceptable for starts;
               // the domain limitation is witnessed in TfIsNotClosed.
-}
-
-// --- Forever ---------------------------------------------------------------
-
-TEST(ForeverTest, RewriteReplacesNowWithForever) {
-  OngoingRelation b = BugsRelation();
-  OngoingRelation rewritten = ForeverRewrite(b);
-  ASSERT_EQ(rewritten.size(), 2u);
-  EXPECT_EQ(rewritten.tuple(0).value(1).AsInterval().end, kForever);
-  EXPECT_EQ(rewritten.tuple(1).value(1).AsInterval(),
-            (FixedInterval{MD(3, 30), MD(8, 21)}));
-}
-
-TEST(ForeverTest, Sec3CounterexampleBug500Disappears) {
-  // "Which bugs might be resolved before patch 201 goes live?" at
-  // rt = 05/14: the correct answer includes bug 500; with Forever it is
-  // wrongly excluded because [01/25, Forever) is never before the patch.
-  OngoingRelation b = BugsRelation();
-  FixedInterval patch{MD(8, 15), MD(8, 24)};
-
-  // Correct (ongoing) semantics at 05/14.
-  OngoingInterval bug500 = b.tuple(0).value(1).AsOngoingInterval();
-  OngoingBoolean correct = Before(
-      bug500, OngoingInterval::Fixed(patch.start, patch.end));
-  EXPECT_TRUE(correct.Instantiate(MD(5, 14)));
-
-  // Forever semantics: never before.
-  OngoingRelation rewritten = ForeverRewrite(b);
-  FixedInterval forever500 = rewritten.tuple(0).value(1).AsInterval();
-  EXPECT_FALSE(BeforeF(forever500, patch));
-}
-
-// --- Anselma ---------------------------------------------------------------
-
-TEST(AnselmaTest, SymbolicIntersectionOfTwoNowEndings) {
-  // [10/14, now) n [10/17, now) = [10/17, now) stays uninstantiated.
-  TnowInterval i1{TnowPoint::Fixed(MD(10, 14)), TnowPoint::Now()};
-  TnowInterval i2{TnowPoint::Fixed(MD(10, 17)), TnowPoint::Now()};
-  AnselmaIntersection result = AnselmaIntersect(i1, i2, MD(10, 20));
-  ASSERT_TRUE(result.stayed_symbolic);
-  EXPECT_EQ(result.symbolic.start, TnowPoint::Fixed(MD(10, 17)));
-  EXPECT_TRUE(result.symbolic.end.is_now);
-}
-
-TEST(AnselmaTest, MixedEndpointsForceInstantiation) {
-  // [10/17, 10/22) n [10/17, now) must instantiate: at rt = 10/20 the
-  // result is [10/17, 10/20) — valid only at that reference time.
-  TnowInterval i1{TnowPoint::Fixed(MD(10, 17)), TnowPoint::Fixed(MD(10, 22))};
-  TnowInterval i2{TnowPoint::Fixed(MD(10, 17)), TnowPoint::Now()};
-  AnselmaIntersection result = AnselmaIntersect(i1, i2, MD(10, 20));
-  ASSERT_FALSE(result.stayed_symbolic);
-  EXPECT_EQ(result.instantiated, (FixedInterval{MD(10, 17), MD(10, 20)}));
-  // Omega represents the same intersection symbolically: [10/17, +10/22)
-  // — valid at every reference time.
-  OngoingInterval omega =
-      Intersect(OngoingInterval::Fixed(MD(10, 17), MD(10, 22)),
-                OngoingInterval::SinceUntilNow(MD(10, 17)));
-  EXPECT_EQ(omega.ToString(), "[10/17, +10/22)");
-  EXPECT_EQ(omega.Instantiate(MD(10, 20)), result.instantiated);
 }
 
 }  // namespace

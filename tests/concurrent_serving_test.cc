@@ -28,6 +28,8 @@
 #include <thread>
 #include <vector>
 
+#include "query/executor.h"
+#include "query/optimizer.h"
 #include "relation/modifications.h"
 #include "server/catalog.h"
 #include "server/session.h"
@@ -90,8 +92,8 @@ std::function<std::vector<Value>(const Tuple&)> ReplaceS(
 }
 
 // Serial reference: the base relation with every logged write of
-// sequence <= `seq` applied in sequence order, then `statement` run over
-// it through the embedded (single-threaded) SQL path.
+// sequence <= `seq` applied in sequence order, then `statement` parsed,
+// optimized and executed over it directly, without a Session.
 std::multiset<std::string> ReplayAt(const OngoingRelation& base,
                                     const std::vector<LoggedWrite>& log,
                                     uint64_t seq, size_t statement) {
@@ -114,8 +116,15 @@ std::multiset<std::string> ReplayAt(const OngoingRelation& base,
     }
   }
   sql::Catalog reference;
-  reference.Register("T", std::move(state));
-  auto result = sql::RunQuery(kStatements[statement], reference);
+  reference.RegisterShared(
+      "T", std::make_shared<const OngoingRelation>(std::move(state)));
+  auto plan = sql::ParseQuery(kStatements[statement], reference);
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  if (!plan.ok()) return {};
+  auto optimized = Optimize(*plan);
+  EXPECT_TRUE(optimized.ok()) << optimized.status();
+  if (!optimized.ok()) return {};
+  auto result = Execute(*optimized);
   EXPECT_TRUE(result.ok()) << result.status();
   if (!result.ok()) return {};
   return Fingerprint(*result);

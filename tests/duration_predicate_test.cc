@@ -4,7 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "expr/expr.h"
-#include "sql/statement.h"
+#include "server/catalog.h"
+#include "server/session.h"
 
 namespace ongoingdb {
 namespace {
@@ -67,24 +68,24 @@ TEST(DurationPredicateTest, FixedEvaluation) {
 }
 
 TEST(DurationPredicateTest, SqlDurationKeyword) {
-  sql::Catalog catalog;
+  server::Catalog catalog;
+  server::SessionManager manager(&catalog);
+  auto session = manager.CreateSession();
   ASSERT_TRUE(
-      sql::RunStatement("CREATE TABLE Bugs (BID INT, VT PERIOD)", &catalog)
+      session->Execute("CREATE TABLE Bugs (BID INT, VT PERIOD)").ok());
+  ASSERT_TRUE(
+      session->Execute("INSERT INTO Bugs VALUES (500, PERIOD ['01/25', NOW))")
           .ok());
-  ASSERT_TRUE(sql::RunStatement(
-                  "INSERT INTO Bugs VALUES (500, PERIOD ['01/25', NOW))",
-                  &catalog)
-                  .ok());
-  ASSERT_TRUE(sql::RunStatement(
-                  "INSERT INTO Bugs VALUES (501, PERIOD ['03/30', '04/05'))",
-                  &catalog)
+  ASSERT_TRUE(session
+                  ->Execute("INSERT INTO Bugs VALUES (501, "
+                            "PERIOD ['03/30', '04/05'))")
                   .ok());
   // Long-running bugs: open more than 60 days.
-  auto result = sql::RunStatement(
-      "SELECT BID FROM Bugs WHERE DURATION(VT) > 60", &catalog);
+  auto result =
+      session->Execute("SELECT BID FROM Bugs WHERE DURATION(VT) > 60");
   ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->relation->size(), 1u);
-  const Tuple& t = result->relation->tuple(0);
+  ASSERT_EQ(result->result.relation->size(), 1u);
+  const Tuple& t = result->result.relation->tuple(0);
   EXPECT_EQ(t.value(0).AsInt64(), 500);
   // The ongoing bug exceeds 60 days exactly 61 days after 01/25.
   EXPECT_EQ(t.rt(), (IntervalSet{{MD(1, 25) + 61, kMaxInfinity}}));
@@ -92,18 +93,15 @@ TEST(DurationPredicateTest, SqlDurationKeyword) {
 }
 
 TEST(DurationPredicateTest, SqlSyntaxErrors) {
-  sql::Catalog catalog;
-  ASSERT_TRUE(
-      sql::RunStatement("CREATE TABLE T (VT PERIOD)", &catalog).ok());
+  server::Catalog catalog;
+  server::SessionManager manager(&catalog);
+  auto session = manager.CreateSession();
+  ASSERT_TRUE(session->Execute("CREATE TABLE T (VT PERIOD)").ok());
   EXPECT_FALSE(
-      sql::RunStatement("SELECT * FROM T WHERE DURATION VT > 3", &catalog)
-          .ok());
+      session->Execute("SELECT * FROM T WHERE DURATION VT > 3").ok());
+  EXPECT_FALSE(session->Execute("SELECT * FROM T WHERE DURATION(VT) >").ok());
   EXPECT_FALSE(
-      sql::RunStatement("SELECT * FROM T WHERE DURATION(VT) >", &catalog)
-          .ok());
-  EXPECT_FALSE(sql::RunStatement(
-                   "SELECT * FROM T WHERE DURATION(VT) OVERLAPS 3", &catalog)
-                   .ok());
+      session->Execute("SELECT * FROM T WHERE DURATION(VT) OVERLAPS 3").ok());
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 //     forall rt:  ||Q(D)||rt == Q(||D||rt)
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "datasets/synthetic.h"
 #include "query/executor.h"
 #include "query/optimizer.h"
@@ -26,10 +28,12 @@ class IntegrationPropertyTest : public ::testing::TestWithParam<uint64_t> {
     options.seed = GetParam() * 7 + 3;
     options.kind = GetParam() % 2 == 0 ? datasets::OngoingKind::kExpanding
                                        : datasets::OngoingKind::kShrinking;
-    catalog_.Register("R", datasets::GenerateSynthetic(options));
+    catalog_.RegisterShared("R", std::make_shared<const OngoingRelation>(
+                                     datasets::GenerateSynthetic(options)));
     options.seed += 1;
     options.cardinality = 80;
-    catalog_.Register("S", datasets::GenerateSynthetic(options));
+    catalog_.RegisterShared("S", std::make_shared<const OngoingRelation>(
+                                     datasets::GenerateSynthetic(options)));
   }
 
   // Verifies ||Q(D)||rt == Q(||D||rt) for a parsed query across a sweep

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "core/operations.h"
+#include "query/executor.h"
 #include "relation/algebra.h"
 #include "testing/plan_fuzz.h"
 #include "util/rng.h"
@@ -47,6 +48,16 @@ TEST(IntervalIndexTest, RequiresIntervalAttribute) {
   EXPECT_FALSE(IntervalIndex::Build(r, "Missing").ok());
 }
 
+// Filter(Scan) of `VT <op> [probe)` forced onto the index access path
+// (IndexScanOp).
+PlanPtr IndexedProbe(const OngoingRelation* r, AllenOp op,
+                     FixedInterval probe) {
+  return Filter(
+      Scan(r, "R"),
+      Allen(op, Col("VT"), Lit(OngoingInterval::Fixed(probe.start, probe.end))),
+      AccessPath::kIndex);
+}
+
 // Regression: on a bitemporal relation whose transaction-time column
 // precedes the valid-time column, selections through an index built on
 // VT must evaluate VT — the old code re-resolved "the first interval
@@ -70,16 +81,15 @@ TEST(IntervalIndexTest, SelectsOnTheIndexedColumnNotTheFirstIntervalColumn) {
   ASSERT_TRUE(index.ok());
   EXPECT_EQ(index->column_index(), 2u);
 
-  const FixedInterval probe{100, 150};
-  auto overlaps = index->SelectOverlaps(r, probe);
-  ASSERT_TRUE(overlaps.ok());
+  auto overlaps = Execute(IndexedProbe(&r, AllenOp::kOverlaps, {100, 150}));
+  ASSERT_TRUE(overlaps.ok()) << overlaps.status();
   ASSERT_EQ(overlaps->size(), 1u);
   EXPECT_EQ(overlaps->tuple(0).value(0).AsInt64(), 1);
 
   // Before [300, 400): VT of tuple 1 ends at 200 (match); tuple 2's VT
   // starts at 500 (no match) even though its TT is long finished.
-  auto before = index->SelectBefore(r, FixedInterval{300, 400});
-  ASSERT_TRUE(before.ok());
+  auto before = Execute(IndexedProbe(&r, AllenOp::kBefore, {300, 400}));
+  ASSERT_TRUE(before.ok()) << before.status();
   ASSERT_EQ(before->size(), 1u);
   EXPECT_EQ(before->tuple(0).value(0).AsInt64(), 1);
 }
@@ -112,9 +122,10 @@ TEST(IntervalIndexTest, BeforeCandidatesKeepDegenerateStopBoundEntries) {
       << "degenerate min_start == min_end == probe.start entry dropped";
   EXPECT_EQ(candidates.count(2), 0u);
 
-  // The exact selection stays equivalent to the full scan.
-  auto indexed = index->SelectBefore(r, probe);
-  ASSERT_TRUE(indexed.ok());
+  // The exact selection through the index stays equivalent to the full
+  // scan.
+  auto indexed = Execute(IndexedProbe(&r, AllenOp::kBefore, probe));
+  ASSERT_TRUE(indexed.ok()) << indexed.status();
   OngoingInterval probe_iv = OngoingInterval::Fixed(probe.start, probe.end);
   OngoingRelation scanned = Select(r, [&probe_iv](const Tuple& t) {
     return Before(t.value(1).AsOngoingInterval(), probe_iv);
@@ -184,57 +195,6 @@ TEST_P(IntervalIndexPropertyTest, CandidatesPruneSomething) {
   ASSERT_TRUE(index.ok());
   FixedInterval narrow{0, 2};
   EXPECT_LT(index->OverlapCandidates(narrow).size(), r.size());
-}
-
-TEST_P(IntervalIndexPropertyTest, SelectOverlapsMatchesFullScan) {
-  ONGOINGDB_FUZZ_SEED_TRACE(GetParam());
-  OngoingRelation r = MakeRelation(GetParam() + 31, 150);
-  auto index = IntervalIndex::Build(r, "VT");
-  ASSERT_TRUE(index.ok());
-  Rng rng(GetParam() + 3000);
-  for (int probe_i = 0; probe_i < 6; ++probe_i) {
-    TimePoint s = rng.Uniform(0, 200);
-    FixedInterval probe{s, s + rng.Uniform(1, 60)};
-    OngoingInterval probe_iv = OngoingInterval::Fixed(probe.start, probe.end);
-    auto indexed = index->SelectOverlaps(r, probe);
-    ASSERT_TRUE(indexed.ok());
-    // Reference: full-scan ongoing selection.
-    OngoingRelation scanned = Select(r, [&probe_iv](const Tuple& t) {
-      return Overlaps(t.value(1).AsOngoingInterval(), probe_iv);
-    });
-    EXPECT_EQ(indexed->size(), scanned.size());
-    for (TimePoint rt = -20; rt <= 250; rt += 27) {
-      EXPECT_TRUE(
-          InstantiatedRelationsEqual(InstantiateRelation(*indexed, rt),
-                                     InstantiateRelation(scanned, rt)))
-          << "rt=" << rt;
-    }
-  }
-}
-
-TEST_P(IntervalIndexPropertyTest, SelectBeforeMatchesFullScan) {
-  ONGOINGDB_FUZZ_SEED_TRACE(GetParam());
-  OngoingRelation r = MakeRelation(GetParam() + 37, 150);
-  auto index = IntervalIndex::Build(r, "VT");
-  ASSERT_TRUE(index.ok());
-  Rng rng(GetParam() + 4000);
-  for (int probe_i = 0; probe_i < 6; ++probe_i) {
-    TimePoint s = rng.Uniform(0, 220);
-    FixedInterval probe{s, s + rng.Uniform(1, 60)};
-    OngoingInterval probe_iv = OngoingInterval::Fixed(probe.start, probe.end);
-    auto indexed = index->SelectBefore(r, probe);
-    ASSERT_TRUE(indexed.ok());
-    OngoingRelation scanned = Select(r, [&probe_iv](const Tuple& t) {
-      return Before(t.value(1).AsOngoingInterval(), probe_iv);
-    });
-    EXPECT_EQ(indexed->size(), scanned.size());
-    for (TimePoint rt = -20; rt <= 250; rt += 27) {
-      EXPECT_TRUE(
-          InstantiatedRelationsEqual(InstantiateRelation(*indexed, rt),
-                                     InstantiateRelation(scanned, rt)))
-          << "rt=" << rt;
-    }
-  }
 }
 
 TEST_P(IntervalIndexPropertyTest,

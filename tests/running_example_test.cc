@@ -216,6 +216,10 @@ TEST_F(RunningExampleTest, ForeverBaselineGivesIncorrectResult) {
     if (t.value(0).AsInt64() == 500) has_500 = true;
   }
   EXPECT_TRUE(has_500);
+  // Forever stores bug 500's [01/25, now) as the fixed [01/25, Forever),
+  // with Forever the largest time point, which is never before the patch.
+  const FixedInterval forever500{MD(1, 25), kMaxInfinity};
+  EXPECT_FALSE(BeforeF(forever500, FixedInterval{MD(8, 15), MD(8, 24)}));
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "query/executor.h"
 #include "relation/modifications.h"
 #include "server/catalog.h"
 #include "sql/parser.h"
@@ -460,13 +461,14 @@ TEST(ServerCatalogTest, SnapshotViewIsReadOnly) {
   ASSERT_TRUE(catalog.CreateTable("Bugs", BugsSchema()).ok());
   ASSERT_TRUE(catalog.Insert("Bugs", BugRow(500, "spam", 10)).ok());
 
+  // A view hands out const relations only, so mutations cannot sneak
+  // past the commit path through it.
   sql::Catalog view = catalog.PinSnapshot().View();
-  ASSERT_TRUE(view.Contains("Bugs"));
   ASSERT_TRUE(view.Get("Bugs").ok());
-  // Mutations cannot sneak past the commit path through a view.
-  EXPECT_FALSE(view.GetMutable("Bugs").ok());
   // Reads through the view run the full query pipeline.
-  auto result = sql::RunQuery("SELECT * FROM Bugs", view);
+  auto plan = sql::ParseQuery("SELECT * FROM Bugs", view);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  auto result = Execute(*plan);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->size(), 1u);
 }
@@ -540,6 +542,34 @@ TEST(SessionTest, SetKnobsFlowIntoTheSession) {
   EXPECT_FALSE(session->Execute("SET bogus = 1;").ok());
   EXPECT_FALSE(session->Execute("SET workers = 'two';").ok());
   EXPECT_FALSE(session->Execute("SET workers = 1; extra").ok());
+
+  // The edges of the SET shape. A SET too short to have a value is no
+  // SET and falls through to the statement parser; a rejected value
+  // leaves workers as it was.
+  const struct {
+    const char* statement;
+    const char* error;  // nullptr: accepted
+    size_t workers;     // the knob afterwards
+  } set_edges[] = {
+      {"SET workers", "unknown statement 'SET'", 1},
+      {"SET workers = 3;;", "unexpected trailing input after SET", 1},
+      {"SET workers = 2.5", "unexpected character '.' at position 15", 1},
+      {"SET workers = -1", "SET workers expects a value >= 0", 1},
+      {"set Workers = 2", nullptr, 2},
+      {"  SET workers = 3 ;  ", nullptr, 3},
+  };
+  for (const auto& edge : set_edges) {
+    SCOPED_TRACE(edge.statement);
+    auto result = session->Execute(edge.statement);
+    if (edge.error == nullptr) {
+      ASSERT_TRUE(result.ok()) << result.status();
+    } else {
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(result.status().message(), edge.error);
+    }
+    EXPECT_EQ(session->options().workers, edge.workers);
+  }
 
   // Values that would break a knob's arithmetic are rejected with the
   // accepted range, and the previous value stays: a 10^9-slot batch is

@@ -2,9 +2,13 @@
 // execution of the paper's running example written as SQL.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "query/executor.h"
+#include "query/optimizer.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
+#include "sql/statement.h"
 
 namespace ongoingdb {
 namespace sql {
@@ -68,7 +72,8 @@ class SqlTest : public ::testing::Test {
                           Value::Ongoing(OngoingInterval::Fixed(
                               MD(3, 30), MD(8, 21)))})
                     .ok());
-    catalog_.Register("B", std::move(b));
+    catalog_.RegisterShared(
+        "B", std::make_shared<const OngoingRelation>(std::move(b)));
 
     OngoingRelation p(Schema({{"PID", ValueType::kInt64},
                               {"C", ValueType::kString},
@@ -81,7 +86,8 @@ class SqlTest : public ::testing::Test {
                           Value::Ongoing(OngoingInterval::Fixed(
                               MD(8, 24), MD(8, 27)))})
                     .ok());
-    catalog_.Register("P", std::move(p));
+    catalog_.RegisterShared(
+        "P", std::make_shared<const OngoingRelation>(std::move(p)));
 
     OngoingRelation l(Schema({{"Name", ValueType::kString},
                               {"C", ValueType::kString},
@@ -94,29 +100,36 @@ class SqlTest : public ::testing::Test {
                           Value::Ongoing(OngoingInterval::SinceUntilNow(
                               MD(8, 18)))})
                     .ok());
-    catalog_.Register("L", std::move(l));
+    catalog_.RegisterShared(
+        "L", std::make_shared<const OngoingRelation>(std::move(l)));
+  }
+
+  // Parses, optimizes and executes `query` over the catalog.
+  Result<OngoingRelation> Run(const std::string& query) {
+    ONGOINGDB_ASSIGN_OR_RETURN(PlanPtr plan, ParseQuery(query, catalog_));
+    ONGOINGDB_ASSIGN_OR_RETURN(PlanPtr optimized, Optimize(plan));
+    return Execute(optimized);
   }
 
   Catalog catalog_;
 };
 
 TEST_F(SqlTest, SelectStar) {
-  auto result = RunQuery("SELECT * FROM B", catalog_);
+  auto result = Run("SELECT * FROM B");
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->size(), 2u);
   EXPECT_EQ(result->schema().num_attributes(), 3u);
 }
 
 TEST_F(SqlTest, SelectColumnsProjects) {
-  auto result = RunQuery("SELECT BID FROM B", catalog_);
+  auto result = Run("SELECT BID FROM B");
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->schema().num_attributes(), 1u);
   EXPECT_EQ(result->schema().attribute(0).name, "BID");
 }
 
 TEST_F(SqlTest, WhereOnFixedAttribute) {
-  auto result =
-      RunQuery("SELECT * FROM B WHERE BID = 500", catalog_);
+  auto result = Run("SELECT * FROM B WHERE BID = 500");
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->size(), 1u);
   EXPECT_TRUE(result->tuple(0).rt().IsAll());
@@ -124,25 +137,22 @@ TEST_F(SqlTest, WhereOnFixedAttribute) {
 
 TEST_F(SqlTest, WhereWithOngoingPredicateRestrictsRt) {
   // The running example's before predicate: RT = {[01/26, 08/16)}.
-  auto result = RunQuery(
+  auto result = Run(
       "SELECT * FROM B WHERE BID = 500 AND "
-      "VT BEFORE PERIOD ['08/15', '08/24')",
-      catalog_);
+      "VT BEFORE PERIOD ['08/15', '08/24')");
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->size(), 1u);
   EXPECT_EQ(result->tuple(0).rt(), (IntervalSet{{MD(1, 26), MD(8, 16)}}));
 }
 
 TEST_F(SqlTest, AliasQualifiedColumnsOnSingleTable) {
-  auto result = RunQuery(
-      "SELECT b.BID FROM B b WHERE b.C = 'Spam filter'", catalog_);
+  auto result = Run("SELECT b.BID FROM B b WHERE b.C = 'Spam filter'");
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->size(), 2u);
 }
 
 TEST_F(SqlTest, PeriodWithNowEndpoint) {
-  auto result = RunQuery(
-      "SELECT * FROM B WHERE VT EQUALS PERIOD ['01/25', NOW)", catalog_);
+  auto result = Run("SELECT * FROM B WHERE VT EQUALS PERIOD ['01/25', NOW)");
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->size(), 1u);
   EXPECT_EQ(result->tuple(0).value(0).AsInt64(), 500);
@@ -150,21 +160,19 @@ TEST_F(SqlTest, PeriodWithNowEndpoint) {
 
 TEST_F(SqlTest, RunningExampleThreeWayJoin) {
   // The Sec. II query as SQL; must yield the five Fig. 2 tuples.
-  auto result = RunQuery(
+  auto result = Run(
       "SELECT BID, PID, Name "
       "FROM B b "
       "JOIN P p ON b.C = p.C AND b.VT BEFORE p.VT "
       "JOIN L l ON b.C = l.C AND b.VT OVERLAPS l.VT "
-      "WHERE b.C = 'Spam filter'",
-      catalog_);
+      "WHERE b.C = 'Spam filter'");
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->size(), 5u) << result->ToString();
 }
 
 TEST_F(SqlTest, SqlMatchesHandBuiltPlan) {
-  auto sql_result = RunQuery(
-      "SELECT * FROM B b JOIN P p ON b.C = p.C AND b.VT BEFORE p.VT",
-      catalog_);
+  auto sql_result =
+      Run("SELECT * FROM B b JOIN P p ON b.C = p.C AND b.VT BEFORE p.VT");
   ASSERT_TRUE(sql_result.ok()) << sql_result.status();
   // Hand-built plan for the same query.
   auto b = catalog_.Get("B");
@@ -185,6 +193,34 @@ TEST_F(SqlTest, SqlMatchesHandBuiltPlan) {
   }
 }
 
+// A SELECT is parsed into its plan along with the statement, from the
+// statement's one token list.
+TEST_F(SqlTest, ParseStatementCarriesTheSelectPlan) {
+  const std::string text = "SELECT BID FROM B WHERE BID = 500;";
+  auto parsed = ParseStatement(text, catalog_);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->kind, StatementKind::kSelect);
+  EXPECT_EQ(parsed->text, text);
+  ASSERT_NE(parsed->plan, nullptr);
+  auto result = Execute(parsed->plan);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->size(), 1u);
+  EXPECT_EQ(result->tuple(0).value(0).AsInt64(), 500);
+
+  auto tokens = Tokenize(text);
+  ASSERT_TRUE(tokens.ok());
+  auto from_tokens = ParseTokens(*tokens, catalog_);
+  ASSERT_TRUE(from_tokens.ok()) << from_tokens.status();
+  EXPECT_EQ(from_tokens->plan->ToString(), parsed->plan->ToString());
+  EXPECT_TRUE(from_tokens->text.empty());
+
+  // The statement end is checked for a SELECT as for every other kind.
+  auto trailing = ParseStatement("SELECT BID FROM B; SELECT", catalog_);
+  ASSERT_FALSE(trailing.ok());
+  EXPECT_EQ(trailing.status().message(),
+            "unexpected trailing input near position 19 ('SELECT')");
+}
+
 TEST_F(SqlTest, HashJoinHint) {
   auto plan = ParseQuery(
       "SELECT * FROM B b HASH JOIN P p ON b.C = p.C", catalog_);
@@ -195,9 +231,8 @@ TEST_F(SqlTest, HashJoinHint) {
 }
 
 TEST_F(SqlTest, OrAndNotAndParentheses) {
-  auto result = RunQuery(
-      "SELECT * FROM B WHERE (BID = 500 OR BID = 501) AND NOT BID = 502",
-      catalog_);
+  auto result =
+      Run("SELECT * FROM B WHERE (BID = 500 OR BID = 501) AND NOT BID = 502");
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->size(), 2u);
 }
@@ -205,8 +240,7 @@ TEST_F(SqlTest, OrAndNotAndParentheses) {
 TEST_F(SqlTest, DateLiteralComparison) {
   // now <= DATE '10/17' is the Table II example; applied per tuple it is
   // tuple-independent, so all tuples keep a restricted RT.
-  auto result = RunQuery(
-      "SELECT * FROM B WHERE NOW <= DATE '10/17'", catalog_);
+  auto result = Run("SELECT * FROM B WHERE NOW <= DATE '10/17'");
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->size(), 2u);
   EXPECT_EQ(result->tuple(0).rt(),
@@ -215,8 +249,7 @@ TEST_F(SqlTest, DateLiteralComparison) {
 
 TEST_F(SqlTest, ContainsKeyword) {
   // Timeslice: which bugs are open at 05/14 (at each reference time)?
-  auto result = RunQuery(
-      "SELECT BID FROM B WHERE VT CONTAINS DATE '05/14'", catalog_);
+  auto result = Run("SELECT BID FROM B WHERE VT CONTAINS DATE '05/14'");
   ASSERT_TRUE(result.ok()) << result.status();
   // Bug 500 [01/25, now) contains 05/14 from 05/15 on; bug 501 fixed
   // [03/30, 08/21) contains it always.
@@ -231,23 +264,25 @@ TEST_F(SqlTest, ContainsKeyword) {
 }
 
 TEST_F(SqlTest, Errors) {
-  EXPECT_FALSE(RunQuery("SELECT FROM B", catalog_).ok());
-  EXPECT_FALSE(RunQuery("SELECT * FROM Missing", catalog_).ok());
-  EXPECT_FALSE(RunQuery("SELECT * FROM B WHERE", catalog_).ok());
-  EXPECT_FALSE(RunQuery("SELECT * FROM B WHERE BID =", catalog_).ok());
-  EXPECT_FALSE(
-      RunQuery("SELECT * FROM B WHERE VT BEFORE PERIOD ['08/15'", catalog_)
-          .ok());
-  EXPECT_FALSE(RunQuery("SELECT * FROM B extra tokens here", catalog_).ok());
+  EXPECT_FALSE(Run("SELECT FROM B").ok());
+  EXPECT_FALSE(Run("SELECT * FROM Missing").ok());
+  EXPECT_FALSE(Run("SELECT * FROM B WHERE").ok());
+  EXPECT_FALSE(Run("SELECT * FROM B WHERE BID =").ok());
+  EXPECT_FALSE(Run("SELECT * FROM B WHERE VT BEFORE PERIOD ['08/15'").ok());
+  EXPECT_FALSE(Run("SELECT * FROM B extra tokens here").ok());
   // Unknown column surfaces at execution.
-  EXPECT_FALSE(RunQuery("SELECT * FROM B WHERE Nope = 1", catalog_).ok());
+  EXPECT_FALSE(Run("SELECT * FROM B WHERE Nope = 1").ok());
 }
 
 TEST_F(SqlTest, CatalogLookups) {
-  EXPECT_TRUE(catalog_.Contains("B"));
-  EXPECT_FALSE(catalog_.Contains("Z"));
-  EXPECT_EQ(catalog_.Names().size(), 3u);
-  EXPECT_FALSE(catalog_.Get("Z").ok());
+  for (const char* name : {"B", "P", "L"}) {
+    auto relation = catalog_.Get(name);
+    ASSERT_TRUE(relation.ok()) << name;
+    EXPECT_EQ((*relation)->size(), 2u) << name;
+  }
+  auto missing = catalog_.Get("Z");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 }
 
 }  // namespace
