@@ -2,12 +2,12 @@
 // both through the batched execution pipeline (the paper's third
 // future-work item, Sec. X, promoted into the engine in PR 4). The
 // IntervalIndex stores conservative endpoint bounds per tuple; an
-// eligible Filter(Scan) lowers to an IndexScanOp that streams the
-// candidate list and evaluates the exact ongoing predicate as a
-// residual (docs/DESIGN.md, "Index access path").
+// eligible Filter(Scan) lowers to an index scan that streams the
+// candidate list and tests the exact ongoing predicate on each
+// candidate (docs/DESIGN.md, "Index access path").
 //
 // Measured per probe (location sweep + selectivity sweep):
-//   scan        — AccessPath::kFullScan, the batched FilterOp drain;
+//   scan        — AccessPath::kFullScan, the full-scan drain;
 //   index warm  — cached compiled tree, index already built (the
 //                 materialized-view / repeated-query regime);
 //   index cold  — fresh compile + first drain, i.e. including the

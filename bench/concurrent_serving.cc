@@ -187,9 +187,10 @@ int main() {
     }
   }
   table.Print();
-  std::printf("\n(readers pin snapshots lock-free; writers serialize on "
-              "the commit lock — read latency varies with CPU "
-              "contention and table size, not writer count)\n");
+  std::printf("\n(readers pin a snapshot with one pointer copy and never "
+              "wait for a commit's work; writers serialize on the commit "
+              "lock — read latency varies with CPU contention and table "
+              "size, not writer count)\n");
   json.WriteFromEnv();
   return 0;
 }

@@ -13,7 +13,7 @@
 //
 // Beyond the paper: the same location sweep applied to the selection
 // Q^sigma_ovlp with a fixed probe in the last segment, scan vs
-// index-backed (IndexScanOp over an IntervalIndex) — as the data moves
+// index-backed (an index scan over an IntervalIndex) — as the data moves
 // away from the probe the candidate set shrinks and the index pulls
 // ahead of the scan. Set ONGOINGDB_BENCH_JSON to additionally emit
 // machine-readable records.

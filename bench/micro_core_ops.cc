@@ -14,12 +14,11 @@
 // the results as machine-readable JSON (the BENCH_*.json baselines).
 #include <benchmark/benchmark.h>
 
-#include <numeric>
 
 #include "bench_common.h"
 #include "core/bind.h"
 #include "core/operations.h"
-#include "query/kernels.h"
+#include "query/join.h"
 #include "query/physical.h"
 #include "util/alloc_counter.h"
 #include "util/failpoint.h"
@@ -529,188 +528,69 @@ void BM_DrainWithContext(benchmark::State& state) {
 }
 BENCHMARK(BM_DrainWithContext)->Arg(1024)->Arg(8192);
 
-// --- vectorized interval-predicate kernels ----------------------------------
-// The query/kernels.h hot loops and the scalar-vs-columnar ablation of
-// the batched filter path (DESIGN.md, "Vectorized kernels"). Selectivity
-// is a benchmark argument (percent); the probe interval is sized so the
+// --- predicate evaluation on stored tuples ----------------------------------
+// The compiled predicate (query/join.h, PairPredicate) a scan runs on
+// each stored tuple before copying it, and the Filter(Scan) drain that
+// runs it (DESIGN.md, "Predicate evaluation"). Selectivity is a
+// benchmark argument (percent); the probe interval is sized so the
 // requested fraction of rows survives.
 
-constexpr size_t kKernelRows = 4096;
-constexpr TimePoint kKernelDomain = 100000;
-constexpr TimePoint kKernelLen = 50;
+constexpr TimePoint kFilterDomain = 100000;
+constexpr TimePoint kFilterLen = 50;
 
-// Interval column with starts uniform over the domain and a fixed
-// length, so a threshold probe yields a predictable selectivity.
-void FillKernelColumn(std::vector<TimePoint>* start,
-                      std::vector<TimePoint>* end, size_t n, uint64_t seed) {
+// (ID, FT) rows whose fixed-interval starts are uniform over the domain
+// with a fixed length, so a threshold probe yields a predictable
+// selectivity.
+OngoingRelation MakeFilterRelation(size_t n, uint64_t seed) {
   Rng rng(seed);
-  start->resize(n);
-  end->resize(n);
+  OngoingRelation r(Schema(
+      {{"ID", ValueType::kInt64}, {"FT", ValueType::kFixedInterval}}));
   for (size_t i = 0; i < n; ++i) {
-    (*start)[i] = rng.Uniform(0, kKernelDomain - 1);
-    (*end)[i] = (*start)[i] + kKernelLen;
+    TimePoint s = rng.Uniform(0, kFilterDomain - 1);
+    // Generator rows are well-formed by construction (see above).
+    (void)r.Insert({Value::Int64(static_cast<int64_t>(i)),
+                    Value::Interval({s, s + kFilterLen})});
   }
+  return r;
 }
 
-// The probe achieving ~`pct`% selectivity for `op` over FillKernelColumn
-// data (start < t survives, t = domain * pct / 100).
-FixedInterval KernelProbeFor(IntervalProbeOp op, int64_t pct) {
-  const TimePoint t = kKernelDomain * pct / 100;
-  switch (op) {
-    case IntervalProbeOp::kOverlaps:
-      return {0, t};  // start < t && 0 < end
-    case IntervalProbeOp::kBefore:
-      return {t + kKernelLen, t + kKernelLen + 1};  // end <= t + len
-    case IntervalProbeOp::kAfter:
-      return {0, kKernelDomain - t};  // probe.end <= start
-    default:
-      return {0, t};
-  }
+// `FT OVERLAPS [0, t)` with t = domain * pct / 100: start < t survives.
+ExprPtr OverlapsProbeFor(int64_t pct) {
+  return OverlapsExpr(
+      Col("FT"), Lit(Value::Interval({0, kFilterDomain * pct / 100})));
 }
 
-// Pure kernel throughput: rows/s of one selection-vector pass,
-// column vs literal probe.
-void BM_AllenKernelVsLiteral(benchmark::State& state) {
-  const auto op = static_cast<IntervalProbeOp>(state.range(0));
-  const int64_t pct = state.range(1);
-  std::vector<TimePoint> start, end;
-  FillKernelColumn(&start, &end, kKernelRows, 47);
-  const FixedInterval probe = KernelProbeFor(op, pct);
-  std::vector<uint32_t> sel(kKernelRows), out(kKernelRows);
-  std::iota(sel.begin(), sel.end(), uint32_t{0});
-  size_t survivors = 0;
-  AllocScope alloc_scope;
-  for (auto _ : state) {
-    survivors = kernels::FilterIntervalVsLiteral(
-        op, start.data(), end.data(), probe, sel.data(), kKernelRows,
-        out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kKernelRows));
-  state.counters["selectivity"] =
-      static_cast<double>(survivors) / static_cast<double>(kKernelRows);
-  ReportAllocs(state, alloc_scope);
-}
-BENCHMARK(BM_AllenKernelVsLiteral)
-    ->ArgsProduct({{static_cast<int64_t>(IntervalProbeOp::kOverlaps),
-                    static_cast<int64_t>(IntervalProbeOp::kBefore),
-                    static_cast<int64_t>(IntervalProbeOp::kAfter)},
-                   {1, 50, 99}});
-
-// Column-vs-column kernel throughput (the join-residual shape).
-void BM_AllenKernelVsColumn(benchmark::State& state) {
-  std::vector<TimePoint> ls, le, rs, re;
-  FillKernelColumn(&ls, &le, kKernelRows, 47);
-  FillKernelColumn(&rs, &re, kKernelRows, 53);
-  std::vector<uint32_t> sel(kKernelRows), out(kKernelRows);
-  std::iota(sel.begin(), sel.end(), uint32_t{0});
-  AllocScope alloc_scope;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::FilterIntervalVsInterval(
-        IntervalProbeOp::kOverlaps, ls.data(), le.data(), rs.data(),
-        re.data(), sel.data(), kKernelRows, out.data()));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kKernelRows));
-  ReportAllocs(state, alloc_scope);
-}
-BENCHMARK(BM_AllenKernelVsColumn);
-
-// One batch of kKernelRows fixed-interval tuples for the predicate
-// ablation below.
-TupleBatch MakeKernelBatch(const Schema& /*schema*/) {
-  std::vector<TimePoint> start, end;
-  FillKernelColumn(&start, &end, kKernelRows, 47);
-  TupleBatch batch(kKernelRows);
-  for (size_t i = 0; i < kKernelRows; ++i) {
-    batch.NextSlot() = Tuple({Value::Int64(static_cast<int64_t>(i)),
-                              Value::Interval({start[i], end[i]})});
-  }
-  return batch;
-}
-
-// Predicate evaluation only, scalar path: the per-row expression walk
-// (virtual dispatch, by-name column lookup, Value round trip) the
-// kernels replace.
+// Predicate evaluation only: the compiled predicate's atom on each of
+// 4096 stored tuples, nothing copied.
 void BM_FilterPredicateScalar(benchmark::State& state) {
-  const int64_t pct = state.range(0);
-  Schema schema(
-      {{"ID", ValueType::kInt64}, {"FT", ValueType::kFixedInterval}});
-  TupleBatch batch = MakeKernelBatch(schema);
-  const FixedInterval probe =
-      KernelProbeFor(IntervalProbeOp::kOverlaps, pct);
-  const ExprPtr pred =
-      OverlapsExpr(Col("FT"), Lit(Value::Interval(probe)));
+  constexpr size_t kRows = 4096;
+  const OngoingRelation r = MakeFilterRelation(kRows, 47);
+  const PairPredicate pred(OverlapsProbeFor(state.range(0)), r.schema(),
+                           /*at_reference_time=*/false, 0);
+  IntervalSet rt, scratch;
   AllocScope alloc_scope;
   for (auto _ : state) {
     size_t survivors = 0;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      auto keep = pred->EvalPredicateFixed(schema, batch.tuple(i));
-      survivors += keep.ok() && *keep;
+    for (const Tuple& t : r.tuples()) {
+      Status st = pred.Restrict(t, &rt, &scratch);
+      survivors += st.ok() && !rt.IsEmpty();
     }
     benchmark::DoNotOptimize(survivors);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kKernelRows));
+                          static_cast<int64_t>(kRows));
   ReportAllocs(state, alloc_scope);
 }
 BENCHMARK(BM_FilterPredicateScalar)->Arg(1)->Arg(50)->Arg(99);
 
-// Predicate evaluation only, columnar path: per-iteration column gather
-// (the batch's generation is bumped so the view cache never hits — the
-// worst case; steady-state batches amortize the gather across atoms)
-// plus one kernel pass.
-void BM_FilterPredicateColumnar(benchmark::State& state) {
-  const int64_t pct = state.range(0);
-  Schema schema(
-      {{"ID", ValueType::kInt64}, {"FT", ValueType::kFixedInterval}});
-  TupleBatch batch = MakeKernelBatch(schema);
-  const FixedInterval probe =
-      KernelProbeFor(IntervalProbeOp::kOverlaps, pct);
-  std::vector<uint32_t> sel(kKernelRows), out(kKernelRows);
-  AllocScope alloc_scope;
-  for (auto _ : state) {
-    batch.Truncate(batch.size());  // invalidate the view cache
-    auto view = batch.FixedIntervalColumn(1);
-    if (!view.has_value()) {
-      state.SkipWithError("gather failed");
-      return;
-    }
-    std::iota(sel.begin(), sel.end(), uint32_t{0});
-    benchmark::DoNotOptimize(kernels::FilterIntervalVsLiteral(
-        IntervalProbeOp::kOverlaps, view->start, view->end, probe,
-        sel.data(), batch.size(), out.data()));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kKernelRows));
-  ReportAllocs(state, alloc_scope);
-}
-BENCHMARK(BM_FilterPredicateColumnar)->Arg(1)->Arg(50)->Arg(99);
-
-// End-to-end ablation: the same filter drain with kernel compilation on
-// (arg 1) vs off (arg 0) — everything else (batching, compaction, the
-// operator tree) identical.
-void BM_FilterScalarVsColumnar(benchmark::State& state) {
-  const bool kernel_on = state.range(0) != 0;
-  const int64_t pct = state.range(1);
-  Rng rng(59);
-  OngoingRelation r(Schema(
-      {{"ID", ValueType::kInt64}, {"FT", ValueType::kFixedInterval}}));
-  for (size_t i = 0; i < 8192; ++i) {
-    TimePoint s = rng.Uniform(0, kKernelDomain - 1);
-    // Generator rows are well-formed by construction (see above).
-    (void)r.Insert({Value::Int64(static_cast<int64_t>(i)),
-                    Value::Interval({s, s + kKernelLen})});
-  }
-  const FixedInterval probe =
-      KernelProbeFor(IntervalProbeOp::kOverlaps, pct);
-  PlanPtr plan = Filter(Scan(&r, "R"),
-                        OverlapsExpr(Col("FT"), Lit(Value::Interval(probe))));
-  const bool saved = kernels::KernelFilteringEnabled();
-  kernels::SetKernelFilteringEnabled(kernel_on);
+// The end-to-end Filter(Scan) drain over 8192 rows: kAuto lowers the
+// probe to a warm index scan that tests each candidate before copying
+// it.
+void BM_FilterScanDrain(benchmark::State& state) {
+  constexpr size_t kRows = 8192;
+  const OngoingRelation r = MakeFilterRelation(kRows, 59);
+  PlanPtr plan = Filter(Scan(&r, "R"), OverlapsProbeFor(state.range(0)));
   auto compiled = Compile(plan, ExecMode::kOngoing, 0, nullptr);
-  kernels::SetKernelFilteringEnabled(saved);
   if (!compiled.ok()) {
     state.SkipWithError("compile failed");
     return;
@@ -721,11 +601,11 @@ void BM_FilterScalarVsColumnar(benchmark::State& state) {
     if (!result.ok()) state.SkipWithError("drain failed");
     benchmark::DoNotOptimize(result);
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 8192);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kRows));
   ReportAllocs(state, alloc_scope);
 }
-BENCHMARK(BM_FilterScalarVsColumnar)
-    ->ArgsProduct({{0, 1}, {1, 50, 99}});
+BENCHMARK(BM_FilterScanDrain)->Arg(1)->Arg(50)->Arg(99);
 
 // Console output as usual, plus capture of every run into the shared
 // BenchJsonWriter so ONGOINGDB_BENCH_JSON emits the same schema as the

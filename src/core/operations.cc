@@ -222,49 +222,10 @@ OngoingBoolean Contains(const OngoingInterval& iv,
 // Fixed-domain counterparts.
 // --------------------------------------------------------------------------
 
-namespace {
-bool BothNonEmptyF(const FixedInterval& i1, const FixedInterval& i2) {
-  return !i1.empty() && !i2.empty();
-}
-}  // namespace
-
-bool BeforeF(const FixedInterval& i1, const FixedInterval& i2) {
-  return i1.end <= i2.start && BothNonEmptyF(i1, i2);
-}
-
-bool MeetsF(const FixedInterval& i1, const FixedInterval& i2) {
-  return i1.end == i2.start && BothNonEmptyF(i1, i2);
-}
-
-bool OverlapsF(const FixedInterval& i1, const FixedInterval& i2) {
-  return i1.start < i2.end && i2.start < i1.end && BothNonEmptyF(i1, i2);
-}
-
-bool StartsF(const FixedInterval& i1, const FixedInterval& i2) {
-  return i1.start == i2.start && BothNonEmptyF(i1, i2);
-}
-
-bool FinishesF(const FixedInterval& i1, const FixedInterval& i2) {
-  return i1.end == i2.end && BothNonEmptyF(i1, i2);
-}
-
-bool DuringF(const FixedInterval& i1, const FixedInterval& i2) {
-  if (i1.empty()) return !i2.empty();
-  return i2.start <= i1.start && i1.end <= i2.end && !i2.empty();
-}
-
-bool EqualsF(const FixedInterval& i1, const FixedInterval& i2) {
-  if (i1.empty() || i2.empty()) return i1.empty() && i2.empty();
-  return i1.start == i2.start && i1.end == i2.end;
-}
-
 FixedInterval IntersectF(const FixedInterval& i1, const FixedInterval& i2) {
   return FixedInterval{std::max(i1.start, i2.start),
                        std::min(i1.end, i2.end)};
 }
 
-bool ContainsF(const FixedInterval& i1, TimePoint t) {
-  return i1.Contains(t);
-}
 
 }  // namespace ongoingdb

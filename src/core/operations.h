@@ -111,19 +111,39 @@ OngoingBoolean Contains(const OngoingInterval& iv, const OngoingTimePoint& t);
 // verify the snapshot-equivalence criterion.
 // ---------------------------------------------------------------------------
 
-/// i1 before i2 on fixed intervals, with non-emptiness checks.
-bool BeforeF(const FixedInterval& i1, const FixedInterval& i2);
-bool MeetsF(const FixedInterval& i1, const FixedInterval& i2);
-bool OverlapsF(const FixedInterval& i1, const FixedInterval& i2);
-bool StartsF(const FixedInterval& i1, const FixedInterval& i2);
-bool FinishesF(const FixedInterval& i1, const FixedInterval& i2);
-bool DuringF(const FixedInterval& i1, const FixedInterval& i2);
-bool EqualsF(const FixedInterval& i1, const FixedInterval& i2);
+/// i1 before i2 on fixed intervals, with non-emptiness checks. Inline:
+/// predicates test them once per stored tuple (query/join.h).
+inline bool BeforeF(const FixedInterval& i1, const FixedInterval& i2) {
+  return i1.end <= i2.start && !i1.empty() && !i2.empty();
+}
+inline bool MeetsF(const FixedInterval& i1, const FixedInterval& i2) {
+  return i1.end == i2.start && !i1.empty() && !i2.empty();
+}
+inline bool OverlapsF(const FixedInterval& i1, const FixedInterval& i2) {
+  return i1.start < i2.end && i2.start < i1.end && !i1.empty() &&
+         !i2.empty();
+}
+inline bool StartsF(const FixedInterval& i1, const FixedInterval& i2) {
+  return i1.start == i2.start && !i1.empty() && !i2.empty();
+}
+inline bool FinishesF(const FixedInterval& i1, const FixedInterval& i2) {
+  return i1.end == i2.end && !i1.empty() && !i2.empty();
+}
+inline bool DuringF(const FixedInterval& i1, const FixedInterval& i2) {
+  if (i1.empty()) return !i2.empty();
+  return i2.start <= i1.start && i1.end <= i2.end && !i2.empty();
+}
+inline bool EqualsF(const FixedInterval& i1, const FixedInterval& i2) {
+  if (i1.empty() || i2.empty()) return i1.empty() && i2.empty();
+  return i1.start == i2.start && i1.end == i2.end;
+}
 
 /// Fixed interval intersection.
 FixedInterval IntersectF(const FixedInterval& i1, const FixedInterval& i2);
 
 /// Fixed containment: i1.start <= t < i1.end.
-bool ContainsF(const FixedInterval& i1, TimePoint t);
+inline bool ContainsF(const FixedInterval& i1, TimePoint t) {
+  return i1.Contains(t);
+}
 
 }  // namespace ongoingdb

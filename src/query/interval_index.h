@@ -13,9 +13,10 @@
 // predicate is then evaluated only on the candidates.
 //
 // The execution engine promotes this into the batched pipeline: eligible
-// Filter(Scan) plans lower to an IndexScanOp and eligible temporal join
-// conjuncts to an IndexJoinOp (query/physical.h) that probes the index
-// once per outer tuple; both apply the exact predicate as a residual —
+// Filter(Scan) plans lower to an index scan over the candidate list and
+// eligible temporal join conjuncts to an IndexJoinOp (query/physical.h)
+// that probes the index once per outer tuple; both apply the exact
+// predicate as a residual —
 // see docs/DESIGN.md, "Index access path".
 #pragma once
 

@@ -131,12 +131,13 @@ bool JoinKeysEqual(const Tuple& a, const std::vector<size_t>& a_indices,
 
 PairPredicate::PairPredicate(const ExprPtr& conjunction, const Schema& joined,
                              size_t left_arity, bool at_reference_time,
-                             TimePoint rt) {
+                             TimePoint rt)
+    : rt_(rt) {
   if (conjunction == nullptr) return;
-  // An operand the pair path can read without the joined tuple: a
-  // column of either input or a literal (instantiated at rt under
-  // Clifford semantics). A name that does not resolve stays with the
-  // scalar path, which reports it.
+  // An operand the atom can read without building a tuple: a column of
+  // either input or a literal (instantiated at rt under Clifford
+  // semantics). A name that does not resolve stays with the scalar
+  // path, which reports it.
   auto operand = [&](const ExprPtr& e, Operand* out) {
     if (std::optional<std::string> name = AsColumnName(e)) {
       Result<size_t> idx = joined.IndexOf(*name);
@@ -144,6 +145,8 @@ PairPredicate::PairPredicate(const ExprPtr& conjunction, const Schema& joined,
       const bool left = *idx < left_arity;
       out->source = left ? Operand::Source::kLeft : Operand::Source::kRight;
       out->ordinal = left ? *idx : *idx - left_arity;
+      out->instantiate =
+          at_reference_time && IsOngoingType(joined.attribute(*idx).type);
       return true;
     }
     if (std::optional<Value> literal = AsLiteralValue(e)) {
@@ -153,38 +156,71 @@ PairPredicate::PairPredicate(const ExprPtr& conjunction, const Schema& joined,
     }
     return false;
   };
-  std::vector<ExprPtr> conjuncts, rest;
-  CollectTopLevelConjuncts(conjunction, &conjuncts);
-  for (const ExprPtr& conjunct : conjuncts) {
-    Atom atom;
-    atom.kind = conjunct->kind();
-    ExprPtr lhs, rhs;
-    if (std::optional<CompareParts> cmp = AsCompare(conjunct)) {
-      atom.compare = cmp->op;
-      lhs = cmp->lhs;
-      rhs = cmp->rhs;
-    } else if (std::optional<AllenParts> allen = AsAllen(conjunct)) {
-      atom.allen = allen->op;
-      lhs = allen->lhs;
-      rhs = allen->rhs;
-    } else if (std::optional<ContainsParts> contains = AsContains(conjunct)) {
-      lhs = contains->interval;
-      rhs = contains->point;
+  // Compiles one half of the split into atoms, returning the conjuncts
+  // that stay in the remainder.
+  auto compile = [&](const ExprPtr& part) {
+    std::vector<ExprPtr> conjuncts, rest;
+    if (part != nullptr) CollectTopLevelConjuncts(part, &conjuncts);
+    for (const ExprPtr& conjunct : conjuncts) {
+      Atom atom;
+      atom.kind = conjunct->kind();
+      ExprPtr lhs, rhs;
+      if (std::optional<CompareParts> cmp = AsCompare(conjunct)) {
+        atom.compare = cmp->op;
+        lhs = cmp->lhs;
+        rhs = cmp->rhs;
+      } else if (std::optional<AllenParts> allen = AsAllen(conjunct)) {
+        atom.allen = allen->op;
+        lhs = allen->lhs;
+        rhs = allen->rhs;
+      } else if (std::optional<ContainsParts> contains =
+                     AsContains(conjunct)) {
+        lhs = contains->interval;
+        rhs = contains->point;
+      }
+      if (lhs != nullptr && operand(lhs, &atom.lhs) &&
+          operand(rhs, &atom.rhs)) {
+        atoms_.push_back(std::move(atom));
+      } else {
+        rest.push_back(conjunct);
+      }
     }
-    if (lhs != nullptr && operand(lhs, &atom.lhs) && operand(rhs, &atom.rhs)) {
-      atoms_.push_back(std::move(atom));
-    } else {
-      rest.push_back(conjunct);
-    }
-  }
+    return rest;
+  };
+  // Under Clifford semantics every conjunct is a boolean test.
+  const SplitPredicate split = at_reference_time
+                                   ? SplitPredicate{conjunction, nullptr}
+                                   : Split(conjunction, joined);
+  std::vector<ExprPtr> rest = compile(split.fixed_part);
+  num_fixed_ = atoms_.size();
+  fixed_rest_ = AndAll(rest);
+  std::vector<ExprPtr> ongoing_rest = compile(split.ongoing_part);
+  ongoing_rest_ = AndAll(ongoing_rest);
+  rest.insert(rest.end(), ongoing_rest.begin(), ongoing_rest.end());
   remainder_ = AndAll(rest);
+}
+
+Result<bool> PairPredicate::Test(const Atom& atom, const Tuple& l,
+                                 const Tuple& r) const {
+  const Value& a = Get(atom.lhs, l, r);
+  const Value& b = Get(atom.rhs, l, r);
+  if (atom.lhs.instantiate || atom.rhs.instantiate) {
+    return TestFixed(atom, a.Instantiate(rt_), b.Instantiate(rt_));
+  }
+  return TestFixed(atom, a, b);
 }
 
 Status PairPredicate::Restrict(const Tuple& l, const Tuple& r,
                                IntervalSet* rt, IntervalSet* scratch) const {
-  for (const Atom& atom : atoms_) {
-    const Value& a = Resolve(atom.lhs, l, r);
-    const Value& b = Resolve(atom.rhs, l, r);
+  for (size_t i = 0; i < atoms_.size() && !rt->IsEmpty(); ++i) {
+    const Atom& atom = atoms_[i];
+    if (i < num_fixed_) {
+      ONGOINGDB_ASSIGN_OR_RETURN(bool holds, Test(atom, l, r));
+      if (!holds) *rt = IntervalSet();
+      continue;
+    }
+    const Value& a = Get(atom.lhs, l, r);
+    const Value& b = Get(atom.rhs, l, r);
     Result<OngoingBoolean> st =
         atom.kind == ExprKind::kAllen      ? EvalAllen(atom.allen, a, b)
         : atom.kind == ExprKind::kContains ? EvalContains(a, b)
@@ -193,24 +229,48 @@ Status PairPredicate::Restrict(const Tuple& l, const Tuple& r,
     if (st->IsAlwaysTrue()) continue;
     rt->IntersectInto(st->st(), scratch);
     *rt = *scratch;
-    if (rt->IsEmpty()) break;
   }
   return Status::OK();
 }
 
+Status PairPredicate::Restrict(const Tuple& t, IntervalSet* rt,
+                               IntervalSet* scratch) const {
+  *rt = t.rt();
+  return Restrict(t, t, rt, scratch);
+}
+
 Result<bool> PairPredicate::Holds(const Tuple& l, const Tuple& r) const {
   for (const Atom& atom : atoms_) {
-    const Value& a = Resolve(atom.lhs, l, r);
-    const Value& b = Resolve(atom.rhs, l, r);
-    Result<bool> holds =
-        atom.kind == ExprKind::kAllen ? EvalAllenFixed(atom.allen, a, b)
-        : atom.kind == ExprKind::kContains
-            ? EvalContainsFixed(a, b)
-            : EvalCompareFixed(atom.compare, a, b);
-    if (!holds.ok()) return holds.status();
-    if (!*holds) return false;
+    ONGOINGDB_ASSIGN_OR_RETURN(bool holds, Test(atom, l, r));
+    if (!holds) return false;
   }
   return true;
+}
+
+Status PairPredicate::RestrictRemainder(const Schema& schema, const Tuple& t,
+                                        IntervalSet* rt,
+                                        IntervalSet* scratch) const {
+  if (fixed_rest_ != nullptr) {
+    ONGOINGDB_ASSIGN_OR_RETURN(bool keep,
+                               fixed_rest_->EvalPredicateFixed(schema, t));
+    if (!keep) {
+      *rt = IntervalSet();
+      return Status::OK();
+    }
+  }
+  if (ongoing_rest_ != nullptr) {
+    ONGOINGDB_ASSIGN_OR_RETURN(OngoingBoolean st,
+                               ongoing_rest_->EvalPredicate(schema, t));
+    rt->IntersectInto(st.st(), scratch);
+    *rt = *scratch;
+  }
+  return Status::OK();
+}
+
+Result<bool> PairPredicate::RemainderHolds(const Schema& schema,
+                                           const Tuple& t) const {
+  if (fixed_rest_ == nullptr) return true;
+  return fixed_rest_->EvalPredicateFixed(schema, t, rt_);
 }
 
 namespace {

@@ -80,44 +80,76 @@ size_t JoinKeyPartition(size_t hash, size_t num_partitions);
 bool JoinKeysEqual(const Tuple& a, const std::vector<size_t>& a_indices,
                    const Tuple& b, const std::vector<size_t>& b_indices);
 
-/// A join predicate compiled against the two stored input tuples of a
-/// candidate pair, so a join rejects a pair before it copies it.
-/// Construction splits the top-level conjuncts once: an Allen, CONTAINS
-/// or comparison conjunct whose operands are each a literal or a column
-/// becomes a pair atom, its columns resolved to (input side, ordinal) by
-/// joined ordinal against the left input's arity. Every other conjunct
-/// (disjunctions, negations, DURATION, nested scalars) stays in
-/// remainder(), which the caller evaluates on the joined tuple. Atoms
-/// evaluate through the Expr nodes' value-level dispatch (expr/expr.h),
-/// so results and errors equal the scalar path's, and on interval
-/// operands they allocate nothing (core/operations.h).
+/// A conjunctive predicate compiled against stored input tuples: the two
+/// of a join's candidate pair, or the one of a scan, a filter, a view
+/// delta or a DML WHERE. An operator tests the stored tuples before it
+/// copies them. Construction classifies the top-level conjuncts once: an
+/// Allen, CONTAINS or comparison conjunct whose operands are each a
+/// literal or a column becomes an atom, its columns resolved to (input
+/// side, ordinal) by ordinal against the left input's arity. Under
+/// ongoing semantics the conjuncts follow the Sec. VIII split (Split()):
+/// a fixed-only conjunct is a boolean test through the *Fixed forms, an
+/// ongoing one restricts the reference time by its St. Under Clifford
+/// semantics every conjunct is a boolean test at rt. Every other
+/// conjunct (disjunctions, negations, DURATION, nested scalars) stays in
+/// remainder(), which the caller evaluates on the tuple it builds from
+/// surviving inputs. Atoms evaluate through the Expr nodes' value-level
+/// dispatch (expr/expr.h), so results and errors equal the scalar
+/// path's, and on interval operands they allocate nothing
+/// (core/operations.h).
 class PairPredicate {
  public:
   /// Compiles `conjunction` (null = true) against `joined`, the
   /// concatenation of a `left_arity`-attribute left input and the right
   /// input. With `at_reference_time` (Clifford semantics at `rt`)
   /// literals are instantiated at rt, as LiteralExpr::EvalScalarFixed
-  /// does; the inputs are expected to be instantiated already.
+  /// does, and so are the values of columns `joined` types as ongoing:
+  /// a scan tests its stored, uninstantiated tuples.
   PairPredicate(const ExprPtr& conjunction, const Schema& joined,
                 size_t left_arity, bool at_reference_time, TimePoint rt);
 
-  /// Ongoing semantics: intersects *rt with each atom's St on (l, r),
-  /// stopping once it is empty. `scratch` is a reusable buffer that
+  /// Compiles `conjunction` against one input of schema `schema`.
+  PairPredicate(const ExprPtr& conjunction, const Schema& schema,
+                bool at_reference_time, TimePoint rt)
+      : PairPredicate(conjunction, schema, schema.num_attributes(),
+                      at_reference_time, rt) {}
+
+  /// Ongoing semantics: tests the fixed atoms on (l, r), then intersects
+  /// *rt with each ongoing atom's St, stopping once it is empty; a
+  /// failed fixed atom empties *rt. `scratch` is a reusable buffer that
   /// must not alias *rt.
   Status Restrict(const Tuple& l, const Tuple& r, IntervalSet* rt,
                   IntervalSet* scratch) const;
 
+  /// The one-input form: *rt becomes t's RT restricted as above.
+  Status Restrict(const Tuple& t, IntervalSet* rt, IntervalSet* scratch) const;
+
   /// Clifford semantics: true iff every atom holds on (l, r).
   Result<bool> Holds(const Tuple& l, const Tuple& r) const;
+  Result<bool> Holds(const Tuple& t) const { return Holds(t, t); }
 
-  /// The conjuncts left for evaluation on the joined tuple (null = true).
+  /// The remainder on `t`, a tuple of `schema` built from the surviving
+  /// inputs. Ongoing semantics: fixed conjuncts test, ongoing ones
+  /// intersect *rt (a failed test empties it); `scratch` must not alias
+  /// *rt. Clifford semantics: RemainderHolds, at rt.
+  Status RestrictRemainder(const Schema& schema, const Tuple& t,
+                           IntervalSet* rt, IntervalSet* scratch) const;
+  Result<bool> RemainderHolds(const Schema& schema, const Tuple& t) const;
+
+  /// The conjuncts left for evaluation on the built tuple (null = true).
   const ExprPtr& remainder() const { return remainder_; }
+
+  /// How many atoms test as booleans (all of them under Clifford
+  /// semantics) and how many restrict the RT.
+  size_t fixed_atoms() const { return num_fixed_; }
+  size_t ongoing_atoms() const { return atoms_.size() - num_fixed_; }
 
  private:
   struct Operand {
     enum class Source : uint8_t { kLeft, kRight, kLiteral };
     Source source = Source::kLiteral;
     size_t ordinal = 0;
+    bool instantiate = false;  // an ongoing column read under Clifford
     Value literal;
   };
   struct Atom {
@@ -127,18 +159,31 @@ class PairPredicate {
     Operand lhs, rhs;
   };
 
-  static const Value& Resolve(const Operand& o, const Tuple& l,
-                              const Tuple& r) {
-    switch (o.source) {
-      case Operand::Source::kLeft: return l.value(o.ordinal);
-      case Operand::Source::kRight: return r.value(o.ordinal);
-      case Operand::Source::kLiteral: break;
-    }
-    return o.literal;
+  static const Value& Get(const Operand& o, const Tuple& l, const Tuple& r) {
+    return o.source == Operand::Source::kLeft    ? l.value(o.ordinal)
+           : o.source == Operand::Source::kRight ? r.value(o.ordinal)
+                                                 : o.literal;
   }
 
+  static Result<bool> TestFixed(const Atom& atom, const Value& a,
+                                const Value& b) {
+    return atom.kind == ExprKind::kAllen ? EvalAllenFixed(atom.allen, a, b)
+           : atom.kind == ExprKind::kContains
+               ? EvalContainsFixed(a, b)
+               : EvalCompareFixed(atom.compare, a, b);
+  }
+
+  // A fixed atom's boolean on (l, r).
+  Result<bool> Test(const Atom& atom, const Tuple& l, const Tuple& r) const;
+
+  // Fixed atoms first: atoms_[0, num_fixed_) test as booleans.
   std::vector<Atom> atoms_;
+  size_t num_fixed_ = 0;
   ExprPtr remainder_;
+  // The remainder's halves; under Clifford semantics all of it is
+  // fixed_rest_.
+  ExprPtr fixed_rest_, ongoing_rest_;
+  TimePoint rt_;
 };
 
 /// Nested-loop theta join (ongoing semantics).

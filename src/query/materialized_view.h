@@ -61,7 +61,7 @@ class MaterializedView {
   ///    once at view creation; refreshes re-open the cached physical
   ///    operator tree, and serving under a different `ctx` rebinds the
   ///    context on the existing tree (RebindContext) instead of
-  ///    recompiling — warm state such as an IndexScanOp's IntervalIndex
+  ///    recompiling — warm state such as an index scan's IntervalIndex
   ///    survives, rebuilt only when its fingerprint shows the base data
   ///    changed.
   ///

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "query/join.h"
-#include "query/kernels.h"
 #include "storage/stats.h"
 #include "util/thread_pool.h"
 
@@ -134,11 +133,24 @@ std::optional<TimePoint> AsFixedPointProbe(const Value& v) {
   return std::nullopt;
 }
 
-// The probe op for `indexed-column ALLEN-OP probe`: shared with the
-// vectorized predicate kernels (query/kernels.h), so the index access
-// path and the kernel front end can never disagree about which Allen
-// ops have a probe form.
-using kernels::ProbeOpFor;
+// The probe op for `column ALLEN-OP probe` when the column is the lhs,
+// and for `probe ALLEN-OP column` when flipped; nullopt for the Allen
+// ops with no index form (starts/finishes/during/equals). Shared by the
+// index-scan and index-join matching below.
+std::optional<IntervalProbeOp> ProbeOpFor(AllenOp op, bool column_is_lhs) {
+  switch (op) {
+    case AllenOp::kOverlaps:
+      return IntervalProbeOp::kOverlaps;  // symmetric
+    case AllenOp::kBefore:
+      return column_is_lhs ? IntervalProbeOp::kBefore
+                           : IntervalProbeOp::kAfter;
+    case AllenOp::kMeets:
+      return column_is_lhs ? IntervalProbeOp::kMeets
+                           : IntervalProbeOp::kMetBy;
+    default:
+      return std::nullopt;
+  }
+}
 
 bool IsIntervalAttribute(const Schema& schema, size_t idx) {
   ValueType type = schema.attribute(idx).type;

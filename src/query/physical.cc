@@ -9,7 +9,6 @@
 
 #include "query/interval_index.h"
 #include "query/join.h"
-#include "query/kernels.h"
 #include "query/optimizer.h"
 #include "storage/stats.h"
 #include "util/failpoint.h"
@@ -42,30 +41,6 @@ Failpoint& fp_repartition_route = Failpoint::GetOrCreate("repartition.route");
 inline Status CheckLifecycle(QueryContext* ctx, Failpoint& fp) {
   ONGOINGDB_FAILPOINT(fp);
   return ctx != nullptr ? ctx->Check() : Status::OK();
-}
-
-// Emits one base-relation tuple into `out` under `mode` — the shared
-// per-tuple body of the scans and index scans. In kAtReferenceTime
-// mode this is the bind operator ||R||rt: tuples whose RT does not
-// contain rt are dropped (returns false), the rest are instantiated
-// with trivial reference time.
-inline bool EmitBaseTuple(const Tuple& t, ExecMode mode, TimePoint rt,
-                          const IntervalSet& all, TupleBatch* out) {
-  if (mode == ExecMode::kAtReferenceTime) {
-    if (!t.BelongsAt(rt)) return false;
-    Tuple& slot = out->NextSlot();
-    std::vector<Value>& values = slot.mutable_values();
-    values.reserve(t.num_values());
-    for (const Value& v : t.values()) values.push_back(v.Instantiate(rt));
-    slot.mutable_rt() = all;
-    return true;
-  }
-  Tuple& slot = out->NextSlot();
-  std::vector<Value>& values = slot.mutable_values();
-  values.reserve(t.num_values());
-  for (const Value& v : t.values()) values.push_back(v);
-  slot.mutable_rt() = t.rt();
-  return true;
 }
 
 // Materializes a physical input for a blocking consumer (join build
@@ -130,13 +105,11 @@ class BatchJoinEmitter {
       : joined_schema_(joined_schema),
         pair_(residual, joined_schema, left_arity,
               mode == ExecMode::kAtReferenceTime, rt),
-        mode_(mode),
-        rt_(rt) {}
+        mode_(mode) {}
 
   // Appends the joined tuple for (lt, st) to *out unless the pair is
   // rejected. The caller guarantees the batch is not full.
   Status Emit(const Tuple& lt, const Tuple& st, TupleBatch* out) {
-    const ExprPtr& remainder = pair_.remainder();
     if (mode_ == ExecMode::kAtReferenceTime) {
       // Clifford semantics: the inputs are instantiated, the residual
       // evaluates fixed at rt, and the result is valid at rt only
@@ -145,8 +118,8 @@ class BatchJoinEmitter {
       if (!keep) return Status::OK();
       Tuple& slot = out->NextSlot();
       FillValues(lt, st, slot);
-      if (remainder != nullptr) {
-        auto rest = remainder->EvalPredicateFixed(joined_schema_, slot, rt_);
+      if (pair_.remainder() != nullptr) {
+        auto rest = pair_.RemainderHolds(joined_schema_, slot);
         if (!rest.ok() || !*rest) {
           out->PopLast();
           return rest.status();
@@ -161,18 +134,12 @@ class BatchJoinEmitter {
     if (pair_rt_.IsEmpty()) return Status::OK();
     Tuple& slot = out->NextSlot();
     FillValues(lt, st, slot);
-    if (remainder == nullptr) {
-      slot.mutable_rt() = pair_rt_;
-      return Status::OK();
-    }
-    auto pred = remainder->EvalPredicate(joined_schema_, slot);
-    if (!pred.ok()) {
-      out->PopLast();
-      return pred.status();
-    }
-    pair_rt_.IntersectInto(pred->st(), &slot.mutable_rt());
-    if (slot.rt().IsEmpty()) out->PopLast();
-    return Status::OK();
+    slot.mutable_rt() = pair_rt_;
+    if (pair_.remainder() == nullptr) return Status::OK();
+    Status rest = pair_.RestrictRemainder(joined_schema_, slot,
+                                          &slot.mutable_rt(), &rt_scratch_);
+    if (!rest.ok() || slot.rt().IsEmpty()) out->PopLast();
+    return rest;
   }
 
  private:
@@ -186,7 +153,6 @@ class BatchJoinEmitter {
   const Schema& joined_schema_;
   PairPredicate pair_;
   ExecMode mode_;
-  TimePoint rt_;
   const IntervalSet all_ = IntervalSet::All();
   IntervalSet pair_rt_;  // the candidate pair's RT, before it is claimed
   IntervalSet rt_scratch_;
@@ -293,240 +259,7 @@ class JoinHashTable {
 };
 
 // ---------------------------------------------------------------------------
-// Scan
-// ---------------------------------------------------------------------------
-
-// The positions [0, n) of an input one scan instance streams. In a
-// parallel plan all instances of one logical scan share an atomic morsel
-// cursor, and each claims the next unclaimed [begin, begin + morsel)
-// range, so fast pipelines naturally take more morsels than slow ones
-// (no static striping). A null cursor (a serial plan) makes the whole
-// input one window. The shared cursor is repositioned by
-// ExchangeState::Reset() once per drain round; Reset() here restarts
-// only the local window.
-class MorselWindow {
- public:
-  MorselWindow(ExchangeState::MorselCursor* cursor, size_t morsel_size)
-      : cursor_(cursor), morsel_size_(morsel_size) {}
-
-  bool serial() const { return cursor_ == nullptr; }
-
-  void Reset() {
-    pos_ = end_ = 0;
-    claimed_ = false;
-  }
-
-  // The next position of [0, n) to stream; false once none is left.
-  bool Next(size_t n, size_t* pos) {
-    if (pos_ >= end_ && !Claim(n)) return false;
-    *pos = pos_++;
-    return true;
-  }
-
- private:
-  bool Claim(size_t n) {
-    if (cursor_ == nullptr) {
-      if (claimed_) return false;
-      claimed_ = true;
-      pos_ = 0;
-      end_ = n;
-      return n > 0;
-    }
-    const size_t begin =
-        cursor_->next.fetch_add(morsel_size_, std::memory_order_relaxed);
-    if (begin >= n) return false;
-    pos_ = begin;
-    end_ = std::min(begin + morsel_size_, n);
-    return true;
-  }
-
-  ExchangeState::MorselCursor* cursor_;
-  size_t morsel_size_;
-  size_t pos_ = 0, end_ = 0;
-  bool claimed_ = false;
-};
-
-// Streams a base relation through its morsel window: whole in a serial
-// plan, this pipeline's share in a parallel one (the exchange scan).
-// Only the serial ongoing-mode scan exposes BorrowedRelation(); an
-// exchange instance streams just its share of the relation.
-class ScanOp final : public PhysicalOperator {
- public:
-  ScanOp(const OngoingRelation* relation, ExecMode mode, TimePoint rt,
-         ExchangeState::MorselCursor* cursor, size_t morsel_size,
-         QueryContext* ctx)
-      : PhysicalOperator(mode == ExecMode::kOngoing
-                             ? relation->schema()
-                             : relation->schema().Instantiated()),
-        relation_(relation),
-        mode_(mode),
-        rt_(rt),
-        window_(cursor, morsel_size),
-        ctx_(ctx) {}
-
-  Status Open() override {
-    ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_open));
-    window_.Reset();
-    return Status::OK();
-  }
-
-  Status Next(TupleBatch* out) override {
-    ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_next));
-    out->Clear();
-    const TupleStore& tuples = relation_->tuples();
-    size_t i = 0;
-    while (!out->full() && window_.Next(tuples.size(), &i)) {
-      EmitBaseTuple(tuples[i], mode_, rt_, all_, out);
-    }
-    return Status::OK();
-  }
-
-  const OngoingRelation* BorrowedRelation() const override {
-    return mode_ == ExecMode::kOngoing && window_.serial() ? relation_
-                                                           : nullptr;
-  }
-
-  void RebindContext(QueryContext* ctx) override { ctx_ = ctx; }
-
- private:
-  const OngoingRelation* relation_;
-  ExecMode mode_;
-  TimePoint rt_;
-  MorselWindow window_;
-  QueryContext* ctx_;
-  const IntervalSet all_ = IntervalSet::All();
-};
-
-// ---------------------------------------------------------------------------
-// Filter
-// ---------------------------------------------------------------------------
-
-// The selection decision shared by FilterOp and IndexScanOp. In ongoing
-// mode the predicate is split per Sec. VIII — the fixed part is an
-// ordinary WHERE filter, the ongoing part restricts the tuple's RT
-// (mutating it in place); in kAtReferenceTime mode the whole predicate
-// evaluates fixed at rt.
-//
-// The fixed portion additionally compiles into vectorized kernel atoms
-// (query/kernels.h) where eligible: FilterBatch() runs the atoms
-// columnar over the whole batch first (selection-vector filtering +
-// compaction), then the scalar tail — the non-kernel fixed remainder
-// and the ongoing RT restriction — per surviving tuple. With no
-// eligible atoms the remainder is the full fixed part and the behavior
-// is exactly the historical scalar path.
-class PredicateEvaluator {
- public:
-  PredicateEvaluator(ExprPtr predicate, const Schema& schema, ExecMode mode,
-                     TimePoint rt)
-      : predicate_(std::move(predicate)), schema_(schema), mode_(mode),
-        rt_(rt) {
-    if (mode_ == ExecMode::kOngoing) {
-      split_ = Split(predicate_, schema_);
-      kernel_.Compile(split_.fixed_part, schema_,
-                      /*at_reference_time=*/false, 0);
-    } else {
-      kernel_.Compile(predicate_, schema_, /*at_reference_time=*/true, rt_);
-    }
-  }
-
-  // Filters `out` in place (kernels, then the scalar tail), preserving
-  // surviving-tuple order.
-  Status FilterBatch(TupleBatch* out) {
-    ONGOINGDB_RETURN_NOT_OK(kernel_.Apply(out));
-    if (!NeedScalarTail()) return Status::OK();
-    size_t kept = 0;
-    for (size_t i = 0; i < out->size(); ++i) {
-      Tuple& t = out->tuple(i);
-      ONGOINGDB_ASSIGN_OR_RETURN(bool keep, KeepScalar(t));
-      if (!keep) continue;
-      if (kept != i) std::swap(out->tuple(kept), out->tuple(i));
-      ++kept;
-    }
-    out->Truncate(kept);
-    return Status::OK();
-  }
-
- private:
-  bool NeedScalarTail() const {
-    return kernel_.remainder() != nullptr ||
-           (mode_ == ExecMode::kOngoing && split_.ongoing_part != nullptr);
-  }
-
-  // The per-tuple decision on everything the kernels did not cover.
-  Result<bool> KeepScalar(Tuple& t) {
-    if (mode_ == ExecMode::kAtReferenceTime) {
-      return kernel_.remainder()->EvalPredicateFixed(schema_, t, rt_);
-    }
-    if (kernel_.remainder() != nullptr) {
-      ONGOINGDB_ASSIGN_OR_RETURN(
-          bool keep, kernel_.remainder()->EvalPredicateFixed(schema_, t));
-      if (!keep) return false;
-    }
-    if (split_.ongoing_part != nullptr) {
-      ONGOINGDB_ASSIGN_OR_RETURN(
-          OngoingBoolean pred, split_.ongoing_part->EvalPredicate(schema_, t));
-      t.rt().IntersectInto(pred.st(), &rt_scratch_);
-      if (rt_scratch_.IsEmpty()) return false;
-      t.mutable_rt() = rt_scratch_;
-    }
-    return true;
-  }
-
-  ExprPtr predicate_;
-  const Schema& schema_;
-  ExecMode mode_;
-  TimePoint rt_;
-  SplitPredicate split_;
-  kernels::BatchPredicate kernel_;
-  IntervalSet rt_scratch_;
-};
-
-class FilterOp final : public PhysicalOperator {
- public:
-  FilterOp(PhysicalOpPtr child, ExprPtr predicate, ExecMode mode, TimePoint rt,
-           QueryContext* ctx)
-      : PhysicalOperator(child->schema()),
-        child_(std::move(child)),
-        evaluator_(std::move(predicate), schema(), mode, rt),
-        ctx_(ctx) {}
-
-  const char* Name() const override { return "Filter"; }
-
-  Status Open() override {
-    ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_open));
-    return child_->Open();
-  }
-
-  Status Next(TupleBatch* out) override {
-    // Filters compact the child's batch in place; they loop until at
-    // least one tuple survives (never an empty batch mid-stream) — so
-    // the lifecycle check sits inside the loop: a selective filter over
-    // a large input must cancel between child batches, not only once an
-    // output batch finally fills.
-    while (true) {
-      ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_next));
-      ONGOINGDB_RETURN_NOT_OK(child_->Next(out));
-      if (out->empty()) return Status::OK();
-      ONGOINGDB_RETURN_NOT_OK(evaluator_.FilterBatch(out));
-      if (!out->empty()) return Status::OK();
-    }
-  }
-
-  void Close() override { child_->Close(); }
-
-  void RebindContext(QueryContext* ctx) override {
-    ctx_ = ctx;
-    child_->RebindContext(ctx);
-  }
-
- private:
-  PhysicalOpPtr child_;
-  PredicateEvaluator evaluator_;
-  QueryContext* ctx_;
-};
-
-// ---------------------------------------------------------------------------
-// Index scan (docs/DESIGN.md, "Index access path")
+// Index access (docs/DESIGN.md, "Index access path")
 // ---------------------------------------------------------------------------
 
 // The IntervalIndex behind one lowered index access — an index scan's
@@ -600,7 +333,13 @@ struct IndexState {
       ONGOINGDB_FAILPOINT(fp_index_build);
       ONGOINGDB_ASSIGN_OR_RETURN(IntervalIndex built,
                                  IntervalIndex::Build(*relation, column));
-      if (probe.has_value()) built.CandidatesInto(op, *probe, &candidates);
+      if (probe.has_value()) {
+        // Position order: the index scan then reads the relation in
+        // storage order, as a full scan does, instead of jumping around
+        // it in the index's start order.
+        built.CandidatesInto(op, *probe, &candidates);
+        std::sort(candidates.begin(), candidates.end());
+      }
       index = std::move(built);
     }
     validated_generation = generation;
@@ -608,75 +347,269 @@ struct IndexState {
   }
 };
 
-// Index-backed temporal selection: the lowering of an eligible
-// Filter(Scan). Streams the tuples the IntervalIndex's candidate list
-// names — a superset of the exact answer — and applies the *full*
-// predicate as a residual on each, so the result equals the FilterOp
-// lowering in both execution modes (in kAtReferenceTime mode the
-// candidate set still covers every tuple matching at the one probed rt).
-// The candidate list is streamed through a morsel window exactly like
-// ScanOp streams a relation: whole serially, split across the partition
-// pipelines in a parallel plan.
-class IndexScanOp final : public PhysicalOperator {
+// ---------------------------------------------------------------------------
+// Scan
+// ---------------------------------------------------------------------------
+
+// The positions [0, n) of an input one scan instance streams. In a
+// parallel plan all instances of one logical scan share an atomic morsel
+// cursor, and each claims the next unclaimed [begin, begin + morsel)
+// range, so fast pipelines naturally take more morsels than slow ones
+// (no static striping). A null cursor (a serial plan) makes the whole
+// input one window. The shared cursor is repositioned by
+// ExchangeState::Reset() once per drain round; Reset() here restarts
+// only the local window.
+class MorselWindow {
  public:
-  IndexScanOp(std::shared_ptr<IndexState> state, ExprPtr predicate,
-              ExecMode mode, TimePoint rt,
-              std::shared_ptr<ExchangeState> exchange,
-              ExchangeState::MorselCursor* cursor, size_t morsel_size,
-              QueryContext* ctx)
+  MorselWindow(ExchangeState::MorselCursor* cursor, size_t morsel_size)
+      : cursor_(cursor), morsel_size_(morsel_size) {}
+
+  bool serial() const { return cursor_ == nullptr; }
+
+  void Reset() {
+    pos_ = end_ = 0;
+    claimed_ = false;
+  }
+
+  // The next position of [0, n) to stream; false once none is left.
+  bool Next(size_t n, size_t* pos) {
+    if (pos_ >= end_ && !Claim(n)) return false;
+    *pos = pos_++;
+    return true;
+  }
+
+ private:
+  bool Claim(size_t n) {
+    if (cursor_ == nullptr) {
+      if (claimed_) return false;
+      claimed_ = true;
+      pos_ = 0;
+      end_ = n;
+      return n > 0;
+    }
+    const size_t begin =
+        cursor_->next.fetch_add(morsel_size_, std::memory_order_relaxed);
+    if (begin >= n) return false;
+    pos_ = begin;
+    end_ = std::min(begin + morsel_size_, n);
+    return true;
+  }
+
+  ExchangeState::MorselCursor* cursor_;
+  size_t morsel_size_;
+  size_t pos_ = 0, end_ = 0;
+  bool claimed_ = false;
+};
+
+// Streams a base relation through its morsel window: whole in a serial
+// plan, this pipeline's share in a parallel one (the exchange scan).
+// The positions are [0, n) or, for an index scan (the lowering of an
+// index-eligible Filter(Scan)), the ones the IntervalIndex's candidate
+// list names, a superset of the exact answer. A scan that absorbed a
+// Filter tests each stored tuple with the compiled predicate
+// (query/join.h, PairPredicate) before it copies the tuple's values, so
+// a rejected tuple copies nothing; the remainder runs on the filled slot
+// (PopLast un-claims a rejected slot). Index and full scans evaluate the
+// same full predicate, so their results are equal in both execution
+// modes (in kAtReferenceTime mode the candidate set still covers every
+// tuple matching at the one probed rt). Only the serial ongoing-mode
+// scan without a predicate exposes BorrowedRelation(); an exchange
+// instance streams just its share of the relation.
+class ScanOp final : public PhysicalOperator {
+ public:
+  ScanOp(const OngoingRelation* relation, const ExprPtr& predicate,
+         std::shared_ptr<IndexState> index, ExecMode mode, TimePoint rt,
+         std::shared_ptr<ExchangeState> exchange,
+         ExchangeState::MorselCursor* cursor, size_t morsel_size,
+         QueryContext* ctx)
       : PhysicalOperator(mode == ExecMode::kOngoing
-                             ? state->relation->schema()
-                             : state->relation->schema().Instantiated()),
-        state_(std::move(state)),
+                             ? relation->schema()
+                             : relation->schema().Instantiated()),
+        relation_(relation),
+        filtered_(predicate != nullptr),
+        pred_(predicate, relation->schema(),
+              mode == ExecMode::kAtReferenceTime, rt),
+        index_(std::move(index)),
         mode_(mode),
         rt_(rt),
         exchange_(std::move(exchange)),
         window_(cursor, morsel_size),
-        evaluator_(std::move(predicate), schema(), mode, rt),
         ctx_(ctx) {}
 
-  const char* Name() const override { return "IndexScan"; }
+  const char* Name() const override {
+    return index_ != nullptr ? "IndexScan" : "Scan";
+  }
 
   Status Open() override {
     ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_open));
-    ONGOINGDB_RETURN_NOT_OK(
-        state_->Ensure(exchange_ != nullptr ? exchange_->generation() : 0));
+    if (index_ != nullptr) {
+      ONGOINGDB_RETURN_NOT_OK(
+          index_->Ensure(exchange_ != nullptr ? exchange_->generation() : 0));
+    }
     window_.Reset();
     return Status::OK();
   }
 
   Status Next(TupleBatch* out) override {
-    // Fill-then-filter: a batch of candidates is emitted first, then
-    // the residual — the exact predicate — runs batch-at-a-time through
-    // the evaluator's kernel + scalar-tail path. A batch the residual
-    // empties entirely is refilled (never an empty batch mid-stream),
-    // with the lifecycle check inside the loop like FilterOp's.
-    const std::vector<size_t>& candidates = state_->candidates_after_ensure();
-    const TupleStore& tuples = state_->relation->tuples();
+    out->Clear();
+    const TupleStore& tuples = relation_->tuples();
+    const std::vector<size_t>* candidates =
+        index_ != nullptr ? &index_->candidates_after_ensure() : nullptr;
+    const size_t n = candidates != nullptr ? candidates->size() : tuples.size();
+    // The batch fills across scanned positions, with one lifecycle check
+    // per batch capacity of them: a predicate that rejects every tuple
+    // still cancels between scanned batches, as a Filter over its
+    // child's batches would.
     while (true) {
       ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_next));
-      out->Clear();
       size_t i = 0;
-      while (!out->full() && window_.Next(candidates.size(), &i)) {
-        EmitBaseTuple(tuples[candidates[i]], mode_, rt_, all_, out);
+      for (size_t scanned = 0; scanned < out->capacity(); ++scanned) {
+        if (!window_.Next(n, &i)) return Status::OK();
+        ONGOINGDB_RETURN_NOT_OK(
+            Emit(tuples[candidates != nullptr ? (*candidates)[i] : i], out));
+        if (out->full()) return Status::OK();
       }
-      if (out->empty()) return Status::OK();  // candidates exhausted
-      ONGOINGDB_RETURN_NOT_OK(evaluator_.FilterBatch(out));
-      if (!out->empty()) return Status::OK();
     }
+  }
+
+  const OngoingRelation* BorrowedRelation() const override {
+    return mode_ == ExecMode::kOngoing && !filtered_ && window_.serial()
+               ? relation_
+               : nullptr;
   }
 
   void RebindContext(QueryContext* ctx) override { ctx_ = ctx; }
 
  private:
-  std::shared_ptr<IndexState> state_;
+  // Appends stored tuple `t` to *out unless the predicate rejects it. In
+  // kAtReferenceTime mode this is the bind operator ||R||rt: a tuple
+  // whose RT does not contain rt is dropped, the rest are instantiated
+  // with trivial reference time.
+  Status Emit(const Tuple& t, TupleBatch* out) {
+    if (mode_ == ExecMode::kAtReferenceTime) {
+      if (!t.BelongsAt(rt_)) return Status::OK();
+      ONGOINGDB_ASSIGN_OR_RETURN(bool keep, pred_.Holds(t));
+      if (!keep) return Status::OK();
+      Tuple& slot = out->NextSlot();
+      std::vector<Value>& values = slot.mutable_values();
+      values.reserve(t.num_values());
+      for (const Value& v : t.values()) values.push_back(v.Instantiate(rt_));
+      slot.mutable_rt() = all_;
+      if (pred_.remainder() == nullptr) return Status::OK();
+      Result<bool> rest = pred_.RemainderHolds(schema(), slot);
+      if (!rest.ok() || !*rest) out->PopLast();
+      return rest.status();
+    }
+    // The slot is claimed for its RT only: the atoms restrict the RT in
+    // place, and the values are copied once the tuple survives them.
+    Tuple& slot = out->NextSlot();
+    Status st = pred_.Restrict(t, &slot.mutable_rt(), &rt_scratch_);
+    if (!st.ok() || slot.rt().IsEmpty()) {
+      out->PopLast();
+      return st;
+    }
+    slot.mutable_values() = t.values();
+    if (pred_.remainder() == nullptr) return Status::OK();
+    st = pred_.RestrictRemainder(schema(), slot, &slot.mutable_rt(),
+                                 &rt_scratch_);
+    if (!st.ok() || slot.rt().IsEmpty()) out->PopLast();
+    return st;
+  }
+
+  const OngoingRelation* relation_;
+  bool filtered_;
+  PairPredicate pred_;
+  std::shared_ptr<IndexState> index_;  // null: a full scan
   ExecMode mode_;
   TimePoint rt_;
   std::shared_ptr<ExchangeState> exchange_;
   MorselWindow window_;
-  PredicateEvaluator evaluator_;
   QueryContext* ctx_;
   const IntervalSet all_ = IntervalSet::All();
+  IntervalSet rt_scratch_;
+};
+
+// ---------------------------------------------------------------------------
+// Filter
+// ---------------------------------------------------------------------------
+
+// A selection over a computed input; a Filter directly over a base
+// relation is absorbed by its ScanOp. Tests each tuple of the child's
+// batch in place with the compiled predicate (query/join.h,
+// PairPredicate): in ongoing mode the fixed conjuncts are a WHERE filter
+// and the ongoing ones restrict the tuple's RT (Sec. VIII); in
+// kAtReferenceTime mode every conjunct evaluates fixed at rt. Survivors
+// are compacted to the batch prefix in order.
+class FilterOp final : public PhysicalOperator {
+ public:
+  FilterOp(PhysicalOpPtr child, const ExprPtr& predicate, ExecMode mode,
+           TimePoint rt, QueryContext* ctx)
+      : PhysicalOperator(child->schema()),
+        child_(std::move(child)),
+        pred_(predicate, schema(), mode == ExecMode::kAtReferenceTime, rt),
+        mode_(mode),
+        ctx_(ctx) {}
+
+  const char* Name() const override { return "Filter"; }
+
+  Status Open() override {
+    ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_open));
+    return child_->Open();
+  }
+
+  Status Next(TupleBatch* out) override {
+    // Filters compact the child's batch in place; they loop until at
+    // least one tuple survives (never an empty batch mid-stream) — so
+    // the lifecycle check sits inside the loop: a selective filter over
+    // a large input must cancel between child batches, not only once an
+    // output batch finally fills.
+    while (true) {
+      ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_next));
+      ONGOINGDB_RETURN_NOT_OK(child_->Next(out));
+      if (out->empty()) return Status::OK();
+      size_t kept = 0;
+      for (size_t i = 0; i < out->size(); ++i) {
+        ONGOINGDB_ASSIGN_OR_RETURN(bool keep, Keep(out->tuple(i)));
+        if (!keep) continue;
+        if (kept != i) std::swap(out->tuple(kept), out->tuple(i));
+        ++kept;
+      }
+      out->Truncate(kept);
+      if (!out->empty()) return Status::OK();
+    }
+  }
+
+  void Close() override { child_->Close(); }
+
+  void RebindContext(QueryContext* ctx) override {
+    ctx_ = ctx;
+    child_->RebindContext(ctx);
+  }
+
+ private:
+  // The predicate on one tuple of the child's batch; in ongoing mode a
+  // kept tuple's RT is restricted in place.
+  Result<bool> Keep(Tuple& t) {
+    if (mode_ == ExecMode::kAtReferenceTime) {
+      ONGOINGDB_ASSIGN_OR_RETURN(bool keep, pred_.Holds(t));
+      if (!keep) return false;
+      return pred_.RemainderHolds(schema(), t);
+    }
+    ONGOINGDB_RETURN_NOT_OK(pred_.Restrict(t, &rt_buf_, &rt_scratch_));
+    if (rt_buf_.IsEmpty()) return false;
+    ONGOINGDB_RETURN_NOT_OK(
+        pred_.RestrictRemainder(schema(), t, &rt_buf_, &rt_scratch_));
+    if (rt_buf_.IsEmpty()) return false;
+    std::swap(t.mutable_rt(), rt_buf_);
+    return true;
+  }
+
+  PhysicalOpPtr child_;
+  PairPredicate pred_;
+  ExecMode mode_;
+  QueryContext* ctx_;
+  IntervalSet rt_buf_;
+  IntervalSet rt_scratch_;
 };
 
 // ---------------------------------------------------------------------------
@@ -993,7 +926,7 @@ class IndexJoinOp final : public PhysicalOperator {
 // execution"). A parallel plan is K self-contained partition pipelines
 // whose streams are disjoint and together equal the serial result:
 //
-//  * Scan and IndexScan instances share a morsel cursor per plan node,
+//  * Scan instances (full or index) share a morsel cursor per plan node,
 //    so all pipelines pull morsels of one input (data-level load
 //    balancing) — the exchange scan;
 //  * Repartition routes a join input's tuples to the partition their
@@ -1048,11 +981,10 @@ class RepartitionOp final : public PhysicalOperator {
     out->Clear();
     if (borrowed_ != nullptr) {
       // Borrowing implies an ongoing-mode scan, so the copy is the
-      // plain ongoing emission.
+      // plain ongoing emission; assignment reuses the slot's buffers.
       while (pos_ < borrowed_->size() && !out->full()) {
         const Tuple& t = (*borrowed_)[pos_++];
-        if (!Mine(t)) continue;
-        EmitBaseTuple(t, ExecMode::kOngoing, 0, all_, out);
+        if (Mine(t)) out->NextSlot() = t;
       }
       return Status::OK();
     }
@@ -1097,7 +1029,6 @@ class RepartitionOp final : public PhysicalOperator {
   size_t num_partitions_;
   QueryContext* ctx_;
   const TupleStore* borrowed_ = nullptr;
-  const IntervalSet all_ = IntervalSet::All();
   TupleBatch in_;
   size_t pos_ = 0;
   bool exhausted_ = false;
@@ -1379,13 +1310,14 @@ Result<PhysicalOpPtr> Lower(const PlanPtr& plan, ExecMode mode, TimePoint rt,
     case PlanKind::kScan: {
       const auto* node = static_cast<const ScanNode*>(plan.get());
       return PhysicalOpPtr(std::make_unique<ScanOp>(
-          &node->relation(), mode, rt, state->CursorFor(node),
-          state->morsel_size, ctx));
+          &node->relation(), nullptr, nullptr, mode, rt, state->exchange,
+          state->CursorFor(node), state->morsel_size, ctx));
     }
     case PlanKind::kFilter: {
       const auto* node = static_cast<const FilterNode*>(plan.get());
       // The access path: an eligible temporal selection lowers to an
-      // index scan unless the node forces the full scan. Forcing
+      // index scan unless the node forces the full scan, and any other
+      // Filter(Scan) to a scan that tests the predicate itself. Forcing
       // AccessPath::kIndex on an ineligible plan is a compile error, not
       // a silent fallback.
       std::optional<IndexScanInfo> info;
@@ -1393,11 +1325,12 @@ Result<PhysicalOpPtr> Lower(const PlanPtr& plan, ExecMode mode, TimePoint rt,
         info = MatchIndexScan(*node);
       }
       if (info.has_value()) {
-        return PhysicalOpPtr(std::make_unique<IndexScanOp>(
+        return PhysicalOpPtr(std::make_unique<ScanOp>(
+            info->relation, node->predicate(),
             state->IndexFor(node, info->relation, info->column,
                             info->column_index, info->op, info->probe),
-            node->predicate(), mode, rt, state->exchange,
-            state->CursorFor(node), state->morsel_size, ctx));
+            mode, rt, state->exchange, state->CursorFor(node),
+            state->morsel_size, ctx));
       }
       if (node->access_path() == AccessPath::kIndex) {
         return Status::InvalidArgument(
@@ -1405,6 +1338,13 @@ Result<PhysicalOpPtr> Lower(const PlanPtr& plan, ExecMode mode, TimePoint rt,
             "overlaps/before/meets conjunct on an interval attribute against "
             "a fixed probe interval, or a CONTAINS against a fixed time "
             "point");
+      }
+      if (node->child()->kind() == PlanKind::kScan) {
+        const auto* scan = static_cast<const ScanNode*>(node->child().get());
+        return PhysicalOpPtr(std::make_unique<ScanOp>(
+            &scan->relation(), node->predicate(), nullptr, mode, rt,
+            state->exchange, state->CursorFor(node), state->morsel_size,
+            ctx));
       }
       ONGOINGDB_ASSIGN_OR_RETURN(
           PhysicalOpPtr child,

@@ -117,8 +117,9 @@ using PhysicalOpPtr = std::unique_ptr<PhysicalOperator>;
 /// ChooseJoinAlgorithms. Likewise absorbs the filter access-path choice:
 /// an AccessPath::kAuto Filter(Scan) whose predicate is an eligible
 /// temporal selection (MatchIndexScan, query/optimizer.h) lowers to an
-/// IndexScanOp that streams an IntervalIndex's candidate list and
-/// evaluates the exact predicate as a residual. Forcing an ineligible
+/// index scan that streams an IntervalIndex's candidate list, and any
+/// other Filter(Scan) to a full scan; both test the exact predicate on
+/// each stored tuple before copying it. Forcing an ineligible
 /// path (AccessPath::kIndex, JoinAlgorithm::kIndexNL) is a compile
 /// error. `rt` is only meaningful for kAtReferenceTime. A non-null `ctx`
 /// is checked cooperatively at every batch boundary of the compiled tree
@@ -154,8 +155,8 @@ struct ParallelOptions {
   /// Capacity of the tuple batches the query drains through (the
   /// gather pool's batches in a parallel plan, the root drain's batch
   /// always). 0 means TupleBatch::kDefaultCapacity. Exposed as the
-  /// sql_shell `SET batch_size = N;` knob so the vectorized-kernel
-  /// batch-size behavior is explorable interactively.
+  /// sql_shell `SET batch_size = N;` knob, so results can be checked
+  /// across batch boundaries interactively.
   size_t batch_size = 0;
 };
 

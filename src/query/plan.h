@@ -31,7 +31,7 @@ enum class JoinAlgorithm {
 /// Physical access-path selection for a Filter directly over a Scan.
 /// Mirrors JoinAlgorithm: the plan carries the choice, Compile absorbs
 /// kAuto (query/physical.h lowers eligible temporal selections to an
-/// IndexScanOp over an IntervalIndex; see MatchIndexScan in
+/// index scan over an IntervalIndex; see MatchIndexScan in
 /// query/optimizer.h for the eligibility rules).
 enum class AccessPath {
   kAuto,      ///< index when the predicate is eligible, full scan otherwise

@@ -90,16 +90,13 @@ struct ViewDeltaMaintainer::DeltaNode {
   uint64_t cursor = 1;          // next log sequence not yet applied
   uint64_t consumed_until = 1;  // Phase A high-water mark, committed in C
 
-  // Filter / Join.
-  ExprPtr predicate;
-
   // Project: resolved ordinals into the child schema.
   std::vector<size_t> indices;
 
   // Children (Filter/Project use `left` only).
   std::unique_ptr<DeltaNode> left, right;
 
-  // Join: the predicate compiled against the stored input pair.
+  // Filter / Join: the predicate compiled against the stored input(s).
   std::optional<PairPredicate> pair;
   CachedInput left_cache, right_cache;
   std::optional<IndexJoinInfo> index_info;
@@ -138,9 +135,10 @@ std::unique_ptr<ViewDeltaMaintainer::DeltaNode> ViewDeltaMaintainer::BuildNode(
       const auto* filter = static_cast<const FilterNode*>(plan.get());
       n->left = BuildNode(filter->child());
       if (n->left == nullptr) return nullptr;
-      n->predicate = filter->predicate();
-      if (n->predicate == nullptr) return nullptr;
+      if (filter->predicate() == nullptr) return nullptr;
       n->schema = n->left->schema;
+      n->pair.emplace(filter->predicate(), n->schema,
+                      /*at_reference_time=*/false, 0);
       return n;
     }
     case PlanKind::kProject: {
@@ -160,11 +158,10 @@ std::unique_ptr<ViewDeltaMaintainer::DeltaNode> ViewDeltaMaintainer::BuildNode(
       n->left = BuildNode(join->left());
       n->right = BuildNode(join->right());
       if (n->left == nullptr || n->right == nullptr) return nullptr;
-      n->predicate = join->predicate();
-      if (n->predicate == nullptr) return nullptr;
+      if (join->predicate() == nullptr) return nullptr;
       n->schema = n->left->schema.Concat(n->right->schema, join->left_prefix(),
                                          join->right_prefix());
-      n->pair.emplace(n->predicate, n->schema,
+      n->pair.emplace(join->predicate(), n->schema,
                       n->left->schema.num_attributes(),
                       /*at_reference_time=*/false, 0);
       n->index_info =
@@ -398,13 +395,9 @@ Status ViewDeltaMaintainer::EmitJoinPair(DeltaNode* n, const Tuple& lt,
   values.insert(values.end(), lt.values().begin(), lt.values().end());
   values.insert(values.end(), rt.values().begin(), rt.values().end());
   Tuple out(std::move(values), std::move(joined_rt));
-  if (const ExprPtr& remainder = n->pair->remainder(); remainder != nullptr) {
-    ONGOINGDB_ASSIGN_OR_RETURN(OngoingBoolean b,
-                               remainder->EvalPredicate(n->schema, out));
-    IntervalSet restricted = out.rt().Intersect(b.st());
-    if (restricted.IsEmpty()) return Status::OK();
-    out.mutable_rt() = std::move(restricted);
-  }
+  ONGOINGDB_RETURN_NOT_OK(n->pair->RestrictRemainder(
+      n->schema, out, &out.mutable_rt(), &scratch));
+  if (out.rt().IsEmpty()) return Status::OK();
   ONGOINGDB_RETURN_NOT_OK(charge->Add(ApproxTupleBytes(out)));
   n->delta.push_back(DeltaEntry{sign, std::move(out)});
   return Status::OK();
@@ -437,13 +430,16 @@ Status ViewDeltaMaintainer::ComputeDelta(DeltaNode* n, QueryContext* ctx,
     }
     case PlanKind::kFilter: {
       ONGOINGDB_RETURN_NOT_OK(ComputeDelta(n->left.get(), ctx, charge));
+      // The same compiled predicate a scan runs: atoms on the stored
+      // delta tuple, then the remainder on it, before anything is copied.
+      IntervalSet rt, scratch;
       for (const DeltaEntry& d : n->left->delta) {
-        ONGOINGDB_ASSIGN_OR_RETURN(
-            OngoingBoolean b,
-            n->predicate->EvalPredicate(n->left->schema, d.tuple));
-        IntervalSet rt = d.tuple.rt().Intersect(b.st());
+        ONGOINGDB_RETURN_NOT_OK(n->pair->Restrict(d.tuple, &rt, &scratch));
         if (rt.IsEmpty()) continue;
-        Tuple out(d.tuple.values(), std::move(rt));
+        ONGOINGDB_RETURN_NOT_OK(n->pair->RestrictRemainder(
+            n->left->schema, d.tuple, &rt, &scratch));
+        if (rt.IsEmpty()) continue;
+        Tuple out(d.tuple.values(), rt);
         ONGOINGDB_RETURN_NOT_OK(charge->Add(ApproxTupleBytes(out)));
         n->delta.push_back(DeltaEntry{d.sign, std::move(out)});
       }

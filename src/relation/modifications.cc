@@ -32,16 +32,17 @@ struct Match {
 };
 
 // A modification's first pass, which changes nothing: the tuples
-// `filter` matches, in position order. A matched tuple whose valid time
-// is not an ongoing interval (a NULL) has nothing to close and fails the
-// modification.
+// `filter` matches, in position order. The filter's first error fails
+// the modification, and so does a matched tuple whose valid time is not
+// an ongoing interval (a NULL): it has nothing to close.
 Result<std::vector<Match>> MatchAndClose(const OngoingRelation& r,
                                          size_t vt_index, TimePoint tc,
                                          const ModificationFilter& filter) {
   std::vector<Match> matches;
   size_t pos = 0;
   for (const Tuple& t : r.tuples()) {
-    if (filter(t)) {
+    ONGOINGDB_ASSIGN_OR_RETURN(bool match, filter(t));
+    if (match) {
       const Value& vt = t.value(vt_index);
       if (vt.type() != ValueType::kOngoingInterval) {
         return Status::InvalidArgument(

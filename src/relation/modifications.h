@@ -24,8 +24,9 @@
 namespace ongoingdb {
 
 /// Matches tuples a modification applies to (evaluated on fixed
-/// attributes; return true to modify).
-using ModificationFilter = std::function<bool(const Tuple&)>;
+/// attributes; true to modify). An error fails the modification before
+/// anything changes.
+using ModificationFilter = std::function<Result<bool>(const Tuple&)>;
 
 /// The valid-time attribute temporal DML applies to: the first PERIOD
 /// (ongoing interval) column of `schema`. InvalidArgument if none.
@@ -40,9 +41,9 @@ Status TemporalInsert(OngoingRelation* r, std::vector<Value> values,
 /// tuple's valid-time end becomes min(end, tc). Tuples whose valid time
 /// thereby becomes empty at every reference time are removed. Edits *r
 /// in place, so tuple order may change, and logs each matched tuple's
-/// removal and its closed replacement when *r's log is enabled. A
-/// matched tuple whose valid time is NULL fails the delete
-/// (InvalidArgument) with neither *r nor its log changed. Returns the
+/// removal and its closed replacement when *r's log is enabled. A filter
+/// error, or a matched tuple whose valid time is NULL (InvalidArgument),
+/// fails the delete with neither *r nor its log changed. Returns the
 /// number of modified tuples.
 Result<size_t> TemporalDelete(OngoingRelation* r, size_t vt_index,
                               TimePoint tc, const ModificationFilter& filter);

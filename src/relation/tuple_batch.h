@@ -9,42 +9,15 @@
 // amortizes its per-tuple heap allocations to zero. Only when a slot's
 // Tuple is moved *out* (DrainToRelation at the root of an operator
 // tree) does its storage leave the batch.
-//
-// Columnar views: the vectorized predicate kernels (query/kernels.h)
-// read attributes column-major. FixedIntervalColumn() and friends
-// gather one attribute of the batch's live tuples into contiguous
-// arrays, cached per (column, type) until the batch is next mutated.
-// A view is a borrow: any mutating call (Clear, NextSlot, PopLast,
-// Truncate, mutable tuple()) invalidates all outstanding views' cache
-// entries — though the backing arrays stay allocated, so re-gathering
-// a recycled batch performs no steady-state heap allocation.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
-#include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "relation/tuple.h"
 
 namespace ongoingdb {
-
-/// A borrowed column-major view of one fixed-interval attribute:
-/// start[i]/end[i] are tuple i's half-open endpoints.
-struct IntervalColumnView {
-  const TimePoint* start;
-  const TimePoint* end;
-};
-
-/// A borrowed column-major view of one fixed time-point attribute.
-struct TimePointColumnView {
-  const TimePoint* time;
-};
-
-/// A borrowed column-major view of one int64 attribute.
-struct Int64ColumnView {
-  const int64_t* data;
-};
 
 /// A fixed-capacity batch of reusable tuple slots.
 class TupleBatch {
@@ -64,64 +37,41 @@ class TupleBatch {
 
   /// Resets the logical size to zero. Slot storage (value-vector
   /// capacity, spilled interval buffers) is kept for reuse.
-  void Clear() {
-    size_ = 0;
-    ++generation_;
-  }
+  void Clear() { size_ = 0; }
 
   /// Claims the next slot and returns it with its value vector cleared
   /// (capacity kept). The slot's reference time is stale: the producer
   /// must set_rt() before the batch is handed to a consumer. Must not be
   /// called on a full batch.
-  Tuple& NextSlot();
+  Tuple& NextSlot() {
+    assert(size_ < slots_.size());
+    Tuple& slot = slots_[size_++];
+    slot.mutable_values().clear();
+    return slot;
+  }
 
   /// Releases the most recently claimed slot (a producer discovered the
   /// candidate tuple is rejected after claiming it).
-  void PopLast();
+  void PopLast() {
+    assert(size_ > 0);
+    --size_;
+  }
 
   /// Keeps the first n tuples (in-place compaction by a filter).
-  void Truncate(size_t n);
+  void Truncate(size_t n) {
+    assert(n <= size_);
+    size_ = n;
+  }
 
   const Tuple& tuple(size_t i) const { return slots_[i]; }
-  Tuple& tuple(size_t i);
-
-  /// Gathers attribute `col` of the first size() tuples into contiguous
-  /// {start, end} arrays. Returns nullopt when any live tuple lacks the
-  /// column or holds a non-kFixedInterval value there (null, ongoing) —
-  /// the caller falls back to scalar evaluation. The view is valid only
-  /// until the batch is next mutated.
-  std::optional<IntervalColumnView> FixedIntervalColumn(size_t col);
-
-  /// Same contract for a kTimePoint attribute.
-  std::optional<TimePointColumnView> TimePointColumn(size_t col);
-
-  /// Same contract for a kInt64 attribute.
-  std::optional<Int64ColumnView> Int64Column(size_t col);
+  Tuple& tuple(size_t i) {
+    assert(i < size_);
+    return slots_[i];
+  }
 
  private:
-  // One cached gather, keyed by (column, requested type) and stamped
-  // with the batch generation it was built against. `a`/`b` hold the
-  // interval endpoints (or the time points in `a`); `ints` holds int64
-  // payloads. A failed gather caches ok = false so repeated fallback
-  // probes of the same batch stay cheap.
-  struct ColumnCache {
-    size_t col = 0;
-    ValueType type = ValueType::kNull;
-    uint64_t generation = 0;
-    bool ok = false;
-    std::vector<TimePoint> a, b;
-    std::vector<int64_t> ints;
-  };
-
-  ColumnCache& CacheFor(size_t col, ValueType type);
-  bool Gather(ColumnCache* cache);
-
   std::vector<Tuple> slots_;
   size_t size_ = 0;
-  // Mutation counter for view invalidation; starts at 1 so a
-  // default-constructed cache entry (generation 0) is always stale.
-  uint64_t generation_ = 1;
-  std::vector<ColumnCache> column_cache_;
 };
 
 }  // namespace ongoingdb

@@ -1,6 +1,5 @@
 #include "relation/value.h"
 
-#include <cassert>
 #include <cmath>
 #include <functional>
 #include <string_view>
@@ -98,46 +97,6 @@ Value Value::Ongoing(OngoingInterval v) {
   x.type_ = ValueType::kOngoingInterval;
   x.data_ = v;
   return x;
-}
-
-int64_t Value::AsInt64() const {
-  assert(type_ == ValueType::kInt64);
-  return std::get<int64_t>(data_);
-}
-
-double Value::AsDouble() const {
-  assert(type_ == ValueType::kDouble);
-  return std::get<double>(data_);
-}
-
-const std::string& Value::AsString() const {
-  assert(type_ == ValueType::kString);
-  return *std::get<std::shared_ptr<const std::string>>(data_);
-}
-
-bool Value::AsBool() const {
-  assert(type_ == ValueType::kBool);
-  return std::get<bool>(data_);
-}
-
-TimePoint Value::AsTime() const {
-  assert(type_ == ValueType::kTimePoint);
-  return std::get<int64_t>(data_);
-}
-
-FixedInterval Value::AsInterval() const {
-  assert(type_ == ValueType::kFixedInterval);
-  return std::get<FixedInterval>(data_);
-}
-
-const OngoingTimePoint& Value::AsOngoingPoint() const {
-  assert(type_ == ValueType::kOngoingTimePoint);
-  return std::get<OngoingTimePoint>(data_);
-}
-
-const OngoingInterval& Value::AsOngoingInterval() const {
-  assert(type_ == ValueType::kOngoingInterval);
-  return std::get<OngoingInterval>(data_);
 }
 
 Value Value::Instantiate(TimePoint rt) const {

@@ -4,6 +4,7 @@
 // Value is the runtime representation of one attribute of one tuple.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -61,14 +62,40 @@ class Value {
   ValueType type() const { return type_; }
   bool is_null() const { return type_ == ValueType::kNull; }
 
-  int64_t AsInt64() const;
-  double AsDouble() const;
-  const std::string& AsString() const;
-  bool AsBool() const;
-  TimePoint AsTime() const;
-  FixedInterval AsInterval() const;
-  const OngoingTimePoint& AsOngoingPoint() const;
-  const OngoingInterval& AsOngoingInterval() const;
+  // The typed accessors are inline: predicates read them once per
+  // tested tuple (query/join.h, PairPredicate).
+  int64_t AsInt64() const {
+    assert(type_ == ValueType::kInt64);
+    return std::get<int64_t>(data_);
+  }
+  double AsDouble() const {
+    assert(type_ == ValueType::kDouble);
+    return std::get<double>(data_);
+  }
+  const std::string& AsString() const {
+    assert(type_ == ValueType::kString);
+    return *std::get<std::shared_ptr<const std::string>>(data_);
+  }
+  bool AsBool() const {
+    assert(type_ == ValueType::kBool);
+    return std::get<bool>(data_);
+  }
+  TimePoint AsTime() const {
+    assert(type_ == ValueType::kTimePoint);
+    return std::get<int64_t>(data_);
+  }
+  FixedInterval AsInterval() const {
+    assert(type_ == ValueType::kFixedInterval);
+    return std::get<FixedInterval>(data_);
+  }
+  const OngoingTimePoint& AsOngoingPoint() const {
+    assert(type_ == ValueType::kOngoingTimePoint);
+    return std::get<OngoingTimePoint>(data_);
+  }
+  const OngoingInterval& AsOngoingInterval() const {
+    assert(type_ == ValueType::kOngoingInterval);
+    return std::get<OngoingInterval>(data_);
+  }
 
   /// The bind operator on values: ongoing values instantiate to their
   /// fixed counterparts at rt; fixed values are returned unchanged.

@@ -14,12 +14,13 @@
 // unit is a CatalogState: the commit sequence plus, per table, a short
 // ring of recent versions whose newest entry is the current one. A
 // commit builds the next state completely off to the side and installs
-// it with one atomic pointer store; a reader pins the state with one
-// atomic load. Consequences:
+// it with one pointer swap; a reader pins the state by copying that
+// pointer. Both take PublishedPtr's lock, which guards only the pointer.
+// Consequences:
 //
-//  * readers NEVER take a lock on the write path and never observe a
-//    half-applied commit — visibility is all-or-nothing at the pointer
-//    swap (the epoch bump);
+//  * readers never wait for a commit's copy or modification and never
+//    observe a half-applied commit — visibility is all-or-nothing at the
+//    pointer swap (the epoch bump);
 //  * a snapshot pinned before a commit keeps resolving the exact
 //    pre-commit versions for as long as it is held (shared_ptr keeps
 //    superseded states alive until the last reader lets go);
@@ -124,9 +125,10 @@ class Catalog {
   Catalog(const Catalog&) = delete;
   Catalog& operator=(const Catalog&) = delete;
 
-  // --- read path (lock-free) ----------------------------------------------
+  // --- read path -----------------------------------------------------------
 
-  /// Pins the current published state. One atomic load; never blocks.
+  /// Pins the current published state: one pointer copy under the
+  /// publication lock, never behind a commit's work.
   Snapshot PinSnapshot() const { return Snapshot(state_.Load()); }
 
   /// The last committed sequence number currently published.

@@ -5,7 +5,7 @@
 // statement, which it tokenizes once:
 //
 //  * SELECT pins a transaction-time snapshot of the serving catalog
-//    (one atomic load — never blocked by writers), parses its plan
+//    (one pointer copy — never behind a writer's commit), parses its plan
 //    against the pinned, immutable relation versions, stamps the
 //    snapshot sequence into the QueryContext, then optimizes and
 //    executes the plan. Concurrent sessions drain their plans on the

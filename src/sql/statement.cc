@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "query/join.h"
 #include "relation/modifications.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
@@ -130,6 +131,11 @@ Status ParseWhereAt(const std::vector<Token>& tokens, size_t* pos,
     ++*pos;
     ONGOINGDB_ASSIGN_OR_RETURN(ps->predicate,
                                ParseExpressionFragment(tokens, pos));
+    std::vector<std::string> columns;
+    ps->predicate->CollectColumns(&columns);
+    for (const std::string& column : columns) {
+      ONGOINGDB_RETURN_NOT_OK(schema.IndexOf(column).status());
+    }
     if (!ps->predicate->IsFixedOnly(schema)) {
       return Status::InvalidArgument(
           "modification predicates must reference fixed attributes only");
@@ -227,9 +233,15 @@ Status ParseUpdate(const std::vector<Token>& tokens, size_t* pos,
 ModificationFilter MakeModificationFilter(const ExprPtr& predicate,
                                           const Schema& schema) {
   if (predicate == nullptr) return [](const Tuple&) { return true; };
-  return [predicate, schema](const Tuple& t) {
-    auto keep = predicate->EvalPredicateFixed(schema, t);
-    return keep.ok() && *keep;
+  // The WHERE is fixed-only (ParseWhereAt), so its boolean form is exact
+  // at any reference time: every conjunct tests the stored tuple, and an
+  // evaluation error fails the modification.
+  return [pred = PairPredicate(predicate, schema, /*at_reference_time=*/true,
+                               0),
+          schema](const Tuple& t) -> Result<bool> {
+    ONGOINGDB_ASSIGN_OR_RETURN(bool keep, pred.Holds(t));
+    if (!keep) return false;
+    return pred.RemainderHolds(schema, t);
   };
 }
 

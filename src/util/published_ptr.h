@@ -1,26 +1,30 @@
-// PublishedPtr: the RCU-flavored publication primitive of the serving
-// layer (src/server). A single writer builds a fully formed immutable
-// state object off to the side and publishes it with one atomic pointer
-// store; any number of readers pin the current state with one atomic
-// pointer load and then work exclusively on their pinned copy. Readers
-// therefore never take a lock on the write path, never observe a
-// half-built state, and keep their pinned state alive for as long as
-// they hold the shared_ptr — superseded states are reclaimed by the last
-// reader to let go, which is exactly the snapshot lifetime rule the
-// catalog needs.
+// PublishedPtr: the publication primitive of the serving layer
+// (src/server). A single writer builds a fully formed immutable state
+// object off to the side and publishes it by swapping one shared_ptr;
+// any number of readers pin the current state by copying that
+// shared_ptr and then work exclusively on their pinned copy. Readers
+// therefore never observe a half-built state, and keep their pinned
+// state alive for as long as they hold the shared_ptr: superseded states
+// are reclaimed by the last reader to let go, which is exactly the
+// snapshot lifetime rule the catalog needs.
 //
-// Implementation: std::atomic<std::shared_ptr<T>> (C++20, lock-free
-// control-block pointer swap with a brief internal spin during a
-// concurrent store in libstdc++) when the library provides it, falling
-// back to the C++11 atomic free functions otherwise. Both forms give the
-// acquire/release ordering the publish protocol relies on: everything
-// the writer wrote into the state object happens-before any reader's
-// use of the pinned pointer.
+// Implementation: the shared_ptr sits under an annotated Mutex. Load()
+// copies it under the lock (a reference-count increment), and Store()
+// swaps it under the lock and drops the superseded state after
+// unlocking, so a reader waits at most for a pointer swap, never for a
+// state's destruction. The lock's acquire/release gives the publish
+// protocol its ordering: everything the writer wrote into the state
+// object happens-before any reader's use of the pinned pointer. The
+// lock replaces std::atomic<std::shared_ptr> and the atomic free
+// functions, whose libstdc++ implementation ThreadSanitizer reports as a
+// race between a concurrent load and store.
 #pragma once
 
-#include <atomic>
 #include <memory>
-#include <version>
+#include <utility>
+
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
 
 namespace ongoingdb {
 
@@ -29,38 +33,31 @@ template <typename T>
 class PublishedPtr {
  public:
   PublishedPtr() = default;
-  explicit PublishedPtr(std::shared_ptr<const T> initial) {
-    Store(std::move(initial));
-  }
+  explicit PublishedPtr(std::shared_ptr<const T> initial)
+      : ptr_(std::move(initial)) {}
   PublishedPtr(const PublishedPtr&) = delete;
   PublishedPtr& operator=(const PublishedPtr&) = delete;
 
-  /// Pins the currently published state. Never blocks on the writer.
+  /// Pins the currently published state.
   std::shared_ptr<const T> Load() const {
-#if defined(__cpp_lib_atomic_shared_ptr)
-    return ptr_.load(std::memory_order_acquire);
-#else
-    return std::atomic_load_explicit(&ptr_, std::memory_order_acquire);
-#endif
+    MutexLock lock(mu_);
+    return ptr_;
   }
 
   /// Publishes `next` as the current state. The caller must be done
   /// mutating *next before the call (readers may see it immediately).
   void Store(std::shared_ptr<const T> next) {
-#if defined(__cpp_lib_atomic_shared_ptr)
-    ptr_.store(std::move(next), std::memory_order_release);
-#else
-    std::atomic_store_explicit(&ptr_, std::move(next),
-                               std::memory_order_release);
-#endif
+    {
+      MutexLock lock(mu_);
+      ptr_.swap(next);
+    }
+    // `next` now holds the superseded state; it is released here,
+    // outside the lock.
   }
 
  private:
-#if defined(__cpp_lib_atomic_shared_ptr)
-  std::atomic<std::shared_ptr<const T>> ptr_;
-#else
-  std::shared_ptr<const T> ptr_;
-#endif
+  mutable Mutex mu_;
+  std::shared_ptr<const T> ptr_ GUARDED_BY(mu_);
 };
 
 }  // namespace ongoingdb

@@ -751,5 +751,48 @@ TEST_F(FaultInjectionTest, IndexBuildFaultLeavesIndexUsable) {
   EXPECT_EQ(Fingerprint(*recovered), Fingerprint(*reference));
 }
 
+// A predicate that rejects every tuple must not let a drain walk the
+// whole relation between two lifecycle checks: a scan checks once per
+// batch capacity of scanned positions, as a Filter does per child batch.
+// With exec.next failing from its fourth hit on, a relation twelve batch
+// capacities long must fail with the injected error instead of draining
+// to an empty result. Covers a full scan and an index scan whose
+// residual rejects every candidate, in both modes, serially and at four
+// workers.
+TEST_F(FaultInjectionTest, RejectingScansCheckLifecyclePerScannedBatch) {
+  Rng rng(15);
+  OngoingRelation r = MakeBase(rng, "R_", 12 * TupleBatch::kDefaultCapacity);
+  const ExprPtr none = Lt(Col("R_ID"), Lit(int64_t{0}));
+  const std::vector<PlanPtr> plans = {
+      Filter(Scan(&r, "R"), none),
+      Filter(Scan(&r, "R"),
+             And(OverlapsExpr(Col("R_VT"), Lit(OngoingInterval::Fixed(0, 200))),
+                 none),
+             AccessPath::kIndex)};
+  for (const PlanPtr& plan : plans) {
+    for (ExecMode mode : {ExecMode::kOngoing, ExecMode::kAtReferenceTime}) {
+      for (size_t workers : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << plan->ToString() << " mode " << static_cast<int>(mode)
+                     << " workers " << workers);
+        const ParallelOptions options =
+            ForcedParallel(workers, TupleBatch::kDefaultCapacity);
+        auto run = [&] {
+          return mode == ExecMode::kOngoing
+                     ? Execute(plan, options)
+                     : ExecuteAtReferenceTime(plan, 50, options);
+        };
+        auto clean = run();
+        ASSERT_TRUE(clean.ok()) << clean.status();
+        EXPECT_EQ(clean->size(), 0u);
+        ScopedFailpoint guard("exec.next", "after:3");
+        auto faulty = run();
+        ASSERT_FALSE(faulty.ok());
+        EXPECT_TRUE(IsInjectedFault(faulty.status())) << faulty.status();
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ongoingdb

@@ -1,6 +1,6 @@
 // Tests of the index-backed temporal selection in the batched/parallel
-// pipeline: Compile() must lower eligible Filter(Scan) plans to
-// IndexScanOp (and respect forced access paths), and the index path
+// pipeline: Compile() must lower eligible Filter(Scan) plans to an
+// index scan (and respect forced access paths), and the index path
 // must be equivalent to the full-scan filter — randomized over
 // overlaps/before/meets probes in both orientations plus timeslice
 // CONTAINS points, ongoing + fixed + mixed interval columns, serial and
@@ -87,33 +87,33 @@ TEST(IndexScanLoweringTest, IneligiblePredicatesKeepTheFilterLowering) {
   PlanPtr fixed_only = Filter(Scan(&r, "R"), Lt(Col("ID"), Lit(int64_t{8})));
   auto c1 = Compile(fixed_only, ExecMode::kOngoing);
   ASSERT_TRUE(c1.ok());
-  EXPECT_STREQ((*c1)->Name(), "Filter");
+  EXPECT_STREQ((*c1)->Name(), "Scan");
   // An unsupported Allen operator.
   PlanPtr during = Filter(Scan(&r, "R"),
                           Allen(AllenOp::kDuring, Col("VT"),
                                 Lit(OngoingInterval::Fixed(40, 60))));
   auto c2 = Compile(during, ExecMode::kOngoing);
   ASSERT_TRUE(c2.ok());
-  EXPECT_STREQ((*c2)->Name(), "Filter");
+  EXPECT_STREQ((*c2)->Name(), "Scan");
   // A probe that is not fixed at every reference time.
   PlanPtr ongoing_probe =
       Filter(Scan(&r, "R"),
              OverlapsExpr(Col("VT"), Lit(OngoingInterval::SinceUntilNow(40))));
   auto c3 = Compile(ongoing_probe, ExecMode::kOngoing);
   ASSERT_TRUE(c3.ok());
-  EXPECT_STREQ((*c3)->Name(), "Filter");
+  EXPECT_STREQ((*c3)->Name(), "Scan");
   // Column-vs-column predicates have no fixed probe.
   PlanPtr col_col = Filter(Scan(&r, "R"), OverlapsExpr(Col("VT"), Col("FT")));
   auto c4 = Compile(col_col, ExecMode::kOngoing);
   ASSERT_TRUE(c4.ok());
-  EXPECT_STREQ((*c4)->Name(), "Filter");
+  EXPECT_STREQ((*c4)->Name(), "Scan");
   // A CONTAINS against an ongoing point with spread bounds (depends on
   // the reference time) is no timeslice probe.
   PlanPtr spread_point = Filter(
       Scan(&r, "R"), ContainsExpr(Col("VT"), Lit(OngoingTimePoint(40, 60))));
   auto c5 = Compile(spread_point, ExecMode::kOngoing);
   ASSERT_TRUE(c5.ok());
-  EXPECT_STREQ((*c5)->Name(), "Filter");
+  EXPECT_STREQ((*c5)->Name(), "Scan");
 }
 
 TEST(IndexScanLoweringTest, ForcedAccessPathsAreRespected) {
@@ -122,7 +122,7 @@ TEST(IndexScanLoweringTest, ForcedAccessPathsAreRespected) {
                                   FixedInterval{40, 60}, AccessPath::kFullScan);
   auto c1 = Compile(forced_scan, ExecMode::kOngoing);
   ASSERT_TRUE(c1.ok());
-  EXPECT_STREQ((*c1)->Name(), "Filter");
+  EXPECT_STREQ((*c1)->Name(), "Scan");
 
   PlanPtr forced_index = ProbePlan(&r, AllenOp::kBefore, "VT",
                                    FixedInterval{40, 60}, AccessPath::kIndex);
@@ -146,7 +146,7 @@ TEST(IndexScanLoweringTest, OptimizePreservesAccessPath) {
   ASSERT_TRUE(optimized.ok());
   auto compiled = Compile(*optimized, ExecMode::kOngoing);
   ASSERT_TRUE(compiled.ok());
-  EXPECT_STREQ((*compiled)->Name(), "Filter");
+  EXPECT_STREQ((*compiled)->Name(), "Scan");
 }
 
 // Pushing a forced-kFullScan filter's conjuncts below a join must keep
@@ -170,7 +170,7 @@ TEST(IndexScanLoweringTest, PushDownPreservesAccessPathOnPushedFilters) {
   EXPECT_EQ(pushed_filter->access_path(), AccessPath::kFullScan);
   auto compiled = Compile(join->left(), ExecMode::kOngoing);
   ASSERT_TRUE(compiled.ok());
-  EXPECT_STREQ((*compiled)->Name(), "Filter");
+  EXPECT_STREQ((*compiled)->Name(), "Scan");
 }
 
 class IndexScanEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};

@@ -48,8 +48,7 @@ TEST(IntervalIndexTest, RequiresIntervalAttribute) {
   EXPECT_FALSE(IntervalIndex::Build(r, "Missing").ok());
 }
 
-// Filter(Scan) of `VT <op> [probe)` forced onto the index access path
-// (IndexScanOp).
+// Filter(Scan) of `VT <op> [probe)` forced onto the index access path.
 PlanPtr IndexedProbe(const OngoingRelation* r, AllenOp op,
                      FixedInterval probe) {
   return Filter(

@@ -1,26 +1,23 @@
-// Columnar-vs-scalar equivalence for the vectorized interval-predicate
-// kernels (query/kernels.h). Three layers of defense:
+// Equivalence of the compiled predicate path (query/join.h,
+// PairPredicate) with the reference evaluator of tests/testing/
+// plan_fuzz.h. Scans test each stored tuple with the predicate's atoms
+// before copying it, filters over computed inputs and joins test theirs
+// the same way, and the remainder runs on the built tuple:
 //
-//  * the raw selection-vector kernels against the scalar expression
-//    evaluator on random interval data (including empty intervals);
-//  * BatchPredicate's compile-time atom classification (what is
-//    kernel-eligible, what stays in the scalar remainder);
-//  * end-to-end plan equivalence against the reference evaluator of
-//    tests/testing/plan_fuzz.h — every Allen op, literal and
-//    column-column probes, both execution modes, kernels on and off,
-//    serial and forced-parallel workers 1/2/4, and exact batch-boundary
-//    result sizes 0/1/cap/cap+1.
-#include "query/kernels.h"
-
+//  * filter sweeps over every Allen op, literal orientation and CONTAINS
+//    shape, both execution modes, serial and forced-parallel workers
+//    1/2/4, and exact batch-boundary result sizes 0/1/cap/cap+1;
+//  * the conjunct classification (atoms that test, atoms that restrict
+//    the RT, remainder) for one input and for a join pair;
+//  * join residuals of every atom shape through hash, nested-loop and
+//    index-NL joins.
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <vector>
 
 #include "query/executor.h"
 #include "query/join.h"
 #include "query/physical.h"
-#include "relation/tuple_batch.h"
 #include "testing/plan_fuzz.h"
 
 namespace ongoingdb {
@@ -32,16 +29,6 @@ using plan_fuzz::FuzzSeeds;
 using plan_fuzz::MakeMixedRelation;
 using plan_fuzz::ReferenceExecute;
 using plan_fuzz::ReferenceExecuteAt;
-
-// Restores the kernel toggle on scope exit — tests flip it to compare
-// the columnar and scalar compilations of the same plan.
-struct KernelToggle {
-  explicit KernelToggle(bool enabled) : saved(kernels::KernelFilteringEnabled()) {
-    kernels::SetKernelFilteringEnabled(enabled);
-  }
-  ~KernelToggle() { kernels::SetKernelFilteringEnabled(saved); }
-  bool saved;
-};
 
 const std::vector<AllenOp>& AllAllenOps() {
   static const std::vector<AllenOp> ops = {
@@ -59,169 +46,10 @@ FixedInterval RandomFixed(Rng& rng) {
   return FixedInterval{s, s + rng.Uniform(1, 40)};
 }
 
-// The scalar reference for one row: the expression evaluator's fixed
-// path, which routes through the core Allen comparators — deliberately
-// not the kernels' arithmetic.
-bool ScalarAllen(AllenOp op, FixedInterval a, FixedInterval b) {
-  Schema schema(
-      {{"A", ValueType::kFixedInterval}, {"B", ValueType::kFixedInterval}});
-  Tuple t({Value::Interval(a), Value::Interval(b)});
-  Result<bool> r =
-      Allen(op, Col("A"), Col("B"))->EvalPredicateFixed(schema, t);
-  EXPECT_TRUE(r.ok());
-  return *r;
-}
+class PredicateFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
-bool ScalarContains(FixedInterval i, TimePoint p) {
-  Schema schema(
-      {{"I", ValueType::kFixedInterval}, {"P", ValueType::kTimePoint}});
-  Tuple t({Value::Interval(i), Value::Time(p)});
-  Result<bool> r =
-      ContainsExpr(Col("I"), Col("P"))->EvalPredicateFixed(schema, t);
-  EXPECT_TRUE(r.ok());
-  return *r;
-}
-
-class KernelFuzzTest : public ::testing::TestWithParam<uint64_t> {};
-
-INSTANTIATE_TEST_SUITE_P(Seeds, KernelFuzzTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, PredicateFuzzTest,
                          ::testing::ValuesIn(FuzzSeeds(8)));
-
-// Raw kernels against the scalar expression evaluator, row by row.
-TEST_P(KernelFuzzTest, RawKernelsMatchScalarEvaluator) {
-  const uint64_t seed = GetParam();
-  ONGOINGDB_FUZZ_SEED_TRACE(seed);
-  Rng rng(seed);
-  constexpr size_t kN = 64;
-  std::vector<TimePoint> ls(kN), le(kN), rs(kN), re(kN), pt(kN);
-  for (size_t i = 0; i < kN; ++i) {
-    FixedInterval l = RandomFixed(rng);
-    FixedInterval r = RandomFixed(rng);
-    ls[i] = l.start;
-    le[i] = l.end;
-    rs[i] = r.start;
-    re[i] = r.end;
-    pt[i] = rng.Uniform(0, 120);
-  }
-  std::vector<uint32_t> sel(kN), out(kN);
-  auto reset_sel = [&] { std::iota(sel.begin(), sel.end(), uint32_t{0}); };
-
-  for (AllenOp op : AllAllenOps()) {
-    for (bool column_is_lhs : {true, false}) {
-      std::optional<IntervalProbeOp> probe_op =
-          kernels::ProbeOpFor(op, column_is_lhs);
-      if (!probe_op.has_value()) continue;  // no kernel form; skip here
-      // Column vs literal (the literal is row 0's rhs interval; also an
-      // empty literal to hit the probe-empty early-out).
-      for (FixedInterval probe :
-           {FixedInterval{rs[0], re[0]}, FixedInterval{5, 5}}) {
-        reset_sel();
-        size_t m = kernels::FilterIntervalVsLiteral(
-            *probe_op, ls.data(), le.data(), probe, sel.data(), kN,
-            out.data());
-        std::vector<uint32_t> expect;
-        for (uint32_t i = 0; i < kN; ++i) {
-          FixedInterval c{ls[i], le[i]};
-          bool keep = column_is_lhs ? ScalarAllen(op, c, probe)
-                                    : ScalarAllen(op, probe, c);
-          if (keep) expect.push_back(i);
-        }
-        ASSERT_EQ(std::vector<uint32_t>(out.begin(), out.begin() + m), expect)
-            << "op " << static_cast<int>(op) << " column_is_lhs "
-            << column_is_lhs;
-      }
-    }
-    // Column vs column (lhs column ALLEN-OP rhs column).
-    std::optional<IntervalProbeOp> probe_op = kernels::ProbeOpFor(op, true);
-    if (probe_op.has_value()) {
-      reset_sel();
-      size_t m = kernels::FilterIntervalVsInterval(
-          *probe_op, ls.data(), le.data(), rs.data(), re.data(), sel.data(),
-          kN, out.data());
-      std::vector<uint32_t> expect;
-      for (uint32_t i = 0; i < kN; ++i) {
-        if (ScalarAllen(op, {ls[i], le[i]}, {rs[i], re[i]})) {
-          expect.push_back(i);
-        }
-      }
-      ASSERT_EQ(std::vector<uint32_t>(out.begin(), out.begin() + m), expect)
-          << "column-column op " << static_cast<int>(op);
-    }
-  }
-
-  // CONTAINS: literal point and point column.
-  TimePoint p = rng.Uniform(0, 120);
-  reset_sel();
-  size_t m = kernels::FilterIntervalVsLiteral(IntervalProbeOp::kContains,
-                                              ls.data(), le.data(),
-                                              FixedInterval{p, p}, sel.data(),
-                                              kN, out.data());
-  std::vector<uint32_t> expect;
-  for (uint32_t i = 0; i < kN; ++i) {
-    if (ScalarContains({ls[i], le[i]}, p)) expect.push_back(i);
-  }
-  EXPECT_EQ(std::vector<uint32_t>(out.begin(), out.begin() + m), expect);
-
-  reset_sel();
-  m = kernels::FilterIntervalContainsPoint(ls.data(), le.data(), pt.data(),
-                                           sel.data(), kN, out.data());
-  expect.clear();
-  for (uint32_t i = 0; i < kN; ++i) {
-    if (ScalarContains({ls[i], le[i]}, pt[i])) expect.push_back(i);
-  }
-  EXPECT_EQ(std::vector<uint32_t>(out.begin(), out.begin() + m), expect);
-}
-
-// Compile-time atom classification: what lands in atoms_, what stays in
-// the scalar remainder.
-TEST(BatchPredicateTest, ClassifiesConjuncts) {
-  Schema schema({{"ID", ValueType::kInt64},
-                 {"FT", ValueType::kFixedInterval},
-                 {"VT", ValueType::kOngoingInterval}});
-  const ExprPtr eligible =
-      OverlapsExpr(Col("FT"), Lit(Value::Interval(FixedInterval{3, 9})));
-
-  kernels::BatchPredicate bp;
-  bp.Compile(eligible, schema, /*at_reference_time=*/false, 0);
-  EXPECT_TRUE(bp.HasKernelAtoms());
-  EXPECT_EQ(bp.remainder(), nullptr);
-
-  // Unsupported Allen op: everything stays scalar.
-  bp.Compile(Allen(AllenOp::kDuring, Col("FT"),
-                   Lit(Value::Interval(FixedInterval{3, 9}))),
-             schema, false, 0);
-  EXPECT_FALSE(bp.HasKernelAtoms());
-  EXPECT_NE(bp.remainder(), nullptr);
-
-  // Mixed conjunction: the Allen atom compiles, the int comparison is
-  // the remainder.
-  bp.Compile(And(eligible, Lt(Col("ID"), Lit(int64_t{5}))), schema, false, 0);
-  EXPECT_TRUE(bp.HasKernelAtoms());
-  ASSERT_NE(bp.remainder(), nullptr);
-  EXPECT_NE(AsCompare(bp.remainder()), std::nullopt);
-
-  // Ongoing column: never eligible.
-  bp.Compile(OverlapsExpr(Col("VT"), Lit(Value::Interval(FixedInterval{3, 9}))),
-             schema, false, 0);
-  EXPECT_FALSE(bp.HasKernelAtoms());
-
-  // Ongoing literal: ineligible in ongoing mode, instantiated (hence
-  // eligible) in at-reference-time mode.
-  const ExprPtr ongoing_lit =
-      OverlapsExpr(Col("FT"), Lit(OngoingInterval::SinceUntilNow(4)));
-  bp.Compile(ongoing_lit, schema, false, 0);
-  EXPECT_FALSE(bp.HasKernelAtoms());
-  bp.Compile(ongoing_lit, schema, true, 50);
-  EXPECT_TRUE(bp.HasKernelAtoms());
-
-  // The global toggle forces the scalar path at compile time.
-  {
-    KernelToggle off(false);
-    bp.Compile(eligible, schema, false, 0);
-    EXPECT_FALSE(bp.HasKernelAtoms());
-    EXPECT_NE(bp.remainder(), nullptr);
-  }
-}
 
 // One filter plan, executed every way the engine can execute it; all
 // fingerprints must match the reference evaluator's.
@@ -233,34 +61,31 @@ void ExpectFilterEquivalence(OngoingRelation* rel, const ExprPtr& pred,
   ASSERT_TRUE(expect_ongoing.ok());
   ASSERT_TRUE(expect_at.ok());
 
-  for (bool kernel_on : {true, false}) {
-    KernelToggle toggle(kernel_on);
-    SCOPED_TRACE(::testing::Message() << "kernels " << kernel_on);
-    Result<OngoingRelation> got = Execute(plan);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(Fingerprint(*got), Fingerprint(*expect_ongoing));
-    Result<OngoingRelation> got_at = ExecuteAtReferenceTime(plan, rt);
-    ASSERT_TRUE(got_at.ok());
-    EXPECT_EQ(Fingerprint(*got_at), Fingerprint(*expect_at));
-    for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
-      Result<OngoingRelation> par =
-          Execute(plan, ForcedParallel(workers, 3));
-      ASSERT_TRUE(par.ok());
-      EXPECT_EQ(Fingerprint(*par), Fingerprint(*expect_ongoing))
-          << "workers " << workers;
-      Result<OngoingRelation> par_at =
-          ExecuteAtReferenceTime(plan, rt, ForcedParallel(workers, 3));
-      ASSERT_TRUE(par_at.ok());
-      EXPECT_EQ(Fingerprint(*par_at), Fingerprint(*expect_at))
-          << "workers " << workers;
-    }
+  Result<OngoingRelation> got = Execute(plan);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(Fingerprint(*got), Fingerprint(*expect_ongoing));
+  Result<OngoingRelation> got_at = ExecuteAtReferenceTime(plan, rt);
+  ASSERT_TRUE(got_at.ok());
+  EXPECT_EQ(Fingerprint(*got_at), Fingerprint(*expect_at));
+  for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
+    Result<OngoingRelation> par = Execute(plan, ForcedParallel(workers, 3));
+    ASSERT_TRUE(par.ok());
+    EXPECT_EQ(Fingerprint(*par), Fingerprint(*expect_ongoing))
+        << "workers " << workers;
+    Result<OngoingRelation> par_at =
+        ExecuteAtReferenceTime(plan, rt, ForcedParallel(workers, 3));
+    ASSERT_TRUE(par_at.ok());
+    EXPECT_EQ(Fingerprint(*par_at), Fingerprint(*expect_at))
+        << "workers " << workers;
   }
 }
 
-// Every Allen op, both literal orientations, with and without an extra
-// scalar conjunct (the remainder path), against the fixed-interval
-// column of the mixed relation.
-TEST_P(KernelFuzzTest, FilterVsLiteralEquivalence) {
+// Every Allen op, both literal orientations, against the fixed-interval
+// column (an atom that tests) and the ongoing one (an atom that restricts
+// the RT), with a fixed literal or an ongoing one. Each runs alone, next
+// to a fixed comparison atom, and next to a fixed and an ongoing
+// conjunct that stay in the remainder.
+TEST_P(PredicateFuzzTest, FilterVsLiteralEquivalence) {
   const uint64_t seed = GetParam();
   ONGOINGDB_FUZZ_SEED_TRACE(seed);
   Rng rng(seed ^ 0x9e3779b97f4a7c15ull);
@@ -268,23 +93,35 @@ TEST_P(KernelFuzzTest, FilterVsLiteralEquivalence) {
   const TimePoint rt = rng.Uniform(0, 120);
   for (AllenOp op : AllAllenOps()) {
     SCOPED_TRACE(::testing::Message() << "allen op " << static_cast<int>(op));
-    const ExprPtr lit = Lit(Value::Interval(RandomFixed(rng)));
-    for (bool column_is_lhs : {true, false}) {
-      ExprPtr atom = column_is_lhs ? Allen(op, Col("M_FT"), lit)
-                                   : Allen(op, lit, Col("M_FT"));
-      ExpectFilterEquivalence(&rel, atom, rt);
-      // Conjunction with a scalar leftover exercises kernel + remainder.
-      ExpectFilterEquivalence(
-          &rel, And(atom, Lt(Col("M_ID"), Lit(rng.Uniform(0, 40)))), rt);
+    const ExprPtr lit =
+        rng.Bernoulli(0.5) ? Lit(Value::Interval(RandomFixed(rng)))
+                           : Lit(plan_fuzz::RandomOngoingInterval(rng));
+    for (const char* column : {"M_FT", "M_VT"}) {
+      for (bool column_is_lhs : {true, false}) {
+        ExprPtr atom = column_is_lhs ? Allen(op, Col(column), lit)
+                                     : Allen(op, lit, Col(column));
+        SCOPED_TRACE(atom->ToString());
+        ExpectFilterEquivalence(&rel, atom, rt);
+        ExpectFilterEquivalence(
+            &rel, And(atom, Lt(Col("M_ID"), Lit(rng.Uniform(0, 40)))), rt);
+        ExpectFilterEquivalence(
+            &rel,
+            And(Or(Lt(Col("M_ID"), Lit(rng.Uniform(0, 40))),
+                   Eq(Col("M_ID"), Lit(rng.Uniform(0, 40)))),
+                atom),
+            rt);
+        const ExprPtr window = Lit(Value::Interval(RandomFixed(rng)));
+        ExpectFilterEquivalence(
+            &rel, And(atom, Not(OverlapsExpr(Col("M_VT"), window))), rt);
+      }
     }
   }
 }
 
 // Column-vs-column atoms via join residuals: the Allen conjunct pairs
 // the two sides' fixed-interval columns, so it runs in the join
-// emitter's pair path (query/join.h, PairPredicate); the kernel toggle
-// governs only filters and must not change a join's result.
-TEST_P(KernelFuzzTest, JoinColumnColumnEquivalence) {
+// emitter's pair path (query/join.h, PairPredicate) as a boolean test.
+TEST_P(PredicateFuzzTest, JoinColumnColumnEquivalence) {
   const uint64_t seed = GetParam();
   ONGOINGDB_FUZZ_SEED_TRACE(seed);
   Rng rng(seed ^ 0xc2b2ae3d27d4eb4full);
@@ -299,33 +136,27 @@ TEST_P(KernelFuzzTest, JoinColumnColumnEquivalence) {
     Result<OngoingRelation> expect_at = ReferenceExecuteAt(plan, rt);
     ASSERT_TRUE(expect_ongoing.ok());
     ASSERT_TRUE(expect_at.ok());
-    for (bool kernel_on : {true, false}) {
-      KernelToggle toggle(kernel_on);
-      for (JoinAlgorithm algorithm :
-           {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash}) {
-        PlanPtr forced = plan_fuzz::WithAlgorithm(plan, algorithm);
-        Result<OngoingRelation> got = Execute(forced);
-        ASSERT_TRUE(got.ok());
-        EXPECT_EQ(Fingerprint(*got), Fingerprint(*expect_ongoing))
-            << "kernels " << kernel_on << " algorithm "
-            << static_cast<int>(algorithm);
-        Result<OngoingRelation> got_at = ExecuteAtReferenceTime(forced, rt);
-        ASSERT_TRUE(got_at.ok());
-        EXPECT_EQ(Fingerprint(*got_at), Fingerprint(*expect_at))
-            << "kernels " << kernel_on << " algorithm "
-            << static_cast<int>(algorithm);
-      }
-      Result<OngoingRelation> par = Execute(plan, ForcedParallel(2, 3));
-      ASSERT_TRUE(par.ok());
-      EXPECT_EQ(Fingerprint(*par), Fingerprint(*expect_ongoing))
-          << "parallel, kernels " << kernel_on;
+    for (JoinAlgorithm algorithm :
+         {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash}) {
+      PlanPtr forced = plan_fuzz::WithAlgorithm(plan, algorithm);
+      Result<OngoingRelation> got = Execute(forced);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(Fingerprint(*got), Fingerprint(*expect_ongoing))
+          << "algorithm " << static_cast<int>(algorithm);
+      Result<OngoingRelation> got_at = ExecuteAtReferenceTime(forced, rt);
+      ASSERT_TRUE(got_at.ok());
+      EXPECT_EQ(Fingerprint(*got_at), Fingerprint(*expect_at))
+          << "algorithm " << static_cast<int>(algorithm);
     }
+    Result<OngoingRelation> par = Execute(plan, ForcedParallel(2, 3));
+    ASSERT_TRUE(par.ok());
+    EXPECT_EQ(Fingerprint(*par), Fingerprint(*expect_ongoing)) << "parallel";
   }
 }
 
 // CONTAINS probes: interval column vs a literal point and vs a paired
 // time-point column.
-TEST_P(KernelFuzzTest, ContainsEquivalence) {
+TEST_P(PredicateFuzzTest, ContainsEquivalence) {
   const uint64_t seed = GetParam();
   ONGOINGDB_FUZZ_SEED_TRACE(seed);
   Rng rng(seed ^ 0x165667b19e3779f9ull);
@@ -345,11 +176,11 @@ TEST_P(KernelFuzzTest, ContainsEquivalence) {
   ExpectFilterEquivalence(&rel, ContainsExpr(Col("C_FT"), Col("C_TP")), rt);
 }
 
-// --- join pair path ---------------------------------------------------------
-// Join residuals evaluate on the stored input pair before the copy
+// --- compiled predicate and join pair path ---------------------------------
+// Predicates evaluate on the stored input tuple or pair before the copy
 // (query/join.h, PairPredicate). These tests pin which conjuncts become
-// pair atoms and check every lowering of every atom shape against the
-// reference evaluator.
+// atoms, which of those test and which restrict the RT, and check every
+// join lowering of every atom shape against the reference evaluator.
 
 TEST(PairPredicateTest, ClassifiesConjuncts) {
   Schema left(
@@ -378,6 +209,52 @@ TEST(PairPredicateTest, ClassifiesConjuncts) {
   EXPECT_EQ(remainder(And(duration, compare)), duration);
   const ExprPtr unknown = Eq(Col("A_NOPE"), Col("B_ID"));
   EXPECT_EQ(remainder(unknown), unknown);
+
+  // Ongoing semantics split the atoms per Sec. VIII: the fixed-only
+  // comparison tests, the conjuncts on ongoing columns or literals
+  // restrict the RT. Under Clifford semantics every atom tests.
+  const ExprPtr all_atoms = And(And(allen, literal), And(compare, contains));
+  const PairPredicate ongoing(all_atoms, joined, left.num_attributes(), false,
+                              0);
+  EXPECT_EQ(ongoing.fixed_atoms(), 1u);
+  EXPECT_EQ(ongoing.ongoing_atoms(), 3u);
+  const PairPredicate clifford(all_atoms, joined, left.num_attributes(), true,
+                               50);
+  EXPECT_EQ(clifford.fixed_atoms(), 4u);
+  EXPECT_EQ(clifford.ongoing_atoms(), 0u);
+
+  // The one-input form: the columns of one schema, the same split.
+  const Schema schema({{"ID", ValueType::kInt64},
+                       {"FT", ValueType::kFixedInterval},
+                       {"VT", ValueType::kOngoingInterval}});
+  const ExprPtr fixed_allen =
+      OverlapsExpr(Col("FT"), Lit(Value::Interval(FixedInterval{3, 9})));
+  const ExprPtr ongoing_column =
+      OverlapsExpr(Col("VT"), Lit(Value::Interval(FixedInterval{3, 9})));
+  const ExprPtr ongoing_literal =
+      OverlapsExpr(Col("FT"), Lit(OngoingInterval::SinceUntilNow(4)));
+  const ExprPtr id_compare = Lt(Col("ID"), Lit(int64_t{5}));
+  const ExprPtr fixed_rest = Or(id_compare, Eq(Col("ID"), Lit(int64_t{7})));
+  const ExprPtr ongoing_rest = Not(ongoing_column);
+
+  const ExprPtr mixed =
+      And(And(fixed_allen, ongoing_column), And(ongoing_literal, id_compare));
+  const PairPredicate one_ongoing(mixed, schema, false, 0);
+  EXPECT_EQ(one_ongoing.fixed_atoms(), 2u);
+  EXPECT_EQ(one_ongoing.ongoing_atoms(), 2u);
+  EXPECT_EQ(one_ongoing.remainder(), nullptr);
+  const PairPredicate one_clifford(mixed, schema, true, 50);
+  EXPECT_EQ(one_clifford.fixed_atoms(), 4u);
+  EXPECT_EQ(one_clifford.ongoing_atoms(), 0u);
+
+  // The remainder keeps each non-atom conjunct, fixed or ongoing.
+  EXPECT_EQ(PairPredicate(And(fixed_rest, fixed_allen), schema, false, 0)
+                .remainder(),
+            fixed_rest);
+  EXPECT_EQ(PairPredicate(And(ongoing_column, ongoing_rest), schema, false, 0)
+                .remainder(),
+            ongoing_rest);
+  EXPECT_EQ(PairPredicate(nullptr, schema, false, 0).remainder(), nullptr);
 }
 
 // Join inputs for the pair-path sweep: a two-value key (hash joins find
@@ -484,10 +361,10 @@ TEST_P(PairPathTest, JoinResidualsMatchReference) {
   }
 }
 
-// Exact batch-boundary result sizes through the kernel filter path: the
-// stream must produce 0 / 1 / cap / cap+1 survivors without an empty
-// batch mid-stream, at capacities 1 and 4.
-TEST(KernelBatchBoundaryTest, ExactResultSizes) {
+// Exact batch-boundary result sizes through a scan that tests its
+// predicate: the stream must produce 0 / 1 / cap / cap+1 survivors
+// without an empty batch mid-stream, at capacities 1 and 4.
+TEST(ScanBatchBoundaryTest, ExactResultSizes) {
   OngoingRelation rel(
       Schema({{"ID", ValueType::kInt64}, {"FT", ValueType::kFixedInterval}}));
   constexpr int64_t kRows = 16;
@@ -499,16 +376,18 @@ TEST(KernelBatchBoundaryTest, ExactResultSizes) {
   constexpr size_t kCap = 4;
   // FT = [i, i+1) before [k, k+1) holds iff i + 1 <= k: exactly k rows.
   for (size_t k : {size_t{0}, size_t{1}, kCap, kCap + 1}) {
-    PlanPtr plan = Filter(
-        Scan(&rel, "R"),
-        BeforeExpr(Col("FT"), Lit(Value::Interval(FixedInterval{
-                                  static_cast<TimePoint>(k),
-                                  static_cast<TimePoint>(k) + 1}))));
-    for (size_t capacity : {size_t{1}, kCap}) {
-      Result<PhysicalOpPtr> op = Compile(plan, ExecMode::kOngoing);
-      ASSERT_TRUE(op.ok());
-      EXPECT_EQ(plan_fuzz::DrainCountWithCapacity(**op, capacity), k)
-          << "capacity " << capacity;
+    const ExprPtr pred = BeforeExpr(
+        Col("FT"), Lit(Value::Interval(FixedInterval{
+                       static_cast<TimePoint>(k),
+                       static_cast<TimePoint>(k) + 1})));
+    for (AccessPath path : {AccessPath::kIndex, AccessPath::kFullScan}) {
+      PlanPtr plan = Filter(Scan(&rel, "R"), pred, path);
+      for (size_t capacity : {size_t{1}, kCap}) {
+        Result<PhysicalOpPtr> op = Compile(plan, ExecMode::kOngoing);
+        ASSERT_TRUE(op.ok());
+        EXPECT_EQ(plan_fuzz::DrainCountWithCapacity(**op, capacity), k)
+            << "capacity " << capacity << " path " << static_cast<int>(path);
+      }
     }
   }
 }

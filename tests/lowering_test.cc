@@ -116,7 +116,7 @@ TEST_F(LoweringPinTest, OperatorCountsPerDrain) {
   const PlanPtr scan_b = Scan(&rel.b, "B");
   const PlanPtr scan_c = Scan(&rel.c, "C");
   const std::vector<PinnedPlan> plans = {
-      {"bare scan", scan_a, "Operator",
+      {"bare scan", scan_a, "Scan",
        {"rows=1300 open=0 materialize=0 index_build=0 route=0 next=0",
         "rows=1300 open=3 materialize=0 index_build=0 route=0",
         "rows=1300 open=5 materialize=0 index_build=0 route=0"},
@@ -134,13 +134,13 @@ TEST_F(LoweringPinTest, OperatorCountsPerDrain) {
         "rows=98 open=3 materialize=0 index_build=1 route=0",
         "rows=98 open=5 materialize=0 index_build=1 route=0"}},
       {"ineligible filter", Filter(scan_a, Lt(Col("A_ID"), Lit(int64_t{1000}))),
-       "Filter",
-       {"rows=1000 open=2 materialize=0 index_build=0 route=0 next=6",
-        "rows=1000 open=5 materialize=0 index_build=0 route=0",
-        "rows=1000 open=9 materialize=0 index_build=0 route=0"},
-       {"rows=1000 open=2 materialize=0 index_build=0 route=0 next=6",
-        "rows=1000 open=5 materialize=0 index_build=0 route=0",
-        "rows=1000 open=9 materialize=0 index_build=0 route=0"}},
+       "Scan",
+       {"rows=1000 open=1 materialize=0 index_build=0 route=0 next=3",
+        "rows=1000 open=3 materialize=0 index_build=0 route=0",
+        "rows=1000 open=5 materialize=0 index_build=0 route=0"},
+       {"rows=1000 open=1 materialize=0 index_build=0 route=0 next=3",
+        "rows=1000 open=3 materialize=0 index_build=0 route=0",
+        "rows=1000 open=5 materialize=0 index_build=0 route=0"}},
       {"project over hash join",
        ProjectPlan(Join(scan_a, scan_b,
                         And(Eq(Col("A_K"), Col("B_K")),
@@ -169,12 +169,12 @@ TEST_F(LoweringPinTest, OperatorCountsPerDrain) {
             OverlapsExpr(Col("A_VT"), Col("C_VT")), "L", "R",
             JoinAlgorithm::kNestedLoop),
        "Operator",
-       {"rows=4736 open=3 materialize=2 index_build=0 route=0 next=10",
-        "rows=4736 open=9 materialize=4 index_build=0 route=0",
-        "rows=4736 open=17 materialize=8 index_build=0 route=0"},
-       {"rows=1221 open=4 materialize=2 index_build=0 route=0 next=10",
-        "rows=1221 open=9 materialize=4 index_build=0 route=0",
-        "rows=1221 open=17 materialize=8 index_build=0 route=0"}},
+       {"rows=4736 open=2 materialize=2 index_build=0 route=0 next=8",
+        "rows=4736 open=7 materialize=4 index_build=0 route=0",
+        "rows=4736 open=13 materialize=8 index_build=0 route=0"},
+       {"rows=1221 open=3 materialize=2 index_build=0 route=0 next=8",
+        "rows=1221 open=7 materialize=4 index_build=0 route=0",
+        "rows=1221 open=13 materialize=8 index_build=0 route=0"}},
       {"index nested loop",
        Join(scan_a, scan_c, OverlapsExpr(Col("A_VT"), Col("C_VT")), "L", "R",
             JoinAlgorithm::kIndexNL),
@@ -191,12 +191,12 @@ TEST_F(LoweringPinTest, OperatorCountsPerDrain) {
                                         Lit(OngoingInterval::Fixed(0, 800)))),
             Eq(Col("A_K"), Col("B_K")), "L", "R", JoinAlgorithm::kHash),
        "Operator",
-       {"rows=4509 open=4 materialize=2 index_build=1 route=0 next=14",
-        "rows=4509 open=13 materialize=4 index_build=2 route=8",
-        "rows=4509 open=25 materialize=8 index_build=4 route=16"},
-       {"rows=4324 open=4 materialize=2 index_build=1 route=0 next=14",
-        "rows=4324 open=13 materialize=4 index_build=2 route=8",
-        "rows=4324 open=25 materialize=8 index_build=4 route=16"}},
+       {"rows=4509 open=3 materialize=2 index_build=1 route=0 next=11",
+        "rows=4509 open=11 materialize=4 index_build=2 route=8",
+        "rows=4509 open=21 materialize=8 index_build=4 route=16"},
+       {"rows=4324 open=3 materialize=2 index_build=1 route=0 next=11",
+        "rows=4324 open=11 materialize=4 index_build=2 route=8",
+        "rows=4324 open=21 materialize=8 index_build=4 route=16"}},
   };
 
   for (const PinnedPlan& pinned : plans) {

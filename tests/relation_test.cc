@@ -337,7 +337,9 @@ Rebuilt RebuildOracle(
   Rebuilt out;
   for (size_t i = 0; i < r.size(); ++i) {
     const Tuple& t = r.tuple(i);
-    if (!filter(t)) {
+    const Result<bool> match = filter(t);
+    EXPECT_TRUE(match.ok()) << match.status();
+    if (!match.ok() || !*match) {
       out.rows.insert(t.ToString());
       continue;
     }

@@ -153,6 +153,36 @@ TEST_F(StatementTest, ModificationRejectsOngoingPredicates) {
                    .ok());
 }
 
+// A WHERE clause that fails to evaluate fails its modification, which
+// then publishes nothing; an unknown column is NotFound, as in a SELECT.
+TEST_F(StatementTest, ModificationWhereErrorsFailTheStatement) {
+  ASSERT_TRUE(Run("CREATE TABLE T (A INT, VT PERIOD)").ok());
+  ASSERT_TRUE(Run("INSERT INTO T VALUES (1, PERIOD ['01/01', NOW))").ok());
+  const uint64_t seq = catalog_.commit_seq();
+  const auto expect_failure = [&](const std::string& statement,
+                                  StatusCode code) {
+    SCOPED_TRACE(statement);
+    auto result = Run(statement);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), code) << result.status();
+    EXPECT_EQ(catalog_.commit_seq(), seq);
+  };
+  expect_failure("SELECT * FROM T WHERE A = 'x'", StatusCode::kTypeError);
+  expect_failure("DELETE FROM T WHERE A = 'x' AT DATE '05/01'",
+                 StatusCode::kTypeError);
+  expect_failure("UPDATE T SET A = 2 WHERE A = 'x' AT DATE '05/01'",
+                 StatusCode::kTypeError);
+  expect_failure("SELECT * FROM T WHERE Nope = 1", StatusCode::kNotFound);
+  expect_failure("DELETE FROM T WHERE Nope = 1 AT DATE '05/01'",
+                 StatusCode::kNotFound);
+  expect_failure("UPDATE T SET A = 2 WHERE Nope = 1 AT DATE '05/01'",
+                 StatusCode::kNotFound);
+  auto t = Table("T");
+  ASSERT_EQ(t->size(), 1u);
+  EXPECT_EQ(t->tuple(0).value(1).AsOngoingInterval().ToString(),
+            "[01/01, now)");
+}
+
 TEST_F(StatementTest, SyntaxErrors) {
   EXPECT_FALSE(Run("").ok());
   EXPECT_FALSE(Run("DROP TABLE x").ok());
