@@ -2,9 +2,10 @@
 // both through the batched execution pipeline (the paper's third
 // future-work item, Sec. X, promoted into the engine in PR 4). The
 // IntervalIndex stores conservative endpoint bounds per tuple; an
-// eligible Filter(Scan) lowers to an index scan that streams the
-// candidate list and tests the exact ongoing predicate on each
-// candidate (docs/DESIGN.md, "Index access path").
+// eligible Filter(Scan) that forces AccessPath::kIndex lowers to an
+// index scan that streams the candidate list and tests the exact
+// ongoing predicate on each candidate (docs/DESIGN.md, "Index access
+// path"). kAuto lowers to the scan, which beats the cold index.
 //
 // Measured per probe (location sweep + selectivity sweep):
 //   scan        — AccessPath::kFullScan, the full-scan drain;

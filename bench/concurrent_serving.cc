@@ -15,10 +15,16 @@
 // each point prints its final row count: read latencies are comparable
 // only between points of about equal size.
 //
+// Every reader reads until it has done its reads and a minimum read
+// phase of 100 ms has passed, so a point's writes/s cover that phase
+// rather than thread start-up: at 2k rows 30 reads take a few
+// milliseconds.
+//
 // Set ONGOINGDB_BENCH_JSON to additionally emit machine-readable records
 // (the BENCH_*.json baselines); ONGOINGDB_BENCH_SCALE scales the table
-// sizes and read counts. The 20k-row records keep their unsuffixed
-// names, so baselines recorded before the size sweep still compare.
+// sizes, the read counts and the minimum read phase. The 20k-row records
+// keep their unsuffixed names, so baselines recorded before the size
+// sweep still compare.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -74,6 +80,9 @@ struct SweepPoint {
   size_t writers;
 };
 
+// The shortest read phase of a sweep point at scale 1.
+constexpr double kMinReadPhaseMs = 100;
+
 }  // namespace
 
 int main() {
@@ -83,6 +92,8 @@ int main() {
               std::thread::hardware_concurrency());
 
   const int reads_per_reader = static_cast<int>(Scaled(30));
+  const std::chrono::duration<double, std::milli> min_read_phase(
+      kMinReadPhaseMs * Scale());
   const char* read_statement = "SELECT * FROM T WHERE K < 5";
 
   BenchJsonWriter json("concurrent_serving");
@@ -120,7 +131,10 @@ int main() {
         threads.emplace_back([&, r] {
           auto session = manager.CreateSession();
           latencies[r].reserve(static_cast<size_t>(reads_per_reader));
-          for (int i = 0; i < reads_per_reader; ++i) {
+          for (int i = 0; i < reads_per_reader ||
+                          std::chrono::steady_clock::now() - start <
+                              min_read_phase;
+               ++i) {
             const auto t0 = std::chrono::steady_clock::now();
             auto result = session->Execute(read_statement);
             const auto t1 = std::chrono::steady_clock::now();

@@ -13,7 +13,13 @@
 // numbers, not prose. Set ONGOINGDB_BENCH_JSON to a file path to emit
 // the results as machine-readable JSON (the BENCH_*.json baselines).
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cstdio>
+#include <string>
+#include <string_view>
 
 #include "bench_common.h"
 #include "core/bind.h"
@@ -583,13 +589,11 @@ void BM_FilterPredicateScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_FilterPredicateScalar)->Arg(1)->Arg(50)->Arg(99);
 
-// The end-to-end Filter(Scan) drain over 8192 rows: kAuto lowers the
-// probe to a warm index scan that tests each candidate before copying
-// it.
-void BM_FilterScanDrain(benchmark::State& state) {
-  constexpr size_t kRows = 8192;
-  const OngoingRelation r = MakeFilterRelation(kRows, 59);
-  PlanPtr plan = Filter(Scan(&r, "R"), OverlapsProbeFor(state.range(0)));
+// Drains `plan` through one compiled tree per benchmark run, counting
+// `rows` scanned positions per iteration. A forced index scan builds its
+// index in the first drain and reuses it warm afterwards.
+void DrainCompiled(benchmark::State& state, const PlanPtr& plan,
+                   size_t rows) {
   auto compiled = Compile(plan, ExecMode::kOngoing, 0, nullptr);
   if (!compiled.ok()) {
     state.SkipWithError("compile failed");
@@ -602,18 +606,92 @@ void BM_FilterScanDrain(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kRows));
+                          static_cast<int64_t>(rows));
   ReportAllocs(state, alloc_scope);
 }
-BENCHMARK(BM_FilterScanDrain)->Arg(1)->Arg(50)->Arg(99);
+
+// The end-to-end Filter(Scan) drain over 8192 rows on both access paths:
+// index:0 is kAuto, which lowers to the full scan, and index:1 forces a
+// warm index scan. Each tests a stored tuple before copying it.
+void BM_FilterScanDrain(benchmark::State& state) {
+  constexpr size_t kRows = 8192;
+  const OngoingRelation r = MakeFilterRelation(kRows, 59);
+  DrainCompiled(state,
+                Filter(Scan(&r, "R"), OverlapsProbeFor(state.range(1)),
+                       state.range(0) != 0 ? AccessPath::kIndex
+                                           : AccessPath::kAuto),
+                kRows);
+}
+BENCHMARK(BM_FilterScanDrain)
+    ->ArgNames({"index", "pct"})
+    ->ArgsProduct({{0, 1}, {1, 50, 99}});
+
+// The ingest benchmark's point SELECT over 20,000 rows: K = k (1,000
+// keys) AND VT OVERLAPS a one-year window, 9 rows out. The fixed
+// key atom rejects almost every stored tuple before it claims a batch
+// slot. index:0 is kAuto (the full scan), index:1 a warm index scan.
+void BM_PointSelectDrain(benchmark::State& state) {
+  constexpr size_t kRows = 20000;
+  constexpr TimePoint kFirst = Date(2010, 1, 1);
+  constexpr TimePoint kLast = Date(2019, 1, 1);
+  Rng rng(61);
+  OngoingRelation r(Schema({{"ID", ValueType::kInt64},
+                            {"K", ValueType::kInt64},
+                            {"VT", ValueType::kOngoingInterval}}));
+  for (size_t i = 0; i < kRows; ++i) {
+    const TimePoint s = rng.Uniform(kFirst, kLast);
+    const OngoingInterval vt =
+        rng.Bernoulli(0.3) ? OngoingInterval::SinceUntilNow(s)
+                           : OngoingInterval::Fixed(s, s + rng.Uniform(1, 700));
+    // Generator rows are well-formed by construction (see above).
+    (void)r.Insert({Value::Int64(static_cast<int64_t>(i)),
+                    Value::Int64(rng.Uniform(0, 999)), Value::Ongoing(vt)});
+  }
+  const ExprPtr pred = And(
+      Eq(Col("K"), Lit(int64_t{7})),
+      OverlapsExpr(Col("VT"), Lit(OngoingInterval::Fixed(Date(2016, 1, 1),
+                                                         Date(2017, 1, 1)))));
+  DrainCompiled(state,
+                Filter(Scan(&r, "R"), pred,
+                       state.range(0) != 0 ? AccessPath::kIndex
+                                           : AccessPath::kAuto),
+                kRows);
+}
+BENCHMARK(BM_PointSelectDrain)->ArgName("index")->Arg(0)->Arg(1);
+
+// The console table's options as google-benchmark's own console
+// reporter picks them: --benchmark_color=auto (the default) colours only
+// a terminal, and false, no, off, 0, f or n turn colour off. The library
+// keeps the parsed flag to itself and benchmark::Initialize removes it
+// from argv, so argv is scanned for it before Initialize.
+benchmark::ConsoleReporter::OutputOptions ConsoleOptions(int argc,
+                                                         char** argv) {
+  constexpr std::string_view kFlag = "--benchmark_color=";
+  std::string color = "auto";
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.substr(0, kFlag.size()) == kFlag) {
+      color = std::string(arg.substr(kFlag.size()));
+    }
+  }
+  std::transform(color.begin(), color.end(), color.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  bool colored = isatty(fileno(stdout)) != 0;
+  if (color != "auto") {
+    colored = color != "false" && color != "no" && color != "off" &&
+              color != "0" && color != "f" && color != "n";
+  }
+  return colored ? benchmark::ConsoleReporter::OO_ColorTabular
+                 : benchmark::ConsoleReporter::OO_Tabular;
+}
 
 // Console output as usual, plus capture of every run into the shared
 // BenchJsonWriter so ONGOINGDB_BENCH_JSON emits the same schema as the
 // hand-rolled harnesses.
 class JsonCapturingReporter : public benchmark::ConsoleReporter {
  public:
-  explicit JsonCapturingReporter(bench::BenchJsonWriter* json)
-      : json_(json) {}
+  JsonCapturingReporter(OutputOptions options, bench::BenchJsonWriter* json)
+      : benchmark::ConsoleReporter(options), json_(json) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     benchmark::ConsoleReporter::ReportRuns(runs);
@@ -645,10 +723,11 @@ class JsonCapturingReporter : public benchmark::ConsoleReporter {
 }  // namespace ongoingdb
 
 int main(int argc, char** argv) {
+  const auto console_options = ongoingdb::ConsoleOptions(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   ongoingdb::bench::BenchJsonWriter json("micro_core_ops");
-  ongoingdb::JsonCapturingReporter reporter(&json);
+  ongoingdb::JsonCapturingReporter reporter(console_options, &json);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   json.WriteFromEnv();

@@ -114,17 +114,25 @@ class PairPredicate {
       : PairPredicate(conjunction, schema, schema.num_attributes(),
                       at_reference_time, rt) {}
 
-  /// Ongoing semantics: tests the fixed atoms on (l, r), then intersects
-  /// *rt with each ongoing atom's St, stopping once it is empty; a
-  /// failed fixed atom empties *rt. `scratch` is a reusable buffer that
-  /// must not alias *rt.
+  /// Ongoing semantics: unless *rt is empty, tests the fixed atoms on
+  /// (l, r) in order, then intersects *rt with each ongoing atom's St,
+  /// stopping once it is empty; a failed fixed atom empties *rt.
+  /// `scratch` is a reusable buffer that must not alias *rt.
   Status Restrict(const Tuple& l, const Tuple& r, IntervalSet* rt,
-                  IntervalSet* scratch) const;
+                  IntervalSet* scratch) const {
+    return RestrictFrom(l, r, *rt, rt, scratch);
+  }
 
-  /// The one-input form: *rt becomes t's RT restricted as above.
-  Status Restrict(const Tuple& t, IntervalSet* rt, IntervalSet* scratch) const;
+  /// The one-input form: *rt becomes t's RT restricted as above. The
+  /// fixed atoms test the stored tuple before its RT is copied, so a
+  /// tuple they reject costs no copy.
+  Status Restrict(const Tuple& t, IntervalSet* rt, IntervalSet* scratch) const {
+    return RestrictFrom(t, t, t.rt(), rt, scratch);
+  }
 
-  /// Clifford semantics: true iff every atom holds on (l, r).
+  /// True iff every fixed atom holds on (l, r), tested in order: under
+  /// Clifford semantics every atom, under ongoing semantics the WHERE
+  /// part of the Sec. VIII split.
   Result<bool> Holds(const Tuple& l, const Tuple& r) const;
   Result<bool> Holds(const Tuple& t) const { return Holds(t, t); }
 
@@ -175,6 +183,12 @@ class PairPredicate {
 
   // A fixed atom's boolean on (l, r).
   Result<bool> Test(const Atom& atom, const Tuple& l, const Tuple& r) const;
+
+  // Both Restrict forms: *rt becomes `in`, which may be *rt itself,
+  // restricted on (l, r). Unless `in` is empty the fixed atoms test
+  // first, and *rt takes `in` only once they hold.
+  Status RestrictFrom(const Tuple& l, const Tuple& r, const IntervalSet& in,
+                      IntervalSet* rt, IntervalSet* scratch) const;
 
   // Fixed atoms first: atoms_[0, num_fixed_) test as booleans.
   std::vector<Atom> atoms_;

@@ -513,10 +513,10 @@ Result<PlanPtr> PushDownFilters(const PlanPtr& plan) {
         }
       }
       // The pushed and residual filters inherit the original filter's
-      // access-path annotation: a forced kFullScan (the benches'
-      // ablation baseline) must not silently revert to kAuto — and
-      // thus to the index — just because the filter commuted with a
-      // join.
+      // access-path annotation: a forced kIndex or kFullScan (the
+      // benches' index ablations and their scan baseline) must not
+      // silently revert to kAuto just because the filter commuted with
+      // a join.
       PlanPtr new_left = join->left();
       PlanPtr new_right = join->right();
       if (!to_left.empty()) {

@@ -53,7 +53,8 @@ struct IndexScanInfo {
 
 /// Matches `filter` against the eligibility rules above; nullopt when
 /// the plan cannot use the interval index. The lowering
-/// (query/physical.cc) uses it for serial and parallel plans alike.
+/// (query/physical.cc) uses it for a filter that forces
+/// AccessPath::kIndex, in serial and parallel plans alike.
 std::optional<IndexScanInfo> MatchIndexScan(const FilterNode& filter);
 
 /// A recognized index-eligible temporal join conjunct: the join

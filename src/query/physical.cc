@@ -418,18 +418,18 @@ class MorselWindow {
 
 // Streams a base relation through its morsel window: whole in a serial
 // plan, this pipeline's share in a parallel one (the exchange scan).
-// The positions are [0, n) or, for an index scan (the lowering of an
-// index-eligible Filter(Scan)), the ones the IntervalIndex's candidate
-// list names, a superset of the exact answer. A scan that absorbed a
-// Filter tests each stored tuple with the compiled predicate
-// (query/join.h, PairPredicate) before it copies the tuple's values, so
-// a rejected tuple copies nothing; the remainder runs on the filled slot
-// (PopLast un-claims a rejected slot). Index and full scans evaluate the
-// same full predicate, so their results are equal in both execution
-// modes (in kAtReferenceTime mode the candidate set still covers every
-// tuple matching at the one probed rt). Only the serial ongoing-mode
-// scan without a predicate exposes BorrowedRelation(); an exchange
-// instance streams just its share of the relation.
+// The positions are [0, n) or, for an index scan (an index-eligible
+// Filter(Scan) that forces AccessPath::kIndex), the ones the
+// IntervalIndex's candidate list names, a superset of the exact answer.
+// A scan that absorbed a Filter tests each stored tuple with the
+// compiled predicate (query/join.h, PairPredicate) before it claims a
+// batch slot, so a rejected tuple copies nothing; the remainder runs on
+// the filled slot (PopLast un-claims a rejected slot). Index and full
+// scans evaluate the same full predicate, so their results are equal in
+// both execution modes (in kAtReferenceTime mode the candidate set still
+// covers every tuple matching at the one probed rt). Only the serial
+// ongoing-mode scan without a predicate exposes BorrowedRelation(); an
+// exchange instance streams just its share of the relation.
 class ScanOp final : public PhysicalOperator {
  public:
   ScanOp(const OngoingRelation* relation, const ExprPtr& predicate,
@@ -515,18 +515,17 @@ class ScanOp final : public PhysicalOperator {
       if (!rest.ok() || !*rest) out->PopLast();
       return rest.status();
     }
-    // The slot is claimed for its RT only: the atoms restrict the RT in
-    // place, and the values are copied once the tuple survives them.
+    // The fixed atoms test the stored tuple first, and the ongoing atoms
+    // restrict its RT in a reused buffer: only a tuple that survives
+    // them claims a slot, swaps the buffer in and has its values copied.
+    ONGOINGDB_RETURN_NOT_OK(pred_.Restrict(t, &rt_buf_, &rt_scratch_));
+    if (rt_buf_.IsEmpty()) return Status::OK();
     Tuple& slot = out->NextSlot();
-    Status st = pred_.Restrict(t, &slot.mutable_rt(), &rt_scratch_);
-    if (!st.ok() || slot.rt().IsEmpty()) {
-      out->PopLast();
-      return st;
-    }
+    std::swap(slot.mutable_rt(), rt_buf_);
     slot.mutable_values() = t.values();
     if (pred_.remainder() == nullptr) return Status::OK();
-    st = pred_.RestrictRemainder(schema(), slot, &slot.mutable_rt(),
-                                 &rt_scratch_);
+    Status st = pred_.RestrictRemainder(schema(), slot, &slot.mutable_rt(),
+                                        &rt_scratch_);
     if (!st.ok() || slot.rt().IsEmpty()) out->PopLast();
     return st;
   }
@@ -541,6 +540,7 @@ class ScanOp final : public PhysicalOperator {
   MorselWindow window_;
   QueryContext* ctx_;
   const IntervalSet all_ = IntervalSet::All();
+  IntervalSet rt_buf_;  // a stored tuple's RT, before it claims a slot
   IntervalSet rt_scratch_;
 };
 
@@ -1330,29 +1330,29 @@ Result<PhysicalOpPtr> Lower(const PlanPtr& plan, ExecMode mode, TimePoint rt,
     }
     case PlanKind::kFilter: {
       const auto* node = static_cast<const FilterNode*>(plan.get());
-      // The access path: an eligible temporal selection lowers to an
-      // index scan unless the node forces the full scan, and any other
-      // Filter(Scan) to a scan that tests the predicate itself. Forcing
-      // AccessPath::kIndex on an ineligible plan is a compile error, not
-      // a silent fallback.
-      std::optional<IndexScanInfo> info;
-      if (node->access_path() != AccessPath::kFullScan) {
-        info = MatchIndexScan(*node);
-      }
-      if (info.has_value()) {
+      // The access path: a Filter(Scan) lowers to a scan that tests the
+      // predicate itself, unless the node forces AccessPath::kIndex on
+      // an eligible temporal selection. kAuto takes the scan, because a
+      // cold index pays an O(n) fingerprint and an O(n log n) build
+      // before its first probe, and no kAuto path drains one tree twice
+      // over an unmodified relation (docs/DESIGN.md, "Index access
+      // path"). Forcing kIndex on an ineligible plan is a compile error,
+      // not a silent fallback.
+      if (node->access_path() == AccessPath::kIndex) {
+        std::optional<IndexScanInfo> info = MatchIndexScan(*node);
+        if (!info.has_value()) {
+          return Status::InvalidArgument(
+              "AccessPath::kIndex requires Filter(Scan) with an "
+              "overlaps/before/meets conjunct on an interval attribute "
+              "against a fixed probe interval, or a CONTAINS against a fixed "
+              "time point");
+        }
         return PhysicalOpPtr(std::make_unique<ScanOp>(
             info->relation, node->predicate(),
             state->IndexFor(node, info->relation, info->column,
                             info->column_index, info->op, info->probe),
             mode, rt, state->exchange, state->CursorFor(node),
             state->morsel_size, ctx));
-      }
-      if (node->access_path() == AccessPath::kIndex) {
-        return Status::InvalidArgument(
-            "AccessPath::kIndex requires Filter(Scan) with an "
-            "overlaps/before/meets conjunct on an interval attribute against "
-            "a fixed probe interval, or a CONTAINS against a fixed time "
-            "point");
       }
       if (node->child()->kind() == PlanKind::kScan) {
         const auto* scan = static_cast<const ScanNode*>(node->child().get());

@@ -115,15 +115,15 @@ using PhysicalOpPtr = std::unique_ptr<PhysicalOperator>;
 /// temporal conjunct exists (MatchIndexJoin + interval histograms),
 /// hash/nested-loop by the key rule otherwise — the same rule as
 /// ChooseJoinAlgorithms. Likewise absorbs the filter access-path choice:
-/// an AccessPath::kAuto Filter(Scan) whose predicate is an eligible
-/// temporal selection (MatchIndexScan, query/optimizer.h) lowers to an
-/// index scan that streams an IntervalIndex's candidate list, and any
-/// other Filter(Scan) to a full scan; both test the exact predicate on
-/// each stored tuple before copying it. Forcing an ineligible
-/// path (AccessPath::kIndex, JoinAlgorithm::kIndexNL) is a compile
-/// error. `rt` is only meaningful for kAtReferenceTime. A non-null `ctx`
-/// is checked cooperatively at every batch boundary of the compiled tree
-/// and must outlive it.
+/// a Filter(Scan) that forces AccessPath::kIndex on an eligible temporal
+/// selection (MatchIndexScan, query/optimizer.h) lowers to an index scan
+/// that streams an IntervalIndex's candidate list, and every other
+/// Filter(Scan), kAuto included, to a full scan; both test the exact
+/// predicate on each stored tuple before copying it. Forcing an
+/// ineligible path (AccessPath::kIndex, JoinAlgorithm::kIndexNL) is a
+/// compile error. `rt` is only meaningful for kAtReferenceTime. A
+/// non-null `ctx` is checked cooperatively at every batch boundary of
+/// the compiled tree and must outlive it.
 Result<PhysicalOpPtr> Compile(const PlanPtr& plan, ExecMode mode,
                               TimePoint rt = 0, QueryContext* ctx = nullptr);
 

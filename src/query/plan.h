@@ -29,12 +29,12 @@ enum class JoinAlgorithm {
 };
 
 /// Physical access-path selection for a Filter directly over a Scan.
-/// Mirrors JoinAlgorithm: the plan carries the choice, Compile absorbs
-/// kAuto (query/physical.h lowers eligible temporal selections to an
-/// index scan over an IntervalIndex; see MatchIndexScan in
-/// query/optimizer.h for the eligibility rules).
+/// Mirrors JoinAlgorithm: the plan carries the choice, and Compile
+/// (query/physical.h) absorbs kAuto. Only kIndex lowers an eligible
+/// temporal selection to an index scan over an IntervalIndex; see
+/// MatchIndexScan in query/optimizer.h for the eligibility rules.
 enum class AccessPath {
-  kAuto,      ///< index when the predicate is eligible, full scan otherwise
+  kAuto,      ///< the full scan: a cold index build costs more than it saves
   kFullScan,  ///< never use the interval index (ablation baseline)
   kIndex,     ///< require the index; Compile fails if ineligible
 };

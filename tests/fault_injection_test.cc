@@ -22,6 +22,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "query/aggregate.h"
@@ -43,6 +44,7 @@ using plan_fuzz::PlanFixture;
 using plan_fuzz::RandomPlan;
 using plan_fuzz::ReferenceExecute;
 using plan_fuzz::ReferenceExecuteAt;
+using plan_fuzz::WithIndexAccess;
 
 bool IsInjectedFault(const Status& st) {
   return st.code() == StatusCode::kInternal &&
@@ -339,16 +341,10 @@ class LifecycleFuzzTest : public ::testing::TestWithParam<uint64_t> {
   }
 };
 
-TEST_P(LifecycleFuzzTest, InjectedFaultsSurfaceCleanlyAndTreesReopen) {
-  const uint64_t seed = GetParam();
-  ONGOINGDB_FUZZ_SEED_TRACE(seed);
-  Rng rng(seed);
-  PlanFixture fx;
-  PlanPtr plan = RandomPlan(rng, &fx, 3);
-  auto reference = ReferenceExecute(plan);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  const std::multiset<std::string> want = Fingerprint(*reference);
-
+// Every lifecycle scenario on `plan`, compiled in each configuration;
+// `want` is the reference result and `seed` seeds the random faults.
+void SweepLifecycle(const PlanPtr& plan,
+                    const std::multiset<std::string>& want, uint64_t seed) {
   for (const ExecConfig& cfg : kConfigs) {
     SCOPED_TRACE(cfg.name);
     QueryContext ctx;
@@ -414,6 +410,29 @@ TEST_P(LifecycleFuzzTest, InjectedFaultsSurfaceCleanlyAndTreesReopen) {
         },
         /*expect_failure=*/false,
         /*settle=*/[&canceller] { canceller.join(); });
+  }
+}
+
+TEST_P(LifecycleFuzzTest, InjectedFaultsSurfaceCleanlyAndTreesReopen) {
+  const uint64_t seed = GetParam();
+  ONGOINGDB_FUZZ_SEED_TRACE(seed);
+  Rng rng(seed);
+  PlanFixture fx;
+  const PlanPtr drawn = RandomPlan(rng, &fx, 3);
+  auto reference = ReferenceExecute(drawn);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const std::multiset<std::string> want = Fingerprint(*reference);
+
+  // kAuto lowers every Filter(Scan) to the full scan; the plan with its
+  // eligible selections forced to the index also reaches the index
+  // scan's seams (index.build, candidate morsels).
+  std::vector<std::pair<const char*, PlanPtr>> variants = {{"kAuto", drawn}};
+  if (PlanPtr indexed = WithIndexAccess(drawn); indexed != drawn) {
+    variants.emplace_back("kIndex", std::move(indexed));
+  }
+  for (const auto& [access, plan] : variants) {
+    SCOPED_TRACE(access);
+    SweepLifecycle(plan, want, seed);
   }
 }
 

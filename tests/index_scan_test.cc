@@ -1,19 +1,20 @@
 // Tests of the index-backed temporal selection in the batched/parallel
-// pipeline: Compile() must lower eligible Filter(Scan) plans to an
-// index scan (and respect forced access paths), and the index path
-// must be equivalent to the full-scan filter — randomized over
-// overlaps/before/meets probes in both orientations plus timeslice
-// CONTAINS points, ongoing + fixed + mixed interval columns, serial and
-// parallel drains, and both execution modes (shared harness:
-// tests/testing/plan_fuzz.h; failures print their fuzz seed, replay
-// with ONGOINGDB_TEST_SEED=<seed>). Also covers the MaterializedView
-// contract: the index is cached inside the compiled tree across
-// Refresh() and rebuilt when base-data modifications change the indexed
-// column.
+// pipeline: Compile() must lower eligible Filter(Scan) plans that force
+// AccessPath::kIndex to an index scan (kAuto takes the full scan), and
+// the index path must be equivalent to the full-scan filter —
+// randomized over overlaps/before/meets probes in both orientations
+// plus timeslice CONTAINS points, ongoing + fixed + mixed interval
+// columns, serial and parallel drains, and both execution modes
+// (shared harness: tests/testing/plan_fuzz.h; failures print their fuzz
+// seed, replay with ONGOINGDB_TEST_SEED=<seed>). Also covers the
+// MaterializedView contract: the index is cached inside the compiled
+// tree across Refresh() and rebuilt when base-data modifications change
+// the indexed column.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "query/executor.h"
@@ -43,41 +44,48 @@ PlanPtr ProbePlan(const OngoingRelation* r, AllenOp op,
   return Filter(Scan(r, "R"), std::move(pred), path);
 }
 
+// An eligible Filter(Scan) lowers to an index scan when it forces
+// AccessPath::kIndex; under kAuto it lowers to the full scan, which
+// needs no cold index build before its first probe.
 TEST(IndexScanLoweringTest, EligibleFilterScanLowersToIndexScan) {
   OngoingRelation r = MakeMixedRelation(1, "", 16);
+  auto expect_lowering = [](const PlanPtr& indexed, const PlanPtr& automatic) {
+    for (ExecMode mode : {ExecMode::kOngoing, ExecMode::kAtReferenceTime}) {
+      auto forced = Compile(indexed, mode, 50);
+      ASSERT_TRUE(forced.ok());
+      EXPECT_STREQ((*forced)->Name(), "IndexScan");
+      auto chosen = Compile(automatic, mode, 50);
+      ASSERT_TRUE(chosen.ok());
+      EXPECT_STREQ((*chosen)->Name(), "Scan");
+    }
+  };
   for (AllenOp op : {AllenOp::kOverlaps, AllenOp::kBefore, AllenOp::kMeets}) {
     for (const char* column : {"VT", "FT"}) {
       for (bool literal_on_left : {false, true}) {
-        PlanPtr plan =
+        SCOPED_TRACE(::testing::Message()
+                     << "op=" << static_cast<int>(op) << " column=" << column
+                     << " literal_on_left=" << literal_on_left);
+        expect_lowering(
+            ProbePlan(&r, op, column, FixedInterval{40, 60}, AccessPath::kIndex,
+                      nullptr, literal_on_left),
             ProbePlan(&r, op, column, FixedInterval{40, 60}, AccessPath::kAuto,
-                      nullptr, literal_on_left);
-        auto compiled = Compile(plan, ExecMode::kOngoing);
-        ASSERT_TRUE(compiled.ok());
-        EXPECT_STREQ((*compiled)->Name(), "IndexScan")
-            << "op=" << static_cast<int>(op) << " column=" << column
-            << " literal_on_left=" << literal_on_left;
-        auto compiled_at = Compile(plan, ExecMode::kAtReferenceTime, 50);
-        ASSERT_TRUE(compiled_at.ok());
-        EXPECT_STREQ((*compiled_at)->Name(), "IndexScan");
+                      nullptr, literal_on_left));
       }
     }
   }
   // A residual conjunct rides along: the filter is still index-backed.
-  PlanPtr with_residual =
-      ProbePlan(&r, AllenOp::kOverlaps, "VT", FixedInterval{40, 60},
-                AccessPath::kAuto, Lt(Col("ID"), Lit(int64_t{8})));
-  auto compiled = Compile(with_residual, ExecMode::kOngoing);
-  ASSERT_TRUE(compiled.ok());
-  EXPECT_STREQ((*compiled)->Name(), "IndexScan");
+  const ExprPtr residual = Lt(Col("ID"), Lit(int64_t{8}));
+  expect_lowering(ProbePlan(&r, AllenOp::kOverlaps, "VT", FixedInterval{40, 60},
+                            AccessPath::kIndex, residual),
+                  ProbePlan(&r, AllenOp::kOverlaps, "VT", FixedInterval{40, 60},
+                            AccessPath::kAuto, residual));
   // Timeslice probes: column CONTAINS a fixed time point is eligible in
   // both point representations.
   for (const Value& point :
        {Value::Time(50), Value::Ongoing(OngoingTimePoint(50, 50))}) {
-    PlanPtr contains =
-        Filter(Scan(&r, "R"), ContainsExpr(Col("VT"), Lit(point)));
-    auto compiled_contains = Compile(contains, ExecMode::kOngoing);
-    ASSERT_TRUE(compiled_contains.ok());
-    EXPECT_STREQ((*compiled_contains)->Name(), "IndexScan");
+    const ExprPtr contains = ContainsExpr(Col("VT"), Lit(point));
+    expect_lowering(Filter(Scan(&r, "R"), contains, AccessPath::kIndex),
+                    Filter(Scan(&r, "R"), contains));
   }
 }
 
@@ -140,37 +148,43 @@ TEST(IndexScanLoweringTest, ForcedAccessPathsAreRespected) {
 // The optimizer's rewrites preserve the access-path annotation.
 TEST(IndexScanLoweringTest, OptimizePreservesAccessPath) {
   OngoingRelation r = MakeMixedRelation(4, "", 16);
-  PlanPtr plan = ProbePlan(&r, AllenOp::kOverlaps, "VT", FixedInterval{40, 60},
-                           AccessPath::kFullScan);
-  auto optimized = Optimize(plan);
-  ASSERT_TRUE(optimized.ok());
-  auto compiled = Compile(*optimized, ExecMode::kOngoing);
-  ASSERT_TRUE(compiled.ok());
-  EXPECT_STREQ((*compiled)->Name(), "Scan");
+  for (auto [path, name] : {std::pair{AccessPath::kFullScan, "Scan"},
+                            std::pair{AccessPath::kIndex, "IndexScan"}}) {
+    PlanPtr plan = ProbePlan(&r, AllenOp::kOverlaps, "VT",
+                             FixedInterval{40, 60}, path);
+    auto optimized = Optimize(plan);
+    ASSERT_TRUE(optimized.ok());
+    auto compiled = Compile(*optimized, ExecMode::kOngoing);
+    ASSERT_TRUE(compiled.ok());
+    EXPECT_STREQ((*compiled)->Name(), name);
+  }
 }
 
-// Pushing a forced-kFullScan filter's conjuncts below a join must keep
-// the annotation on the pushed filter — otherwise the ablation baseline
-// silently reverts to kAuto (and thus the index) after pushdown.
+// Pushing a forced filter's conjuncts below a join must keep the
+// annotation on the pushed filter — otherwise a forced access path (the
+// ablations' index scan or scan baseline) silently reverts to kAuto
+// after pushdown.
 TEST(IndexScanLoweringTest, PushDownPreservesAccessPathOnPushedFilters) {
   OngoingRelation r = MakeMixedRelation(5, "", 16);
   OngoingRelation s = MakeMixedRelation(6, "", 16);
-  PlanPtr plan = Filter(
-      Join(Scan(&r, "A"), Scan(&s, "B"), Eq(Col("L.ID"), Col("R.ID")), "L",
-           "R"),
-      OverlapsExpr(Col("L.VT"), Lit(OngoingInterval::Fixed(40, 60))),
-      AccessPath::kFullScan);
-  auto pushed = PushDownFilters(plan);
-  ASSERT_TRUE(pushed.ok());
-  ASSERT_EQ((*pushed)->kind(), PlanKind::kJoin);
-  const auto* join = static_cast<const JoinNode*>(pushed->get());
-  ASSERT_EQ(join->left()->kind(), PlanKind::kFilter);
-  const auto* pushed_filter =
-      static_cast<const FilterNode*>(join->left().get());
-  EXPECT_EQ(pushed_filter->access_path(), AccessPath::kFullScan);
-  auto compiled = Compile(join->left(), ExecMode::kOngoing);
-  ASSERT_TRUE(compiled.ok());
-  EXPECT_STREQ((*compiled)->Name(), "Scan");
+  for (auto [path, name] : {std::pair{AccessPath::kFullScan, "Scan"},
+                            std::pair{AccessPath::kIndex, "IndexScan"}}) {
+    PlanPtr plan = Filter(
+        Join(Scan(&r, "A"), Scan(&s, "B"), Eq(Col("L.ID"), Col("R.ID")), "L",
+             "R"),
+        OverlapsExpr(Col("L.VT"), Lit(OngoingInterval::Fixed(40, 60))), path);
+    auto pushed = PushDownFilters(plan);
+    ASSERT_TRUE(pushed.ok());
+    ASSERT_EQ((*pushed)->kind(), PlanKind::kJoin);
+    const auto* join = static_cast<const JoinNode*>(pushed->get());
+    ASSERT_EQ(join->left()->kind(), PlanKind::kFilter);
+    const auto* pushed_filter =
+        static_cast<const FilterNode*>(join->left().get());
+    EXPECT_EQ(pushed_filter->access_path(), path);
+    auto compiled = Compile(join->left(), ExecMode::kOngoing);
+    ASSERT_TRUE(compiled.ok());
+    EXPECT_STREQ((*compiled)->Name(), name);
+  }
 }
 
 class IndexScanEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};

@@ -126,6 +126,17 @@ TEST_F(LoweringPinTest, OperatorCountsPerDrain) {
       {"index-eligible filter",
        Filter(scan_a, OverlapsExpr(Col("A_VT"),
                                    Lit(OngoingInterval::Fixed(300, 340)))),
+       "Scan",
+       {"rows=98 open=1 materialize=0 index_build=0 route=0 next=3",
+        "rows=98 open=3 materialize=0 index_build=0 route=0",
+        "rows=98 open=5 materialize=0 index_build=0 route=0"},
+       {"rows=98 open=1 materialize=0 index_build=0 route=0 next=3",
+        "rows=98 open=3 materialize=0 index_build=0 route=0",
+        "rows=98 open=5 materialize=0 index_build=0 route=0"}},
+      {"index-eligible filter, forced index",
+       Filter(scan_a,
+              OverlapsExpr(Col("A_VT"), Lit(OngoingInterval::Fixed(300, 340))),
+              AccessPath::kIndex),
        "IndexScan",
        {"rows=98 open=1 materialize=0 index_build=1 route=0 next=2",
         "rows=98 open=3 materialize=0 index_build=1 route=0",
@@ -191,12 +202,12 @@ TEST_F(LoweringPinTest, OperatorCountsPerDrain) {
                                         Lit(OngoingInterval::Fixed(0, 800)))),
             Eq(Col("A_K"), Col("B_K")), "L", "R", JoinAlgorithm::kHash),
        "Operator",
-       {"rows=4509 open=3 materialize=2 index_build=1 route=0 next=11",
-        "rows=4509 open=11 materialize=4 index_build=2 route=8",
-        "rows=4509 open=21 materialize=8 index_build=4 route=16"},
-       {"rows=4324 open=3 materialize=2 index_build=1 route=0 next=11",
-        "rows=4324 open=11 materialize=4 index_build=2 route=8",
-        "rows=4324 open=21 materialize=8 index_build=4 route=16"}},
+       {"rows=4509 open=3 materialize=2 index_build=0 route=0 next=12",
+        "rows=4509 open=11 materialize=4 index_build=0 route=8",
+        "rows=4509 open=21 materialize=8 index_build=0 route=16"},
+       {"rows=4324 open=3 materialize=2 index_build=0 route=0 next=12",
+        "rows=4324 open=11 materialize=4 index_build=0 route=8",
+        "rows=4324 open=21 materialize=8 index_build=0 route=16"}},
   };
 
   for (const PinnedPlan& pinned : plans) {

@@ -25,6 +25,8 @@
 #include "sql/statement.h"
 #include "testing/plan_fuzz.h"
 #include "util/alloc_counter.h"
+#include "util/failpoint.h"
+#include "util/rng.h"
 
 namespace ongoingdb {
 namespace server {
@@ -705,6 +707,66 @@ TEST(SessionTest, PinnedSnapshotGivesRepeatableReads) {
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(fresh->result.affected, 2u);
   EXPECT_EQ(fresh->snapshot_seq, 3u);
+}
+
+// A point SELECT of the ingest benchmark's shape, a fixed key conjunct
+// AND an OVERLAPS with a fixed one-year window, builds no interval index
+// per statement: with index.build armed to fail it still runs through
+// the session, and returns the rows that the forced index scan and the
+// forced full scan return on the same pinned snapshot.
+TEST(SessionTest, PointSelectBuildsNoIndexPerStatement) {
+  OngoingRelation table(Schema({{"ID", ValueType::kInt64},
+                                {"K", ValueType::kInt64},
+                                {"VT", ValueType::kOngoingInterval}}));
+  Rng rng(19);
+  for (int64_t id = 0; id < 2000; ++id) {
+    const TimePoint since =
+        Date(2010, 1, 1) + rng.Uniform(0, Date(2019, 1, 1) - Date(2010, 1, 1));
+    const OngoingInterval vt =
+        rng.Bernoulli(0.3)
+            ? OngoingInterval::SinceUntilNow(since)
+            : OngoingInterval::Fixed(since, since + rng.Uniform(1, 400));
+    ASSERT_TRUE(table
+                    .Insert({Value::Int64(id), Value::Int64(rng.Uniform(0, 9)),
+                             Value::Ongoing(vt)})
+                    .ok());
+  }
+  Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterTable("T", table).ok());
+  SessionManager manager(&catalog);
+  auto session = manager.CreateSession();
+  auto pinned = session->PinSnapshot();
+  ASSERT_TRUE(pinned.ok());
+  Snapshot snap = catalog.PinSnapshot();
+  ASSERT_EQ(snap.commit_seq(), *pinned);
+
+  const std::string select =
+      "SELECT * FROM T WHERE K = 3 AND VT OVERLAPS "
+      "PERIOD ['2014/01/01', '2015/01/01')";
+  const sql::Catalog view = snap.View();
+  auto parsed = sql::ParseStatement(select, view);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ASSERT_EQ(parsed->plan->kind(), PlanKind::kFilter);
+  const auto* filter = static_cast<const FilterNode*>(parsed->plan.get());
+  auto forced = [&](AccessPath path) {
+    return Execute(Filter(filter->child(), filter->predicate(), path));
+  };
+  auto indexed = forced(AccessPath::kIndex);
+  auto scanned = forced(AccessPath::kFullScan);
+  ASSERT_TRUE(indexed.ok()) << indexed.status();
+  ASSERT_TRUE(scanned.ok()) << scanned.status();
+  EXPECT_EQ(Fingerprint(*indexed), Fingerprint(*scanned));
+  EXPECT_GT(indexed->size(), 0u);
+
+  ScopedFailpoint no_builds("index.build", "always");
+  // The armed site fails any index build...
+  EXPECT_FALSE(forced(AccessPath::kIndex).ok());
+  // ...and the served statement runs none.
+  auto served = session->Execute(select);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(served->snapshot_seq, *pinned);
+  ASSERT_TRUE(served->result.relation.has_value());
+  EXPECT_EQ(Fingerprint(*served->result.relation), Fingerprint(*indexed));
 }
 
 TEST(SessionTest, ManagerTracksLiveSessions) {
