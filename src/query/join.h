@@ -130,9 +130,7 @@ class PairPredicate {
     return RestrictFrom(t, t, t.rt(), rt, scratch);
   }
 
-  /// True iff every fixed atom holds on (l, r), tested in order: under
-  /// Clifford semantics every atom, under ongoing semantics the WHERE
-  /// part of the Sec. VIII split.
+  /// Clifford semantics: true iff every atom holds on (l, r).
   Result<bool> Holds(const Tuple& l, const Tuple& r) const;
   Result<bool> Holds(const Tuple& t) const { return Holds(t, t); }
 
