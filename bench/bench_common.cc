@@ -34,12 +34,11 @@ Result<FixedInterval> SelectionInterval(const OngoingRelation& r,
 }
 
 PlanPtr SelectionPlan(const OngoingRelation* r, AllenOp pred,
-                      FixedInterval interval, AccessPath path) {
+                      FixedInterval interval) {
   return Filter(Scan(r, "R"),
                 Allen(pred, Col("VT"),
                       Lit(OngoingInterval::Fixed(interval.start,
-                                                 interval.end))),
-                path);
+                                                 interval.end))));
 }
 
 PlanPtr JoinPlan(const OngoingRelation* r, const OngoingRelation* s,

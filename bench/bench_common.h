@@ -50,14 +50,10 @@ inline TimePoint CliffMax(const OngoingRelation& r) {
   return CliffMaxReferenceTime(r);
 }
 
-/// Builds the selection plan Q^sigma_pred = sigma_{VT pred [ts,te)}(R).
-/// Defaults to AccessPath::kFullScan so the figures reproducing the
-/// paper's (index-free) testbed keep measuring the scan-based selection;
-/// the index ablations (ablation_index, fig09) opt into kIndex/kAuto
-/// explicitly.
+/// Builds the selection plan Q^sigma_pred = sigma_{VT pred [ts,te)}(R),
+/// which lowers to the scan-based selection of the paper's testbed.
 PlanPtr SelectionPlan(const OngoingRelation* r, AllenOp pred,
-                      FixedInterval interval,
-                      AccessPath path = AccessPath::kFullScan);
+                      FixedInterval interval);
 
 /// Builds the join plan Q^join_pred = R |x|_{L.K = R.K ^ L.VT pred R.VT} S.
 PlanPtr JoinPlan(const OngoingRelation* r, const OngoingRelation* s,

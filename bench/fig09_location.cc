@@ -12,16 +12,12 @@
 // ongoing overhead < 20%).
 //
 // Beyond the paper: the same location sweep applied to the selection
-// Q^sigma_ovlp with a fixed probe in the last segment, scan vs
-// index-backed (an index scan over an IntervalIndex) — as the data moves
-// away from the probe the candidate set shrinks and the index pulls
-// ahead of the scan. Set ONGOINGDB_BENCH_JSON to additionally emit
-// machine-readable records.
+// Q^sigma_ovlp with a fixed probe in the last segment. Set
+// ONGOINGDB_BENCH_JSON to additionally emit machine-readable records.
 #include <cstdio>
 
 #include "baselines/fixed_algebra.h"
 #include "bench_common.h"
-#include "query/physical.h"
 
 using namespace ongoingdb;
 using namespace ongoingdb::bench;
@@ -33,7 +29,7 @@ void RunLocation(const char* title, const char* kind_label,
   std::printf("\n%s\n", title);
   TablePrinter table;
   table.SetHeader({"Ongoing segment", "w/out ongoing [ms]", "ongoing [ms]",
-                   "Cliff_max [ms]", "sel scan [ms]", "sel index [ms]"});
+                   "Cliff_max [ms]", "sel scan [ms]"});
   const int64_t n = Scaled(20000);
   for (int segment = 0; segment < 5; ++segment) {
     datasets::SyntheticOptions options;
@@ -65,47 +61,26 @@ void RunLocation(const char* title, const char* kind_label,
 
     // Selection Q^sigma_ovlp with a fixed probe spanning the last 10%
     // of r's history: the segment location moves the data relative to
-    // the probe, so the index's candidate selectivity varies with the
-    // segment. Warm index timings (cached compiled tree) mirror
-    // ablation_index's regime.
+    // the probe.
     auto probe = SelectionInterval(r);
     if (!probe.ok()) {
       std::fprintf(stderr, "selection interval failed: %s\n",
                    probe.status().ToString().c_str());
       std::exit(1);
     }
-    PlanPtr scan_plan =
-        SelectionPlan(&r, AllenOp::kOverlaps, *probe, AccessPath::kFullScan);
-    PlanPtr index_plan =
-        SelectionPlan(&r, AllenOp::kOverlaps, *probe, AccessPath::kIndex);
+    PlanPtr scan_plan = SelectionPlan(&r, AllenOp::kOverlaps, *probe);
     const double sel_scan_ms =
         MedianSeconds([&] { MeasureOngoingMs(scan_plan); }) * 1e3;
-    auto compiled = Compile(index_plan, ExecMode::kOngoing);
-    if (!compiled.ok()) {
-      std::fprintf(stderr, "index compile failed: %s\n",
-                   compiled.status().ToString().c_str());
-      std::exit(1);
-    }
-    auto warmup = DrainToRelation(**compiled);  // pays the index build
-    if (!warmup.ok()) {
-      std::fprintf(stderr, "index drain failed: %s\n",
-                   warmup.status().ToString().c_str());
-      std::exit(1);
-    }
-    const double sel_index_ms =
-        MedianSeconds([&] { (void)DrainToRelation(**compiled); }) * 1e3;
 
     table.AddRow({std::to_string(segment), FormatDouble(baseline_ms, 2),
                   FormatDouble(ongoing_ms, 2), FormatDouble(clifford_ms, 2),
-                  FormatDouble(sel_scan_ms, 2),
-                  FormatDouble(sel_index_ms, 2)});
+                  FormatDouble(sel_scan_ms, 2)});
     const std::string key =
         std::string(kind_label) + "/segment=" + std::to_string(segment);
     json->AddMs("join_location/baseline/" + key, baseline_ms);
     json->AddMs("join_location/ongoing/" + key, ongoing_ms);
     json->AddMs("join_location/cliff_max/" + key, clifford_ms);
     json->AddMs("selection_location/scan/" + key, sel_scan_ms);
-    json->AddMs("selection_location/index_warm/" + key, sel_index_ms);
   }
   table.Print();
 }
@@ -115,7 +90,7 @@ void RunLocation(const char* title, const char* kind_label,
 int main() {
   std::printf("Fig. 9: Location of ongoing time intervals "
               "(Q^join_ovlp, 5 segments of a 10-year history; plus "
-              "scan-vs-index Q^sigma_ovlp per segment)\n");
+              "Q^sigma_ovlp per segment)\n");
   BenchJsonWriter json("fig09_location");
   RunLocation("(a) Q^join_ovlp on Dex (expanding [a, now))", "dex",
               datasets::OngoingKind::kExpanding, &json);

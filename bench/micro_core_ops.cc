@@ -590,8 +590,7 @@ void BM_FilterPredicateScalar(benchmark::State& state) {
 BENCHMARK(BM_FilterPredicateScalar)->Arg(1)->Arg(50)->Arg(99);
 
 // Drains `plan` through one compiled tree per benchmark run, counting
-// `rows` scanned positions per iteration. A forced index scan builds its
-// index in the first drain and reuses it warm afterwards.
+// `rows` scanned positions per iteration.
 void DrainCompiled(benchmark::State& state, const PlanPtr& plan,
                    size_t rows) {
   auto compiled = Compile(plan, ExecMode::kOngoing, 0, nullptr);
@@ -610,26 +609,20 @@ void DrainCompiled(benchmark::State& state, const PlanPtr& plan,
   ReportAllocs(state, alloc_scope);
 }
 
-// The end-to-end Filter(Scan) drain over 8192 rows on both access paths:
-// index:0 is kAuto, which lowers to the full scan, and index:1 forces a
-// warm index scan. Each tests a stored tuple before copying it.
+// The end-to-end Filter(Scan) drain over 8192 rows: the scan tests each
+// stored tuple before copying it.
 void BM_FilterScanDrain(benchmark::State& state) {
   constexpr size_t kRows = 8192;
   const OngoingRelation r = MakeFilterRelation(kRows, 59);
-  DrainCompiled(state,
-                Filter(Scan(&r, "R"), OverlapsProbeFor(state.range(1)),
-                       state.range(0) != 0 ? AccessPath::kIndex
-                                           : AccessPath::kAuto),
+  DrainCompiled(state, Filter(Scan(&r, "R"), OverlapsProbeFor(state.range(0))),
                 kRows);
 }
-BENCHMARK(BM_FilterScanDrain)
-    ->ArgNames({"index", "pct"})
-    ->ArgsProduct({{0, 1}, {1, 50, 99}});
+BENCHMARK(BM_FilterScanDrain)->ArgName("pct")->Arg(1)->Arg(50)->Arg(99);
 
 // The ingest benchmark's point SELECT over 20,000 rows: K = k (1,000
 // keys) AND VT OVERLAPS a one-year window, 9 rows out. The fixed
 // key atom rejects almost every stored tuple before it claims a batch
-// slot. index:0 is kAuto (the full scan), index:1 a warm index scan.
+// slot.
 void BM_PointSelectDrain(benchmark::State& state) {
   constexpr size_t kRows = 20000;
   constexpr TimePoint kFirst = Date(2010, 1, 1);
@@ -651,13 +644,9 @@ void BM_PointSelectDrain(benchmark::State& state) {
       Eq(Col("K"), Lit(int64_t{7})),
       OverlapsExpr(Col("VT"), Lit(OngoingInterval::Fixed(Date(2016, 1, 1),
                                                          Date(2017, 1, 1)))));
-  DrainCompiled(state,
-                Filter(Scan(&r, "R"), pred,
-                       state.range(0) != 0 ? AccessPath::kIndex
-                                           : AccessPath::kAuto),
-                kRows);
+  DrainCompiled(state, Filter(Scan(&r, "R"), pred), kRows);
 }
-BENCHMARK(BM_PointSelectDrain)->ArgName("index")->Arg(0)->Arg(1);
+BENCHMARK(BM_PointSelectDrain);
 
 // The console table's options as google-benchmark's own console
 // reporter picks them: --benchmark_color=auto (the default) colours only

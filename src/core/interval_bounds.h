@@ -1,5 +1,5 @@
 // Conservative endpoint bounds of an interval, and the probe operator
-// vocabulary of the interval access path. An ongoing interval [ts, te)
+// vocabulary of the interval index. An ongoing interval [ts, te)
 // with endpoints ts = a1+b1, te = a2+b2 instantiates, at every reference
 // time, to a fixed interval whose start lies in [a1, b1] and whose end
 // lies in [a2, b2] — IntervalBounds captures exactly those four numbers.
@@ -30,33 +30,27 @@ struct IntervalBounds {
     return {f.start, f.start, f.end, f.end};
   }
 
-  /// A degenerate probe for the timeslice predicate `interval CONTAINS
-  /// t`: all four bounds collapse to the probed time point.
-  static IntervalBounds Point(TimePoint t) { return {t, t, t, t}; }
-
   bool operator==(const IntervalBounds&) const = default;
 };
 
-/// The probe operators the interval access path answers, phrased from
-/// the *indexed/estimated* interval's perspective against a probe P:
+/// The probe operators the interval index answers, phrased from the
+/// *indexed/estimated* interval's perspective against a probe P:
 ///
 ///   kOverlaps  — indexed overlaps P (symmetric)
 ///   kBefore    — indexed before P (indexed ends no later than P starts)
 ///   kAfter     — P before indexed (indexed starts no earlier than P ends)
 ///   kMeets     — indexed meets P (indexed end == P start)
 ///   kMetBy     — P meets indexed (indexed start == P end)
-///   kContains  — indexed contains the time point P.min_start (timeslice)
 ///
-/// Selections map `col op literal` conjuncts onto these directly;
-/// index-nested-loop joins probe with each outer tuple's IntervalBounds
-/// (query/optimizer.h, MatchIndexScan / MatchIndexJoin).
+/// Index-nested-loop joins map their `outer.col op inner.col` conjunct
+/// onto these and probe with each outer tuple's IntervalBounds
+/// (query/optimizer.h, MatchIndexJoin).
 enum class IntervalProbeOp {
   kOverlaps,
   kBefore,
   kAfter,
   kMeets,
   kMetBy,
-  kContains,
 };
 
 inline const char* IntervalProbeOpName(IntervalProbeOp op) {
@@ -66,7 +60,6 @@ inline const char* IntervalProbeOpName(IntervalProbeOp op) {
     case IntervalProbeOp::kAfter: return "after";
     case IntervalProbeOp::kMeets: return "meets";
     case IntervalProbeOp::kMetBy: return "met-by";
-    case IntervalProbeOp::kContains: return "contains";
   }
   return "?";
 }

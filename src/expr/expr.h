@@ -204,8 +204,9 @@ std::optional<CompareParts> AsCompare(const ExprPtr& expr);
 std::optional<std::string> AsColumnName(const ExprPtr& expr);
 
 /// The parts of an Allen predicate node; nullopt if `expr` is not an
-/// Allen node. Used by the optimizer's index-scan matching
-/// (query/optimizer.h, MatchIndexScan).
+/// Allen node. Used by the optimizer's index-join matching
+/// (query/optimizer.h, MatchIndexJoin) and the compiled predicates
+/// (query/join.h, PairPredicate).
 struct AllenParts {
   AllenOp op;
   ExprPtr lhs;
@@ -217,8 +218,8 @@ std::optional<AllenParts> AsAllen(const ExprPtr& expr);
 std::optional<Value> AsLiteralValue(const ExprPtr& expr);
 
 /// The parts of a containment (timeslice) predicate node; nullopt if
-/// `expr` is not a kContains node. Used by the optimizer's index-scan
-/// matching for timeslice-point probes.
+/// `expr` is not a kContains node. Used by the compiled predicates
+/// (query/join.h, PairPredicate).
 struct ContainsParts {
   ExprPtr interval;  ///< the interval-valued operand
   ExprPtr point;     ///< the time-point-valued operand

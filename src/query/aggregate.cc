@@ -1,13 +1,8 @@
 #include "query/aggregate.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <set>
-
-#include "query/optimizer.h"
-#include "query/physical.h"
-#include "util/thread_pool.h"
 
 namespace ongoingdb {
 
@@ -73,8 +68,7 @@ StepFunction StepsFromDeltas(const std::map<TimePoint, int64_t>& deltas) {
 }
 
 // One (RT interval, column value) pair — the event the MIN/MAX sweep
-// reduces tuples to. Event multisets concatenate across workers, which
-// is the associative merge of the parallel MIN/MAX path.
+// reduces tuples to.
 struct ValuedInterval {
   FixedInterval range;
   int64_t value = 0;
@@ -142,114 +136,6 @@ Result<size_t> CheckInt64Column(const Schema& schema,
   return idx;
 }
 
-// A compiled drain of a plan's ongoing result for aggregation: either
-// the serial operator tree or EffectiveWorkers partition pipelines.
-// Run() feeds every result tuple to `consume(worker, tuple)`; distinct
-// workers run on distinct threads, so consumers index worker-local
-// state with no synchronization and merge the partials afterwards.
-class AggregationDrain {
- public:
-  static Result<AggregationDrain> Prepare(const PlanPtr& plan,
-                                          const ParallelOptions& options,
-                                          QueryContext* ctx) {
-    // Check up front so the relation-borrowing shortcuts (which never
-    // call Open/Next) still observe a pre-cancelled context.
-    if (ctx != nullptr) ONGOINGDB_RETURN_NOT_OK(ctx->Check());
-    AggregationDrain drain;
-    drain.ctx_ = ctx;
-    drain.workers_ = EffectiveWorkers(plan, options);
-    if (drain.workers_ > 1) {
-      ONGOINGDB_ASSIGN_OR_RETURN(
-          drain.partitioned_,
-          CompilePartitions(plan, ExecMode::kOngoing, 0, drain.workers_,
-                            options.morsel_size, ctx));
-      drain.schema_ = drain.partitioned_.pipelines.front()->schema();
-      return drain;
-    }
-    ONGOINGDB_ASSIGN_OR_RETURN(drain.serial_root_,
-                               Compile(plan, ExecMode::kOngoing, 0, ctx));
-    drain.borrowed_ = drain.serial_root_->BorrowedRelation();
-    drain.schema_ = drain.serial_root_->schema();
-    return drain;
-  }
-
-  const Schema& schema() const { return schema_; }
-  size_t workers() const { return workers_; }
-
-  /// Non-null when the serial plan is a bare ongoing scan: consumers may
-  /// aggregate over the relation directly instead of draining batches.
-  const OngoingRelation* borrowed() const { return borrowed_; }
-
-  // `consume` stays a template parameter so the serial path keeps the
-  // per-tuple call inlined (no std::function indirection per tuple;
-  // the parallel path pays one type-erased hop per *task* only, inside
-  // TaskGroup::Spawn).
-  template <typename Consume>
-  Status Run(const Consume& consume) {
-    if (workers_ <= 1) {
-      if (borrowed_ != nullptr) {
-        if (ctx_ != nullptr) ONGOINGDB_RETURN_NOT_OK(ctx_->Check());
-        for (const Tuple& t : borrowed_->tuples()) consume(0, t);
-        return Status::OK();
-      }
-      return DrainPipeline(*serial_root_, 0, consume);
-    }
-    partitioned_.exchange->Reset();
-    std::vector<Status> statuses(workers_);
-    TaskGroup group;
-    for (size_t w = 0; w < workers_; ++w) {
-      group.Spawn([this, w, &statuses, &consume] {
-        statuses[w] = DrainPipeline(*partitioned_.pipelines[w], w, consume);
-      });
-    }
-    group.Wait();
-    for (Status& st : statuses) {
-      if (!st.ok()) return st;
-    }
-    return Status::OK();
-  }
-
- private:
-  template <typename Consume>
-  static Status DrainPipeline(PhysicalOperator& op, size_t worker,
-                              const Consume& consume) {
-    // Close on every exit path — a lifecycle error (cancellation,
-    // deadline, budget, an injected fault) mid-drain must still release
-    // the pipeline's bulk state and leave it reopenable.
-    if (Status st = op.Open(); !st.ok()) {
-      op.Close();
-      return st;
-    }
-    TupleBatch batch;
-    Status st;
-    while (true) {
-      st = op.Next(&batch);
-      if (!st.ok() || batch.empty()) break;
-      for (size_t i = 0; i < batch.size(); ++i) consume(worker, batch.tuple(i));
-    }
-    op.Close();
-    return st;
-  }
-
-  size_t workers_ = 1;
-  QueryContext* ctx_ = nullptr;
-  Schema schema_;
-  PhysicalOpPtr serial_root_;
-  PartitionedPlan partitioned_;
-  const OngoingRelation* borrowed_ = nullptr;
-};
-
-// Folds per-worker delta maps into per-worker StepFunction partials and
-// merges them with the associative AddStepFunctions.
-StepFunction MergeDeltaPartials(
-    const std::vector<std::map<TimePoint, int64_t>>& partials) {
-  StepFunction merged = StepsFromDeltas(partials.front());
-  for (size_t w = 1; w < partials.size(); ++w) {
-    merged = AddStepFunctions(merged, StepsFromDeltas(partials[w]));
-  }
-  return merged;
-}
-
 void AddRtDeltas(const IntervalSet& rt, int64_t weight,
                  std::map<TimePoint, int64_t>* deltas) {
   for (const FixedInterval& iv : rt.intervals()) {
@@ -259,27 +145,6 @@ void AddRtDeltas(const IntervalSet& rt, int64_t weight,
 }
 
 }  // namespace
-
-StepFunction AddStepFunctions(const StepFunction& a, const StepFunction& b) {
-  // An empty function acts as the constant 0 (the merge identity).
-  if (a.steps.empty()) return b;
-  if (b.steps.empty()) return a;
-  std::vector<StepFunction::Step> steps;
-  TimePoint cursor = kMinInfinity;
-  size_t i = 0, j = 0;
-  // Both operands are gap-free covers of (-inf, +inf), so the two-
-  // pointer walk ends with both lists consumed at +inf together.
-  while (i < a.steps.size() && j < b.steps.size()) {
-    const TimePoint end =
-        std::min(a.steps[i].range.end, b.steps[j].range.end);
-    steps.push_back(
-        {FixedInterval{cursor, end}, a.steps[i].value + b.steps[j].value});
-    cursor = end;
-    if (a.steps[i].range.end == end) ++i;
-    if (b.steps[j].range.end == end) ++j;
-  }
-  return MergeSteps(std::move(steps));
-}
 
 StepFunction CountAtEachReferenceTime(const OngoingRelation& r) {
   // Sweep over interval boundaries: +1 at each RT interval start, -1 at
@@ -291,24 +156,6 @@ StepFunction CountAtEachReferenceTime(const OngoingRelation& r) {
   return StepsFromDeltas(deltas);
 }
 
-Result<StepFunction> CountAtEachReferenceTime(const PlanPtr& plan,
-                                              const ParallelOptions& options,
-                                              QueryContext* ctx) {
-  // Batch-at-a-time ingestion: only the boundary deltas are kept, the
-  // query result itself is never materialized.
-  ONGOINGDB_ASSIGN_OR_RETURN(AggregationDrain drain,
-                             AggregationDrain::Prepare(plan, options, ctx));
-  // A bare serial scan needs no batch copies: count over the relation.
-  if (drain.borrowed() != nullptr) {
-    return CountAtEachReferenceTime(*drain.borrowed());
-  }
-  std::vector<std::map<TimePoint, int64_t>> partials(drain.workers());
-  ONGOINGDB_RETURN_NOT_OK(drain.Run([&partials](size_t w, const Tuple& t) {
-    AddRtDeltas(t.rt(), 1, &partials[w]);
-  }));
-  return MergeDeltaPartials(partials);
-}
-
 namespace {
 
 struct ValueLess {
@@ -317,8 +164,7 @@ struct ValueLess {
   }
 };
 
-// Per-group boundary deltas; groups ordered by ValueCompare, so both
-// CountGroupedBy overloads return groups in the same order.
+// Per-group boundary deltas; groups ordered by ValueCompare.
 using GroupDeltas = std::map<Value, std::map<TimePoint, int64_t>, ValueLess>;
 
 Status CheckGroupable(const Schema& schema, size_t idx) {
@@ -351,29 +197,6 @@ Result<std::vector<GroupedCount>> CountGroupedBy(const OngoingRelation& r,
   return GroupedCountsFromDeltas(groups);
 }
 
-Result<std::vector<GroupedCount>> CountGroupedBy(
-    const PlanPtr& plan, const std::string& column,
-    const ParallelOptions& options, QueryContext* ctx) {
-  ONGOINGDB_ASSIGN_OR_RETURN(AggregationDrain drain,
-                             AggregationDrain::Prepare(plan, options, ctx));
-  ONGOINGDB_ASSIGN_OR_RETURN(size_t idx, drain.schema().IndexOf(column));
-  ONGOINGDB_RETURN_NOT_OK(CheckGroupable(drain.schema(), idx));
-  std::vector<GroupDeltas> partials(drain.workers());
-  ONGOINGDB_RETURN_NOT_OK(drain.Run([&partials, idx](size_t w, const Tuple& t) {
-    AddRtDeltas(t.rt(), 1, &partials[w][t.value(idx)]);
-  }));
-  // Associative merge of the per-worker group maps: per group, deltas
-  // add.
-  GroupDeltas& merged = partials.front();
-  for (size_t w = 1; w < partials.size(); ++w) {
-    for (auto& [group, deltas] : partials[w]) {
-      std::map<TimePoint, int64_t>& into = merged[group];
-      for (const auto& [point, delta] : deltas) into[point] += delta;
-    }
-  }
-  return GroupedCountsFromDeltas(merged);
-}
-
 Result<StepFunction> SumAtEachReferenceTime(const OngoingRelation& r,
                                             const std::string& column) {
   ONGOINGDB_ASSIGN_OR_RETURN(size_t idx, CheckInt64Column(r.schema(), column));
@@ -384,50 +207,7 @@ Result<StepFunction> SumAtEachReferenceTime(const OngoingRelation& r,
   return StepsFromDeltas(deltas);
 }
 
-Result<StepFunction> SumAtEachReferenceTime(const PlanPtr& plan,
-                                            const std::string& column,
-                                            const ParallelOptions& options,
-                                            QueryContext* ctx) {
-  ONGOINGDB_ASSIGN_OR_RETURN(AggregationDrain drain,
-                             AggregationDrain::Prepare(plan, options, ctx));
-  ONGOINGDB_ASSIGN_OR_RETURN(size_t idx,
-                             CheckInt64Column(drain.schema(), column));
-  if (drain.borrowed() != nullptr) {
-    return SumAtEachReferenceTime(*drain.borrowed(), column);
-  }
-  std::vector<std::map<TimePoint, int64_t>> partials(drain.workers());
-  ONGOINGDB_RETURN_NOT_OK(drain.Run([&partials, idx](size_t w, const Tuple& t) {
-    AddRtDeltas(t.rt(), t.value(idx).AsInt64(), &partials[w]);
-  }));
-  return MergeDeltaPartials(partials);
-}
-
 namespace {
-
-// Shared body of the MIN/MAX variants: reduce the plan's tuples to
-// per-worker (interval, value) event buffers, concatenate, sweep.
-Result<StepFunction> MinMaxOverPlan(const PlanPtr& plan,
-                                    const std::string& column, bool take_min,
-                                    int64_t empty_value,
-                                    const ParallelOptions& options,
-                                    QueryContext* ctx) {
-  ONGOINGDB_ASSIGN_OR_RETURN(AggregationDrain drain,
-                             AggregationDrain::Prepare(plan, options, ctx));
-  ONGOINGDB_ASSIGN_OR_RETURN(size_t idx,
-                             CheckInt64Column(drain.schema(), column));
-  std::vector<std::vector<ValuedInterval>> partials(drain.workers());
-  ONGOINGDB_RETURN_NOT_OK(drain.Run([&partials, idx](size_t w, const Tuple& t) {
-    const int64_t v = t.value(idx).AsInt64();
-    for (const FixedInterval& iv : t.rt().intervals()) {
-      partials[w].push_back({iv, v});
-    }
-  }));
-  std::vector<ValuedInterval>& events = partials.front();
-  for (size_t w = 1; w < partials.size(); ++w) {
-    events.insert(events.end(), partials[w].begin(), partials[w].end());
-  }
-  return SweepMinMax(events, take_min, empty_value);
-}
 
 Result<StepFunction> MinMaxOverRelation(const OngoingRelation& r,
                                         const std::string& column,
@@ -455,24 +235,6 @@ Result<StepFunction> MaxAtEachReferenceTime(const OngoingRelation& r,
                                             const std::string& column,
                                             int64_t empty_value) {
   return MinMaxOverRelation(r, column, /*take_min=*/false, empty_value);
-}
-
-Result<StepFunction> MinAtEachReferenceTime(const PlanPtr& plan,
-                                            const std::string& column,
-                                            int64_t empty_value,
-                                            const ParallelOptions& options,
-                                            QueryContext* ctx) {
-  return MinMaxOverPlan(plan, column, /*take_min=*/true, empty_value, options,
-                        ctx);
-}
-
-Result<StepFunction> MaxAtEachReferenceTime(const PlanPtr& plan,
-                                            const std::string& column,
-                                            int64_t empty_value,
-                                            const ParallelOptions& options,
-                                            QueryContext* ctx) {
-  return MinMaxOverPlan(plan, column, /*take_min=*/false, empty_value,
-                        options, ctx);
 }
 
 }  // namespace ongoingdb

@@ -4,13 +4,13 @@
 // over an ongoing relation is a *function of the reference time*. The
 // COUNT of an ongoing relation is returned as a piecewise-constant step
 // function: at each reference time rt it equals the COUNT of ||R||rt.
+// The aggregates take a relation; a query's result is aggregated after
+// Execute (query/executor.h) materializes it.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "query/physical.h"
-#include "query/plan.h"
 #include "relation/relation.h"
 #include "util/result.h"
 
@@ -42,33 +42,6 @@ struct StepFunction {
 /// |sigma(...)| of the instantiated relation).
 StepFunction CountAtEachReferenceTime(const OngoingRelation& r);
 
-/// Pointwise sum of two step functions — the associative, commutative
-/// merge of per-worker COUNT/SUM partials in the parallel aggregation
-/// path: each worker sweeps the tuples of its partition pipelines into
-/// a partial step function, and the partials fold with this merge in
-/// any grouping or order (the merge-associativity property test pins
-/// this down).
-///
-/// PRECONDITION: each non-empty operand must be a gap-free, ascending
-/// cover of (-inf, +inf) — the StepFunction class contract, which every
-/// producer in this header upholds. A hand-built partial cover is
-/// silently truncated at the shorter operand's end. An empty function
-/// (steps == {}) is accepted as the constant 0, the merge identity.
-StepFunction AddStepFunctions(const StepFunction& a, const StepFunction& b);
-
-/// COUNT over a query's ongoing result, computed batch-at-a-time via the
-/// pull-based executor (query/physical.h): only the RT boundary deltas
-/// are accumulated; the result relation is never materialized. With
-/// options.workers > 1 the plan drains as partition pipelines, each
-/// worker accumulating a StepFunction partial that is merged with
-/// AddStepFunctions (serial fallback on small inputs, EffectiveWorkers).
-/// All streaming overloads below accept an optional QueryContext
-/// (query/exec_context.h): cancellation/deadline/budget surface as the
-/// typed lifecycle Status, with every worker task joined first.
-Result<StepFunction> CountAtEachReferenceTime(const PlanPtr& plan,
-                                              const ParallelOptions& options = {},
-                                              QueryContext* ctx = nullptr);
-
 /// Grouped COUNT: one step function per distinct value of the (fixed)
 /// group-by attribute.
 struct GroupedCount {
@@ -78,26 +51,10 @@ struct GroupedCount {
 Result<std::vector<GroupedCount>> CountGroupedBy(const OngoingRelation& r,
                                                  const std::string& column);
 
-/// Streaming grouped COUNT over a query's ongoing result: per-group
-/// boundary deltas accumulated batch-at-a-time (parallel with per-worker
-/// group maps merged additively). Groups are returned in ValueCompare
-/// order of the group value.
-Result<std::vector<GroupedCount>> CountGroupedBy(
-    const PlanPtr& plan, const std::string& column,
-    const ParallelOptions& options = {}, QueryContext* ctx = nullptr);
-
 /// SUM(column)(rt) over the tuples whose RT contains rt. The column must
 /// be a fixed int64 attribute.
 Result<StepFunction> SumAtEachReferenceTime(const OngoingRelation& r,
                                             const std::string& column);
-
-/// Streaming SUM over a query's ongoing result (value-weighted boundary
-/// deltas; the result relation is never materialized). Parallel like
-/// CountAtEachReferenceTime(PlanPtr).
-Result<StepFunction> SumAtEachReferenceTime(const PlanPtr& plan,
-                                            const std::string& column,
-                                            const ParallelOptions& options = {},
-                                            QueryContext* ctx = nullptr);
 
 /// MIN/MAX(column)(rt) over the tuples whose RT contains rt; reference
 /// times with no tuples take `empty_value` (default 0).
@@ -107,21 +64,5 @@ Result<StepFunction> MinAtEachReferenceTime(const OngoingRelation& r,
 Result<StepFunction> MaxAtEachReferenceTime(const OngoingRelation& r,
                                             const std::string& column,
                                             int64_t empty_value = 0);
-
-/// Streaming MIN/MAX over a query's ongoing result: tuples reduce to
-/// (RT interval, value) events batch-at-a-time, and one ordered sweep
-/// over the collected events produces the step function. Per-worker
-/// event buffers concatenate (an associative, order-insensitive merge)
-/// before the sweep when options.workers > 1.
-Result<StepFunction> MinAtEachReferenceTime(const PlanPtr& plan,
-                                            const std::string& column,
-                                            int64_t empty_value = 0,
-                                            const ParallelOptions& options = {},
-                                            QueryContext* ctx = nullptr);
-Result<StepFunction> MaxAtEachReferenceTime(const PlanPtr& plan,
-                                            const std::string& column,
-                                            int64_t empty_value = 0,
-                                            const ParallelOptions& options = {},
-                                            QueryContext* ctx = nullptr);
 
 }  // namespace ongoingdb

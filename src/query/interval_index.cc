@@ -177,8 +177,6 @@ Status IntervalIndex::ApplyRemove(size_t tuple_index, size_t moved_from) {
 //   kMetBy     exact: e_p = s_e ^ both non-empty
 //              => min_start <= P.max_end ^ max_start >= P.min_end
 //                 ^ max_end > P.min_end
-//   kContains  exact: s_e <= t ^ t < e_e  (t = P.min_start)
-//              => min_start <= t ^ max_end > t
 //
 // The min_start conditions are prefixes of the sorted entry list (binary
 // search / early break); kAfter's max_start condition is a suffix of the
@@ -231,14 +229,6 @@ void IntervalIndex::CandidatesInto(IntervalProbeOp op,
         if (e.max_start >= probe.min_end && e.max_end > probe.min_end) {
           out->push_back(e.tuple_index);
         }
-      }
-      return;
-    }
-    case IntervalProbeOp::kContains: {
-      const TimePoint t = probe.min_start;
-      for (const Entry& e : entries_) {
-        if (e.min_start > t) break;
-        if (e.max_end > t) out->push_back(e.tuple_index);
       }
       return;
     }

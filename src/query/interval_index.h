@@ -12,12 +12,12 @@
 // sorted bound lists and returns a candidate set; the exact ongoing
 // predicate is then evaluated only on the candidates.
 //
-// The execution engine promotes this into the batched pipeline: eligible
-// Filter(Scan) plans lower to an index scan over the candidate list and
-// eligible temporal join conjuncts to an IndexJoinOp (query/physical.h)
-// that probes the index once per outer tuple; both apply the exact
-// predicate as a residual —
-// see docs/DESIGN.md, "Index access path".
+// The execution engine uses it for index-nested-loop joins: an eligible
+// temporal join conjunct lowers to an IndexJoinOp (query/physical.h)
+// that probes the inner side's index once per outer tuple and applies
+// the exact join predicate as a residual. The view maintainer keeps an
+// index of its own over a cached join inner (query/view_maintenance.h).
+// Selections scan instead (see docs/DESIGN.md, "Index access path").
 #pragma once
 
 #include <cstdint>

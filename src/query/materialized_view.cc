@@ -14,9 +14,9 @@ Status MaterializedView::EnsureCompiled(QueryContext* ctx) {
                                Compile(plan_, ExecMode::kOngoing, 0, ctx));
     compiled_ctx_ = ctx;
   } else if (ctx != compiled_ctx_) {
-    // Rebind instead of recompiling: the cached tree's warm state — the
-    // shared IntervalIndex of an index access path in particular —
-    // survives a change of serving context.
+    // Rebind instead of recompiling: the cached tree's warm state — an
+    // index-NL join's shared IntervalIndex in particular — survives a
+    // change of serving context.
     compiled_->RebindContext(ctx);
     compiled_ctx_ = ctx;
   }

@@ -61,9 +61,9 @@ class MaterializedView {
   ///    once at view creation; refreshes re-open the cached physical
   ///    operator tree, and serving under a different `ctx` rebinds the
   ///    context on the existing tree (RebindContext) instead of
-  ///    recompiling — warm state such as an index scan's IntervalIndex
-  ///    survives, rebuilt only when its fingerprint shows the base data
-  ///    changed.
+  ///    recompiling — warm state such as an index-NL join's inner
+  ///    IntervalIndex survives, rebuilt only when its fingerprint shows
+  ///    the base data changed.
   ///
   /// A non-null `ctx` makes the refresh observe the query-lifecycle
   /// contract (query/exec_context.h) on every path: cancellation,

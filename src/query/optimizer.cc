@@ -102,41 +102,10 @@ std::optional<ExprPtr> TryRewriteForSide(const ExprPtr& conjunct,
   });
 }
 
-}  // namespace
-
-namespace {
-
-// The fixed probe interval a literal value denotes, if any: a fixed
-// interval literal, or an ongoing interval literal whose endpoints have
-// collapsed bounds (a == b), i.e. one that instantiates identically at
-// every reference time.
-std::optional<FixedInterval> AsFixedProbe(const Value& v) {
-  if (v.type() == ValueType::kFixedInterval) return v.AsInterval();
-  if (v.type() == ValueType::kOngoingInterval) {
-    const OngoingInterval& iv = v.AsOngoingInterval();
-    if (iv.start().a() == iv.start().b() && iv.end().a() == iv.end().b()) {
-      return FixedInterval{iv.start().a(), iv.end().a()};
-    }
-  }
-  return std::nullopt;
-}
-
-// The fixed time point a literal value denotes, if any (a timeslice
-// probe): a fixed time point, or an ongoing point with collapsed
-// bounds.
-std::optional<TimePoint> AsFixedPointProbe(const Value& v) {
-  if (v.type() == ValueType::kTimePoint) return v.AsTime();
-  if (v.type() == ValueType::kOngoingTimePoint) {
-    const OngoingTimePoint& p = v.AsOngoingPoint();
-    if (p.a() == p.b()) return p.a();
-  }
-  return std::nullopt;
-}
-
-// The probe op for `column ALLEN-OP probe` when the column is the lhs,
-// and for `probe ALLEN-OP column` when flipped; nullopt for the Allen
-// ops with no index form (starts/finishes/during/equals). Shared by the
-// index-scan and index-join matching below.
+// The probe op for `lhs ALLEN-OP rhs` from the indexed side's view:
+// the op itself when the indexed column is the lhs, flipped when it is
+// the rhs; nullopt for the Allen ops with no index form
+// (starts/finishes/during/equals).
 std::optional<IntervalProbeOp> ProbeOpFor(AllenOp op, bool column_is_lhs) {
   switch (op) {
     case AllenOp::kOverlaps:
@@ -157,68 +126,6 @@ bool IsIntervalAttribute(const Schema& schema, size_t idx) {
   return type == ValueType::kOngoingInterval ||
          type == ValueType::kFixedInterval;
 }
-
-// Matches one conjunct as `col op probe` / `probe op col` (op in
-// {overlaps, before, meets}) or `col CONTAINS point` against the
-// scanned relation's schema.
-std::optional<IndexScanInfo> MatchIndexConjunct(const ExprPtr& conjunct,
-                                                const OngoingRelation* rel) {
-  std::optional<std::string> column;
-  std::optional<IntervalProbeOp> op;
-  IntervalBounds probe;
-  if (std::optional<AllenParts> allen = AsAllen(conjunct)) {
-    ExprPtr col_expr = allen->lhs;
-    ExprPtr lit_expr = allen->rhs;
-    bool column_is_lhs = true;
-    if (!AsColumnName(col_expr)) {
-      std::swap(col_expr, lit_expr);
-      column_is_lhs = false;
-    }
-    column = AsColumnName(col_expr);
-    if (!column) return std::nullopt;
-    op = ProbeOpFor(allen->op, column_is_lhs);
-    if (!op) return std::nullopt;
-    std::optional<Value> literal = AsLiteralValue(lit_expr);
-    if (!literal) return std::nullopt;
-    std::optional<FixedInterval> fixed = AsFixedProbe(*literal);
-    if (!fixed) return std::nullopt;
-    probe = IntervalBounds::Of(*fixed);
-  } else if (std::optional<ContainsParts> contains = AsContains(conjunct)) {
-    // Timeslice probe: interval column CONTAINS a fixed time point.
-    column = AsColumnName(contains->interval);
-    if (!column) return std::nullopt;
-    std::optional<Value> literal = AsLiteralValue(contains->point);
-    if (!literal) return std::nullopt;
-    std::optional<TimePoint> point = AsFixedPointProbe(*literal);
-    if (!point) return std::nullopt;
-    op = IntervalProbeOp::kContains;
-    probe = IntervalBounds::Point(*point);
-  } else {
-    return std::nullopt;
-  }
-  auto idx = rel->schema().IndexOf(*column);
-  if (!idx.ok() || !IsIntervalAttribute(rel->schema(), *idx)) {
-    return std::nullopt;
-  }
-  return IndexScanInfo{rel, *column, *idx, *op, probe};
-}
-
-}  // namespace
-
-std::optional<IndexScanInfo> MatchIndexScan(const FilterNode& filter) {
-  if (filter.child()->kind() != PlanKind::kScan) return std::nullopt;
-  const auto* scan = static_cast<const ScanNode*>(filter.child().get());
-  std::vector<ExprPtr> conjuncts;
-  CollectTopLevelConjuncts(filter.predicate(), &conjuncts);
-  for (const ExprPtr& conjunct : conjuncts) {
-    if (auto info = MatchIndexConjunct(conjunct, &scan->relation())) {
-      return info;
-    }
-  }
-  return std::nullopt;
-}
-
-namespace {
 
 // Binds a conjunct operand to exactly one join side as an interval
 // column; follows ExtractEquiConjuncts' rule (a usable operand resolves
@@ -490,8 +397,7 @@ Result<PlanPtr> PushDownFilters(const PlanPtr& plan) {
       ONGOINGDB_ASSIGN_OR_RETURN(PlanPtr child,
                                  PushDownFilters(node->child()));
       if (child->kind() != PlanKind::kJoin) {
-        return Filter(std::move(child), node->predicate(),
-                      node->access_path());
+        return Filter(std::move(child), node->predicate());
       }
       const auto* join = static_cast<const JoinNode*>(child.get());
       ONGOINGDB_ASSIGN_OR_RETURN(Schema left_schema,
@@ -512,26 +418,14 @@ Result<PlanPtr> PushDownFilters(const PlanPtr& plan) {
           stay.push_back(conjunct);
         }
       }
-      // The pushed and residual filters inherit the original filter's
-      // access-path annotation: a forced kIndex or kFullScan (the
-      // benches' index ablations and their scan baseline) must not
-      // silently revert to kAuto just because the filter commuted with
-      // a join.
       PlanPtr new_left = join->left();
       PlanPtr new_right = join->right();
-      if (!to_left.empty()) {
-        new_left = Filter(new_left, AndAll(to_left), node->access_path());
-      }
-      if (!to_right.empty()) {
-        new_right = Filter(new_right, AndAll(to_right), node->access_path());
-      }
+      if (!to_left.empty()) new_left = Filter(new_left, AndAll(to_left));
+      if (!to_right.empty()) new_right = Filter(new_right, AndAll(to_right));
       PlanPtr new_join =
           Join(std::move(new_left), std::move(new_right), join->predicate(),
                join->left_prefix(), join->right_prefix(), join->algorithm());
       if (stay.empty()) return new_join;
-      // The residual sits above the join, where no index applies; it
-      // reverts to kAuto so a forced kIndex whose eligible conjunct was
-      // just pushed down does not fail compilation up here.
       return Filter(std::move(new_join), AndAll(stay));
     }
   }
@@ -546,8 +440,7 @@ Result<PlanPtr> ChooseJoinAlgorithms(const PlanPtr& plan) {
       const auto* node = static_cast<const FilterNode*>(plan.get());
       ONGOINGDB_ASSIGN_OR_RETURN(PlanPtr child,
                                  ChooseJoinAlgorithms(node->child()));
-      return Filter(std::move(child), node->predicate(),
-                    node->access_path());
+      return Filter(std::move(child), node->predicate());
     }
     case PlanKind::kProject: {
       const auto* node = static_cast<const ProjectNode*>(plan.get());

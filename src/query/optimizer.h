@@ -19,8 +19,8 @@ namespace ongoingdb {
 /// The output schema a plan will produce (computed without executing).
 Result<Schema> OutputSchema(const PlanPtr& plan);
 
-/// The degree-of-parallelism decision shared by the parallel Compile()
-/// overload and the streaming aggregates: options.workers, clamped to 1
+/// The degree-of-parallelism decision of the parallel Compile()
+/// overload: options.workers, clamped to 1
 /// (serial) when the plan's base relations hold fewer than
 /// options.min_parallel_tuples tuples in total. On small inputs the
 /// parallel plan's fixed costs — pipeline setup, cross-thread batch
@@ -32,30 +32,6 @@ size_t EffectiveWorkers(const PlanPtr& plan, const ParallelOptions& options);
 /// resolve in one join input (sigma_{theta1 ^ theta2}(R) ==
 /// sigma_theta1(sigma_theta2(R)) plus commuting with join inputs).
 Result<PlanPtr> PushDownFilters(const PlanPtr& plan);
-
-/// A recognized index-eligible temporal selection: Filter(Scan) whose
-/// predicate has a top-level conjunct `col op probe` with op in
-/// {overlaps, before, meets} or `col CONTAINS point`, `col` an interval
-/// attribute of the scanned relation, and `probe` a literal with fixed
-/// endpoint bounds (a fixed interval / time point, or an ongoing
-/// literal that instantiates identically at every reference time).
-/// `probe op col` also matches — for the symmetric overlaps directly,
-/// for before/meets by flipping to the kAfter/kMetBy probe. The full
-/// predicate remains the residual: the index only prunes candidates, it
-/// never decides membership.
-struct IndexScanInfo {
-  const OngoingRelation* relation;  ///< the scanned base relation
-  std::string column;               ///< indexed attribute name
-  size_t column_index;              ///< resolved ordinal on the relation
-  IntervalProbeOp op;               ///< probe op, indexed side's view
-  IntervalBounds probe;             ///< the fixed probe bounds
-};
-
-/// Matches `filter` against the eligibility rules above; nullopt when
-/// the plan cannot use the interval index. The lowering
-/// (query/physical.cc) uses it for a filter that forces
-/// AccessPath::kIndex, in serial and parallel plans alike.
-std::optional<IndexScanInfo> MatchIndexScan(const FilterNode& filter);
 
 /// A recognized index-eligible temporal join conjunct: the join
 /// predicate has a top-level conjunct `outer.col op inner.col` (either

@@ -1,7 +1,6 @@
 #include "query/physical.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -263,73 +262,45 @@ class JoinHashTable {
 // Index access (docs/DESIGN.md, "Index access path")
 // ---------------------------------------------------------------------------
 
-// Puts distinct positions below `n` into ascending order through a
-// bitmap, O(n / 64 + k): an index scan then reads the relation in
-// storage order, as a full scan does, instead of jumping around it in
-// the index's start order. On 4,884 candidates out of 20,000 rows (the
-// ingest benchmark's probe) a comparison sort took 0.21 ms, the bitmap
-// 0.012 ms.
-void SortPositions(size_t n, std::vector<size_t>* positions) {
-  std::vector<uint64_t> bits((n + 63) / 64);
-  for (size_t p : *positions) bits[p / 64] |= uint64_t{1} << (p % 64);
-  positions->clear();
-  for (size_t w = 0; w < bits.size(); ++w) {
-    for (uint64_t b = bits[w]; b != 0; b &= b - 1) {
-      positions->push_back(w * 64 + static_cast<size_t>(std::countr_zero(b)));
-    }
-  }
-}
-
-// The IntervalIndex behind one lowered index access — an index scan's
-// selection or an index-nested-loop join's inner side — shared by every
-// operator instance of that plan node (one per partition pipeline in a
-// parallel plan; a MaterializedView's cached operator tree keeps it
-// alive across Refresh() calls). Ensure() is the build-or-reuse
-// decision: the indexed column is fingerprinted on every Open(), and
-// the index is rebuilt only when the fingerprint no longer matches the
-// one recorded at Build time — so repeated drains of an unmodified
-// relation pay an O(n) bound sweep instead of the O(n log n) sort, and
-// base-data modifications (TemporalInsert/Delete/Update, plain inserts)
-// are picked up on the next Open(). An index scan's fixed probe is
-// answered once per (re)build into the candidate list; an index join
-// probes per outer tuple. Concurrent Ensure() calls from parallel
-// pipeline Open()s serialize on the mutex; after the first (re)build
-// the state is only read.
+// The IntervalIndex on an index-nested-loop join's inner side, shared
+// by every operator instance of that join node (one per partition
+// pipeline in a parallel plan; a MaterializedView's cached operator
+// tree keeps it alive across Refresh() calls). Ensure() is the
+// build-or-reuse decision: the indexed column is fingerprinted on every
+// Open(), and the index is rebuilt only when the fingerprint no longer
+// matches the one recorded at Build time — so repeated drains of an
+// unmodified relation pay an O(n) bound sweep instead of the
+// O(n log n) sort, and base-data modifications (TemporalInsert/Delete/
+// Update, plain inserts) are picked up on the next Open(). Concurrent
+// Ensure() calls from parallel pipeline Open()s serialize on the mutex;
+// after the first (re)build the state is only read.
 struct IndexState {
   IndexState(const OngoingRelation* relation, std::string column,
-             size_t column_index, IntervalProbeOp op,
-             std::optional<IntervalBounds> probe)
+             size_t column_index, IntervalProbeOp op)
       : relation(relation),
         column(std::move(column)),
         column_index(column_index),
-        op(op),
-        probe(probe) {}
+        op(op) {}
 
   // Immutable after construction; read lock-free.
   const OngoingRelation* relation;  // the indexed base relation
   std::string column;               // indexed attribute name
   size_t column_index;              // resolved ordinal on `relation`
   IntervalProbeOp op;               // probe op, indexed side's view
-  std::optional<IntervalBounds> probe;  // an index scan's fixed probe
 
   Mutex mu;
   std::optional<IntervalIndex> index GUARDED_BY(mu);
-  std::vector<size_t> candidates GUARDED_BY(mu);  // answer to `probe`
   uint64_t validated_generation GUARDED_BY(mu) = 0;
 
-  // Post-Ensure read surface. The fields above are guarded for the
-  // (re)build; once a pipeline's own Ensure() returned OK for the
-  // current drain round the state is immutable until the next
-  // ExchangeState::Reset(), and every reader's accesses are ordered
-  // after the build by the mu acquire inside its own Ensure() call.
-  // The accessors opt out of the analysis for exactly that protocol —
-  // callers must not touch them before Ensure() succeeded.
+  // Post-Ensure read surface. The index is guarded for the (re)build;
+  // once a pipeline's own Ensure() returned OK for the current drain
+  // round it is immutable until the next ExchangeState::Reset(), and
+  // every reader's accesses are ordered after the build by the mu
+  // acquire inside its own Ensure() call. The accessor opts out of the
+  // analysis for exactly that protocol — callers must not touch it
+  // before Ensure() succeeded.
   const IntervalIndex& index_after_ensure() const NO_THREAD_SAFETY_ANALYSIS {
     return *index;
-  }
-  const std::vector<size_t>& candidates_after_ensure() const
-      NO_THREAD_SAFETY_ANALYSIS {
-    return candidates;
   }
 
   // `generation` is the exchange's drain-round counter (0 when the
@@ -351,10 +322,6 @@ struct IndexState {
       ONGOINGDB_FAILPOINT(fp_index_build);
       ONGOINGDB_ASSIGN_OR_RETURN(IntervalIndex built,
                                  IntervalIndex::Build(*relation, column));
-      if (probe.has_value()) {
-        built.CandidatesInto(op, *probe, &candidates);
-        SortPositions(relation->size(), &candidates);
-      }
       index = std::move(built);
     }
     validated_generation = generation;
@@ -416,27 +383,20 @@ class MorselWindow {
   bool claimed_ = false;
 };
 
-// Streams a base relation through its morsel window: whole in a serial
-// plan, this pipeline's share in a parallel one (the exchange scan).
-// The positions are [0, n) or, for an index scan (an index-eligible
-// Filter(Scan) that forces AccessPath::kIndex), the ones the
-// IntervalIndex's candidate list names, a superset of the exact answer.
-// A scan that absorbed a Filter tests each stored tuple with the
-// compiled predicate (query/join.h, PairPredicate) before it claims a
-// batch slot, so a rejected tuple copies nothing; the remainder runs on
-// the filled slot (PopLast un-claims a rejected slot). Index and full
-// scans evaluate the same full predicate, so their results are equal in
-// both execution modes (in kAtReferenceTime mode the candidate set still
-// covers every tuple matching at the one probed rt). Only the serial
-// ongoing-mode scan without a predicate exposes BorrowedRelation(); an
-// exchange instance streams just its share of the relation.
+// Streams the positions [0, n) of a base relation through its morsel
+// window: whole in a serial plan, this pipeline's share in a parallel
+// one (the exchange scan). A scan that absorbed a Filter tests each
+// stored tuple with the compiled predicate (query/join.h,
+// PairPredicate) before it claims a batch slot, so a rejected tuple
+// copies nothing; the remainder runs on the filled slot (PopLast
+// un-claims a rejected slot). Only the serial ongoing-mode scan without
+// a predicate exposes BorrowedRelation(); an exchange instance streams
+// just its share of the relation.
 class ScanOp final : public PhysicalOperator {
  public:
   ScanOp(const OngoingRelation* relation, const ExprPtr& predicate,
-         std::shared_ptr<IndexState> index, ExecMode mode, TimePoint rt,
-         std::shared_ptr<ExchangeState> exchange,
-         ExchangeState::MorselCursor* cursor, size_t morsel_size,
-         QueryContext* ctx)
+         ExecMode mode, TimePoint rt, ExchangeState::MorselCursor* cursor,
+         size_t morsel_size, QueryContext* ctx)
       : PhysicalOperator(mode == ExecMode::kOngoing
                              ? relation->schema()
                              : relation->schema().Instantiated()),
@@ -444,23 +404,15 @@ class ScanOp final : public PhysicalOperator {
         filtered_(predicate != nullptr),
         pred_(predicate, relation->schema(),
               mode == ExecMode::kAtReferenceTime, rt),
-        index_(std::move(index)),
         mode_(mode),
         rt_(rt),
-        exchange_(std::move(exchange)),
         window_(cursor, morsel_size),
         ctx_(ctx) {}
 
-  const char* Name() const override {
-    return index_ != nullptr ? "IndexScan" : "Scan";
-  }
+  const char* Name() const override { return "Scan"; }
 
   Status Open() override {
     ONGOINGDB_RETURN_NOT_OK(CheckLifecycle(ctx_, fp_exec_open));
-    if (index_ != nullptr) {
-      ONGOINGDB_RETURN_NOT_OK(
-          index_->Ensure(exchange_ != nullptr ? exchange_->generation() : 0));
-    }
     window_.Reset();
     return Status::OK();
   }
@@ -468,9 +420,7 @@ class ScanOp final : public PhysicalOperator {
   Status Next(TupleBatch* out) override {
     out->Clear();
     const TupleStore& tuples = relation_->tuples();
-    const std::vector<size_t>* candidates =
-        index_ != nullptr ? &index_->candidates_after_ensure() : nullptr;
-    const size_t n = candidates != nullptr ? candidates->size() : tuples.size();
+    const size_t n = tuples.size();
     // The batch fills across scanned positions, with one lifecycle check
     // per batch capacity of them: a predicate that rejects every tuple
     // still cancels between scanned batches, as a Filter over its
@@ -480,8 +430,7 @@ class ScanOp final : public PhysicalOperator {
       size_t i = 0;
       for (size_t scanned = 0; scanned < out->capacity(); ++scanned) {
         if (!window_.Next(n, &i)) return Status::OK();
-        ONGOINGDB_RETURN_NOT_OK(
-            Emit(tuples[candidates != nullptr ? (*candidates)[i] : i], out));
+        ONGOINGDB_RETURN_NOT_OK(Emit(tuples[i], out));
         if (out->full()) return Status::OK();
       }
     }
@@ -533,10 +482,8 @@ class ScanOp final : public PhysicalOperator {
   const OngoingRelation* relation_;
   bool filtered_;
   PairPredicate pred_;
-  std::shared_ptr<IndexState> index_;  // null: a full scan
   ExecMode mode_;
   TimePoint rt_;
-  std::shared_ptr<ExchangeState> exchange_;
   MorselWindow window_;
   QueryContext* ctx_;
   const IntervalSet all_ = IntervalSet::All();
@@ -941,9 +888,9 @@ class IndexJoinOp final : public PhysicalOperator {
 // execution"). A parallel plan is K self-contained partition pipelines
 // whose streams are disjoint and together equal the serial result:
 //
-//  * Scan instances (full or index) share a morsel cursor per plan node,
-//    so all pipelines pull morsels of one input (data-level load
-//    balancing) — the exchange scan;
+//  * Scan instances share a morsel cursor per plan node, so all
+//    pipelines pull morsels of one input (data-level load balancing) —
+//    the exchange scan;
 //  * Repartition routes a join input's tuples to the partition their
 //    key hash selects, so key-driven joins build and probe
 //    per-partition tables;
@@ -1251,8 +1198,8 @@ class GatherOp final : public PhysicalOperator {
 // Per-compilation state of a lowering. A serial lowering has no
 // exchange. A parallel one (CompilePartitions) lowers the plan once per
 // partition pipeline against one state, so that the instances of a scan
-// node in all pipelines share its morsel cursor and those of an index
-// access share its IndexState.
+// node in all pipelines share its morsel cursor and those of an
+// index-NL join share its IndexState.
 struct LowerState {
   QueryContext* ctx = nullptr;
   std::shared_ptr<ExchangeState> exchange;  // null: a serial lowering
@@ -1278,14 +1225,11 @@ struct LowerState {
   // pipelines of a parallel plan, private to its operator in a serial
   // one (where it revalidates on every Open()).
   std::shared_ptr<IndexState> IndexFor(const PlanNode* node,
-                                       const OngoingRelation* relation,
-                                       const std::string& column,
-                                       size_t column_index, IntervalProbeOp op,
-                                       std::optional<IntervalBounds> probe) {
+                                       const IndexJoinInfo& info) {
     std::shared_ptr<IndexState>& index = indexes[node];
     if (index == nullptr || exchange == nullptr) {
-      index = std::make_shared<IndexState>(relation, column, column_index, op,
-                                           probe);
+      index = std::make_shared<IndexState>(info.inner, info.inner_column,
+                                           info.inner_column_index, info.op);
     }
     return index;
   }
@@ -1310,9 +1254,9 @@ struct LowerState {
 // — the one lowering of every plan node. A serial tree is the
 // one-partition case without an exchange: scans stream the whole
 // relation and stay borrowable, index states are private, and key joins
-// are not repartitioned. In a parallel plan scans and index scans pull
-// morsels of their input from cursors shared across the pipelines, and
-// index-NL joins share one inner index. A join input every pipeline
+// are not repartitioned. In a parallel plan scans pull morsels of their
+// input from cursors shared across the pipelines, and index-NL joins
+// share one inner index. A join input every pipeline
 // evaluates in full — both inputs of a key join, which RepartitionOp
 // then filters down to the partition's keys, and a nested-loop inner —
 // is lowered as a serial tree of its own per pipeline. The partition
@@ -1325,41 +1269,20 @@ Result<PhysicalOpPtr> Lower(const PlanPtr& plan, ExecMode mode, TimePoint rt,
     case PlanKind::kScan: {
       const auto* node = static_cast<const ScanNode*>(plan.get());
       return PhysicalOpPtr(std::make_unique<ScanOp>(
-          &node->relation(), nullptr, nullptr, mode, rt, state->exchange,
-          state->CursorFor(node), state->morsel_size, ctx));
+          &node->relation(), nullptr, mode, rt, state->CursorFor(node),
+          state->morsel_size, ctx));
     }
     case PlanKind::kFilter: {
       const auto* node = static_cast<const FilterNode*>(plan.get());
-      // The access path: a Filter(Scan) lowers to a scan that tests the
-      // predicate itself, unless the node forces AccessPath::kIndex on
-      // an eligible temporal selection. kAuto takes the scan, because a
-      // cold index pays an O(n) fingerprint and an O(n log n) build
-      // before its first probe, and no kAuto path drains one tree twice
-      // over an unmodified relation (docs/DESIGN.md, "Index access
-      // path"). Forcing kIndex on an ineligible plan is a compile error,
-      // not a silent fallback.
-      if (node->access_path() == AccessPath::kIndex) {
-        std::optional<IndexScanInfo> info = MatchIndexScan(*node);
-        if (!info.has_value()) {
-          return Status::InvalidArgument(
-              "AccessPath::kIndex requires Filter(Scan) with an "
-              "overlaps/before/meets conjunct on an interval attribute "
-              "against a fixed probe interval, or a CONTAINS against a fixed "
-              "time point");
-        }
-        return PhysicalOpPtr(std::make_unique<ScanOp>(
-            info->relation, node->predicate(),
-            state->IndexFor(node, info->relation, info->column,
-                            info->column_index, info->op, info->probe),
-            mode, rt, state->exchange, state->CursorFor(node),
-            state->morsel_size, ctx));
-      }
+      // A Filter(Scan) lowers to a scan that tests the predicate itself
+      // (the paper's selection, Sec. VIII); a cold interval index would
+      // pay an O(n) fingerprint and an O(n log n) build before its first
+      // probe (docs/DESIGN.md, "Index access path").
       if (node->child()->kind() == PlanKind::kScan) {
         const auto* scan = static_cast<const ScanNode*>(node->child().get());
         return PhysicalOpPtr(std::make_unique<ScanOp>(
-            &scan->relation(), node->predicate(), nullptr, mode, rt,
-            state->exchange, state->CursorFor(node), state->morsel_size,
-            ctx));
+            &scan->relation(), node->predicate(), mode, rt,
+            state->CursorFor(node), state->morsel_size, ctx));
       }
       ONGOINGDB_ASSIGN_OR_RETURN(
           PhysicalOpPtr child,
@@ -1402,7 +1325,7 @@ Result<PhysicalOpPtr> Lower(const PlanPtr& plan, ExecMode mode, TimePoint rt,
           state->AlgorithmFor(*node, left_schema, right_schema));
       if (algorithm == JoinAlgorithm::kIndexNL) {
         // Forcing kIndexNL on an ineligible join is a compile error, not
-        // a silent fallback — mirroring AccessPath::kIndex.
+        // a silent fallback.
         std::optional<IndexJoinInfo> info =
             MatchIndexJoin(*node, left_schema, right_schema);
         if (!info.has_value()) {
@@ -1417,9 +1340,7 @@ Result<PhysicalOpPtr> Lower(const PlanPtr& plan, ExecMode mode, TimePoint rt,
         Schema joined = left_schema.Concat(right_schema, node->left_prefix(),
                                            node->right_prefix());
         return PhysicalOpPtr(std::make_unique<IndexJoinOp>(
-            std::move(outer),
-            state->IndexFor(node, info->inner, info->inner_column,
-                            info->inner_column_index, info->op, std::nullopt),
+            std::move(outer), state->IndexFor(node, *info),
             info->outer_column_index, std::move(joined), node->predicate(),
             mode, rt, state->exchange, ctx));
       }
@@ -1467,14 +1388,17 @@ Result<PhysicalOpPtr> Lower(const PlanPtr& plan, ExecMode mode, TimePoint rt,
   return Status::Internal("unknown plan kind");
 }
 
-}  // namespace
-
-Result<PhysicalOpPtr> Compile(const PlanPtr& plan, ExecMode mode,
-                              TimePoint rt, QueryContext* ctx) {
-  LowerState serial;
-  serial.ctx = ctx;
-  return Lower(plan, mode, rt, /*partition=*/0, &serial);
-}
+// A parallel lowering of a plan into `workers` partition pipelines.
+// The pipelines' output streams are disjoint and their multiset union
+// equals the serial plan's result; tuple order across pipelines is
+// unspecified. Each pipeline is a self-contained operator tree — no
+// shared mutable state besides the exchange cursors and the index-NL
+// joins' index states — so the gather operator drains the pipelines
+// from different threads concurrently (one thread per pipeline).
+struct PartitionedPlan {
+  std::vector<PhysicalOpPtr> pipelines;
+  std::shared_ptr<ExchangeState> exchange;
+};
 
 Result<PartitionedPlan> CompilePartitions(const PlanPtr& plan, ExecMode mode,
                                           TimePoint rt, size_t workers,
@@ -1494,6 +1418,15 @@ Result<PartitionedPlan> CompilePartitions(const PlanPtr& plan, ExecMode mode,
     result.pipelines.push_back(std::move(pipeline));
   }
   return result;
+}
+
+}  // namespace
+
+Result<PhysicalOpPtr> Compile(const PlanPtr& plan, ExecMode mode,
+                              TimePoint rt, QueryContext* ctx) {
+  LowerState serial;
+  serial.ctx = ctx;
+  return Lower(plan, mode, rt, /*partition=*/0, &serial);
 }
 
 Result<PhysicalOpPtr> Compile(const PlanPtr& plan, ExecMode mode, TimePoint rt,

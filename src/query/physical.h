@@ -43,7 +43,6 @@
 #include <atomic>
 #include <deque>
 #include <memory>
-#include <vector>
 
 #include "query/exec_context.h"
 #include "query/plan.h"
@@ -66,8 +65,8 @@ class PhysicalOperator {
   /// The compiled output schema (available before Open()).
   const Schema& schema() const { return schema_; }
 
-  /// A short operator name for diagnostics and tests ("IndexScan",
-  /// "Filter", ...). Tests use it to assert which lowering Compile()
+  /// A short operator name for diagnostics and tests ("Scan",
+  /// "IndexJoin", ...). Tests use it to assert which lowering Compile()
   /// picked; it carries no execution semantics.
   virtual const char* Name() const { return "Operator"; }
 
@@ -92,10 +91,10 @@ class PhysicalOperator {
   /// operator; a cached tree served under a new context (a materialized
   /// view refreshed by a different session/statement) is rebound with
   /// this instead of recompiled, so warm state that survives reopens —
-  /// the shared IntervalIndex states in particular — is kept. Only call
-  /// between drains (not between Open and Close): per-query state such
-  /// as memory charges is (re)initialized from the context inside
-  /// Open(). Pure so a new operator cannot silently keep a stale
+  /// an index-NL join's shared IntervalIndex in particular — is kept.
+  /// Only call between drains (not between Open and Close): per-query
+  /// state such as memory charges is (re)initialized from the context
+  /// inside Open(). Pure so a new operator cannot silently keep a stale
   /// context.
   virtual void RebindContext(QueryContext* ctx) = 0;
 
@@ -114,14 +113,10 @@ using PhysicalOpPtr = std::unique_ptr<PhysicalOperator>;
 /// index-nested-loop, hash and scan-nested-loop when an index-eligible
 /// temporal conjunct exists (MatchIndexJoin + interval histograms),
 /// hash/nested-loop by the key rule otherwise — the same rule as
-/// ChooseJoinAlgorithms. Likewise absorbs the filter access-path choice:
-/// a Filter(Scan) that forces AccessPath::kIndex on an eligible temporal
-/// selection (MatchIndexScan, query/optimizer.h) lowers to an index scan
-/// that streams an IntervalIndex's candidate list, and every other
-/// Filter(Scan), kAuto included, to a full scan; both test the exact
-/// predicate on each stored tuple before copying it. Forcing an
-/// ineligible path (AccessPath::kIndex, JoinAlgorithm::kIndexNL) is a
-/// compile error. `rt` is only meaningful for kAtReferenceTime. A
+/// ChooseJoinAlgorithms. Forcing kIndexNL on an ineligible join is a
+/// compile error. A Filter(Scan) lowers to a scan that tests the
+/// predicate on each stored tuple before copying it. `rt` is only
+/// meaningful for kAtReferenceTime. A
 /// non-null `ctx` is checked cooperatively at every batch boundary of
 /// the compiled tree and must outlive it.
 Result<PhysicalOpPtr> Compile(const PlanPtr& plan, ExecMode mode,
@@ -169,10 +164,8 @@ inline size_t EffectiveBatchSize(const ParallelOptions& options) {
 /// Shared coordination state of one parallel compilation: the atomic
 /// morsel cursors the exchange scans pull from. One cursor per logical
 /// scan node, shared by that scan's instances across all partition
-/// pipelines. Reset() repositions every cursor at the start; callers
-/// that drive a PartitionedPlan's pipelines directly must Reset()
-/// before each round of Open()s (the gather operator does it inside its
-/// own Open()).
+/// pipelines. Reset() repositions every cursor at the start of a drain
+/// round; the gather operator calls it inside its own Open().
 class ExchangeState {
  public:
   struct MorselCursor {
@@ -186,9 +179,9 @@ class ExchangeState {
     generation_.fetch_add(1, std::memory_order_release);
   }
 
-  /// The drain-round counter Reset() bumps. Index scans use it to
-  /// validate their shared index's staleness fingerprint once per round
-  /// instead of once per pipeline Open() (0 = never reset; always
+  /// The drain-round counter Reset() bumps. Index-NL joins use it to
+  /// validate their shared inner index's staleness fingerprint once per
+  /// round instead of once per pipeline Open() (0 = never reset; always
   /// validate).
   uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
@@ -198,28 +191,6 @@ class ExchangeState {
   std::deque<MorselCursor> cursors_;  // deque: stable addresses
   std::atomic<uint64_t> generation_{0};
 };
-
-/// A parallel lowering of a plan into `workers` partition pipelines.
-/// The pipelines' output streams are disjoint and their multiset union
-/// equals the serial plan's result; tuple order across pipelines is
-/// unspecified. Each pipeline is a self-contained operator tree — no
-/// shared mutable state besides the exchange cursors — so the pipelines
-/// may be Open()ed/Next()ed/Close()d from different threads
-/// concurrently (one thread per pipeline).
-struct PartitionedPlan {
-  std::vector<PhysicalOpPtr> pipelines;
-  std::shared_ptr<ExchangeState> exchange;
-};
-
-/// Lowers `plan` into `workers` partition pipelines (see PartitionedPlan
-/// for the contract). Used by consumers that merge per-worker partial
-/// results themselves (the parallel streaming aggregates); query
-/// execution goes through the 4-argument Compile() below, which gathers
-/// the pipelines behind a single pull-based root.
-Result<PartitionedPlan> CompilePartitions(const PlanPtr& plan, ExecMode mode,
-                                          TimePoint rt, size_t workers,
-                                          size_t morsel_size,
-                                          QueryContext* ctx = nullptr);
 
 /// Parallel-aware lowering: decides the effective worker count via
 /// EffectiveWorkers (query/optimizer.h) and either returns the serial

@@ -12,14 +12,7 @@ std::string ScanNode::ToString(int indent) const {
 }
 
 std::string FilterNode::ToString(int indent) const {
-  // kAuto renders bare; only forced access paths are annotated.
-  const char* path = "";
-  switch (access_path_) {
-    case AccessPath::kAuto: path = ""; break;
-    case AccessPath::kFullScan: path = "[full-scan]"; break;
-    case AccessPath::kIndex: path = "[index]"; break;
-  }
-  return Indent(indent) + "Filter" + path + " " + predicate_->ToString() +
+  return Indent(indent) + "Filter " + predicate_->ToString() +
          "\n" + child_->ToString(indent + 1);
 }
 
@@ -50,9 +43,8 @@ PlanPtr Scan(const OngoingRelation* relation, std::string name) {
   return std::make_shared<ScanNode>(relation, std::move(name));
 }
 
-PlanPtr Filter(PlanPtr child, ExprPtr predicate, AccessPath access_path) {
-  return std::make_shared<FilterNode>(std::move(child), std::move(predicate),
-                                      access_path);
+PlanPtr Filter(PlanPtr child, ExprPtr predicate) {
+  return std::make_shared<FilterNode>(std::move(child), std::move(predicate));
 }
 
 PlanPtr ProjectPlan(PlanPtr child, std::vector<std::string> names) {

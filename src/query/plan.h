@@ -28,17 +28,6 @@ enum class JoinAlgorithm {
                 ///< overlaps/before/meets conjunct exists
 };
 
-/// Physical access-path selection for a Filter directly over a Scan.
-/// Mirrors JoinAlgorithm: the plan carries the choice, and Compile
-/// (query/physical.h) absorbs kAuto. Only kIndex lowers an eligible
-/// temporal selection to an index scan over an IntervalIndex; see
-/// MatchIndexScan in query/optimizer.h for the eligibility rules.
-enum class AccessPath {
-  kAuto,      ///< the full scan: a cold index build costs more than it saves
-  kFullScan,  ///< never use the interval index (ablation baseline)
-  kIndex,     ///< require the index; Compile fails if ineligible
-};
-
 /// Logical plan node kinds.
 enum class PlanKind { kScan, kFilter, kProject, kJoin };
 
@@ -75,22 +64,18 @@ class ScanNode final : public PlanNode {
 /// Selection sigma_theta(child).
 class FilterNode final : public PlanNode {
  public:
-  FilterNode(PlanPtr child, ExprPtr predicate,
-             AccessPath access_path = AccessPath::kAuto)
+  FilterNode(PlanPtr child, ExprPtr predicate)
       : PlanNode(PlanKind::kFilter),
         child_(std::move(child)),
-        predicate_(std::move(predicate)),
-        access_path_(access_path) {}
+        predicate_(std::move(predicate)) {}
 
   const PlanPtr& child() const { return child_; }
   const ExprPtr& predicate() const { return predicate_; }
-  AccessPath access_path() const { return access_path_; }
   std::string ToString(int indent) const override;
 
  private:
   PlanPtr child_;
   ExprPtr predicate_;
-  AccessPath access_path_;
 };
 
 /// Projection pi_names(child).
@@ -141,8 +126,7 @@ class JoinNode final : public PlanNode {
 
 // Builders.
 PlanPtr Scan(const OngoingRelation* relation, std::string name);
-PlanPtr Filter(PlanPtr child, ExprPtr predicate,
-               AccessPath access_path = AccessPath::kAuto);
+PlanPtr Filter(PlanPtr child, ExprPtr predicate);
 PlanPtr ProjectPlan(PlanPtr child, std::vector<std::string> names);
 PlanPtr Join(PlanPtr left, PlanPtr right, ExprPtr predicate,
              std::string left_prefix, std::string right_prefix,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <iterator>
 #include <optional>
 #include <utility>
 
@@ -43,20 +45,6 @@ constexpr double kIndexRebuildFraction = 0.10;
 // conservative.
 constexpr double kSweptEntryCostDiscount = 16.0;
 
-// Type-tagged rendering of a tuple, used as the multiset key for delta
-// matching. Built on the same ToString granularity as the equivalence
-// suite's fingerprints, with the value types prepended so differently
-// typed values can never alias.
-std::string TupleKey(const Tuple& t) {
-  std::string k;
-  for (const Value& v : t.values()) {
-    k += ValueTypeToString(v.type());
-    k += ';';
-  }
-  k += t.ToString();
-  return k;
-}
-
 // Median fence of an equi-depth histogram (0 when empty).
 TimePoint HistMedian(const EquiDepthHistogram& h) {
   if (h.empty()) return 0;
@@ -64,6 +52,23 @@ TimePoint HistMedian(const EquiDepthHistogram& h) {
 }
 
 }  // namespace
+
+size_t ViewDeltaMaintainer::TupleHash::operator()(const Tuple* t) const {
+  size_t h = t->num_values();
+  for (const Value& v : t->values()) h = HashCombine(h, ValueHash{}(v));
+  for (const FixedInterval& iv : t->rt().intervals()) {
+    h = HashCombine(h, std::hash<TimePoint>{}(iv.start));
+    h = HashCombine(h, std::hash<TimePoint>{}(iv.end));
+  }
+  return h;
+}
+
+bool ViewDeltaMaintainer::TupleEq::operator()(const Tuple* a,
+                                              const Tuple* b) const {
+  return a->rt() == b->rt() &&
+         std::equal(a->values().begin(), a->values().end(),
+                    b->values().begin(), b->values().end(), ValueEq{});
+}
 
 // One node of the shadow tree. `left` doubles as the single child of
 // Filter/Project nodes.
@@ -187,7 +192,7 @@ void ViewDeltaMaintainer::RebuildPositions(const OngoingRelation& rel,
                                            PositionsMap* out) {
   out->clear();
   for (size_t i = 0; i < rel.size(); ++i) {
-    (*out)[TupleKey(rel.tuple(i))].push_back(i);
+    (*out)[TupleHash{}(&rel.tuple(i))].push_back(i);
   }
 }
 
@@ -258,8 +263,8 @@ void ViewDeltaMaintainer::Invalidate() {
   struct Dropper {
     static void Drop(DeltaNode* n) {
       if (n == nullptr) return;
+      n->net.clear();  // its keys borrow the delta tuples
       n->delta.clear();
-      n->net.clear();
       n->left_cache.Clear();
       n->right_cache.Clear();
       n->index.reset();
@@ -405,8 +410,8 @@ Status ViewDeltaMaintainer::EmitJoinPair(DeltaNode* n, const Tuple& lt,
 
 Status ViewDeltaMaintainer::ComputeDelta(DeltaNode* n, QueryContext* ctx,
                                          MemoryCharge* charge) {
+  n->net.clear();  // its keys borrow the delta tuples
   n->delta.clear();
-  n->net.clear();
   if (ctx != nullptr) ONGOINGDB_RETURN_NOT_OK(ctx->Check());
   switch (n->kind) {
     case PlanKind::kScan: {
@@ -533,21 +538,20 @@ void ViewDeltaMaintainer::BuildNets(DeltaNode* n) {
   BuildNets(n->left.get());
   BuildNets(n->right.get());
   n->net.clear();
-  for (const DeltaEntry& d : n->delta) {
-    NetDelta& nd = n->net[TupleKey(d.tuple)];
-    nd.net += d.sign;
-    if (nd.rep == nullptr) nd.rep = &d.tuple;
-  }
+  for (const DeltaEntry& d : n->delta) n->net[&d.tuple] += d.sign;
 }
 
-bool ViewDeltaMaintainer::ValidateNet(const PositionsMap& positions,
+bool ViewDeltaMaintainer::ValidateNet(const OngoingRelation& rel,
+                                      const PositionsMap& positions,
                                       const NetMap& net) {
-  for (const auto& [key, nd] : net) {
-    if (nd.net >= 0) continue;
-    auto it = positions.find(key);
-    const long long have =
-        it == positions.end() ? 0 : static_cast<long long>(it->second.size());
-    if (have + nd.net < 0) return false;
+  for (const auto& [rep, count] : net) {
+    if (count >= 0) continue;
+    auto it = positions.find(TupleHash{}(rep));
+    if (it == positions.end()) return false;
+    const long long have = std::count_if(
+        it->second.begin(), it->second.end(),
+        [&](size_t pos) { return TupleEq{}(&rel.tuple(pos), rep); });
+    if (have + count < 0) return false;
   }
   return true;
 }
@@ -558,8 +562,12 @@ bool ViewDeltaMaintainer::ValidateTree(const DeltaNode* n) {
     return false;
   }
   if (n->kind == PlanKind::kJoin) {
-    if (!ValidateNet(n->left_cache.positions, n->left->net)) return false;
-    if (!ValidateNet(n->right_cache.positions, n->right->net)) return false;
+    if (!ValidateNet(n->left_cache.rel, n->left_cache.positions,
+                     n->left->net) ||
+        !ValidateNet(n->right_cache.rel, n->right_cache.positions,
+                     n->right->net)) {
+      return false;
+    }
   }
   return true;
 }
@@ -577,13 +585,19 @@ void ViewDeltaMaintainer::CommitInto(OngoingRelation* rel,
   }
   size_t applied = 0;
   // Removals first so inserted tuples are never relocated by a swap.
-  for (const auto& [key, nd] : net) {
-    if (nd.net >= 0) continue;
-    auto it = positions->find(key);
-    for (long long k = -nd.net; k > 0 && it != positions->end(); --k) {
+  for (const auto& [rep, count] : net) {
+    if (count >= 0) continue;
+    auto it = positions->find(TupleHash{}(rep));
+    for (long long k = -count; k > 0 && it != positions->end(); --k) {
+      // The bucket's last position holding a tuple equal to `rep`
+      // (validated present); colliding tuples stay in the bucket.
       std::vector<size_t>& vec = it->second;
-      const size_t pos = vec.back();
-      vec.pop_back();
+      auto match = std::find_if(vec.rbegin(), vec.rend(), [&](size_t p) {
+        return TupleEq{}(&rel->tuple(p), rep);
+      });
+      if (match == vec.rend()) break;
+      const size_t pos = *match;
+      vec.erase(std::next(match).base());
       const size_t last = rel->size() - 1;
       if (index != nullptr) {
         const size_t moved_from = pos == last ? IntervalIndex::kNoMove : last;
@@ -598,7 +612,7 @@ void ViewDeltaMaintainer::CommitInto(OngoingRelation* rel,
         // The former last tuple now lives at `pos`; fix its entry. Every
         // live tuple is keyed, so find (not operator[]) keeps the map's
         // bucket count stable and `it` valid.
-        auto moved = positions->find(TupleKey(rel->tuple(pos)));
+        auto moved = positions->find(TupleHash{}(&rel->tuple(pos)));
         if (moved != positions->end()) {
           auto mit = std::find(moved->second.begin(), moved->second.end(), last);
           if (mit != moved->second.end()) *mit = pos;
@@ -610,14 +624,15 @@ void ViewDeltaMaintainer::CommitInto(OngoingRelation* rel,
       }
     }
   }
-  for (const auto& [key, nd] : net) {
-    if (nd.net <= 0) continue;
-    for (long long k = nd.net; k > 0; --k) {
+  for (const auto& [rep, count] : net) {
+    if (count <= 0) continue;
+    const size_t hash = TupleHash{}(rep);
+    for (long long k = count; k > 0; --k) {
       const size_t before = rel->size();
-      rel->AppendUnchecked(Tuple(*nd.rep));
+      rel->AppendUnchecked(Tuple(*rep));
       if (rel->size() == before) continue;  // empty-RT drop (cannot happen)
       const size_t idx = rel->size() - 1;
-      (*positions)[key].push_back(idx);
+      (*positions)[hash].push_back(idx);
       ++applied;
       if (index != nullptr &&
           !index->ApplyInsert(rel->tuple(idx), idx).ok()) {
@@ -661,8 +676,8 @@ void ViewDeltaMaintainer::ClearDeltas(DeltaNode* n) {
   if (n == nullptr) return;
   ClearDeltas(n->left.get());
   ClearDeltas(n->right.get());
+  n->net.clear();  // its keys borrow the delta tuples
   n->delta.clear();
-  n->net.clear();
 }
 
 // --- apply ------------------------------------------------------------------
@@ -689,7 +704,7 @@ Result<bool> ViewDeltaMaintainer::ApplyPending(OngoingRelation* result,
   // anchored state drifted; fall back to a recompute (benign).
   BuildNets(root_.get());
   if (!ValidateTree(root_.get()) ||
-      !ValidateNet(root_positions_, root_->net)) {
+      !ValidateNet(*result, root_positions_, root_->net)) {
     ClearDeltas(root_.get());
     return false;
   }

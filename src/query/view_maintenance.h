@@ -52,7 +52,7 @@ namespace ongoingdb {
 
 /// Incremental maintenance state of one materialized view: a shadow tree
 /// of the plan holding log cursors at the scans, cached inputs plus an
-/// optional interval index at the joins, and a keyed position map over
+/// optional interval index at the joins, and a hashed position map over
 /// the view result for in-place patching. Not thread-safe; owned and
 /// serialized by the view that created it.
 class ViewDeltaMaintainer {
@@ -125,14 +125,23 @@ class ViewDeltaMaintainer {
     Tuple tuple;
   };
 
-  /// Net count change per tuple key, with a representative tuple to
-  /// insert (borrowed from the delta vector that produced the map).
-  struct NetDelta {
-    long long net = 0;
-    const Tuple* rep = nullptr;
+  /// Hash and equality of a tuple's values and RT (values compare as
+  /// ValueEq does), for maps keyed by a borrowed tuple.
+  struct TupleHash {
+    size_t operator()(const Tuple* t) const;
   };
-  using NetMap = std::unordered_map<std::string, NetDelta>;
-  using PositionsMap = std::unordered_map<std::string, std::vector<size_t>>;
+  struct TupleEq {
+    bool operator()(const Tuple* a, const Tuple* b) const;
+  };
+  /// Net count change per distinct delta tuple. The key borrows a tuple
+  /// of the delta vector that produced the map, which is also the
+  /// representative a positive net inserts.
+  using NetMap =
+      std::unordered_map<const Tuple*, long long, TupleHash, TupleEq>;
+  /// The positions of a relation's tuples by TupleHash. Tuples that
+  /// collide share a bucket and are told apart by comparing the stored
+  /// tuples themselves.
+  using PositionsMap = std::unordered_map<size_t, std::vector<size_t>>;
 
   static std::unique_ptr<DeltaNode> BuildNode(const PlanPtr& plan);
   static Status ReseedNode(DeltaNode* node, QueryContext* ctx);
@@ -150,7 +159,8 @@ class ViewDeltaMaintainer {
   static void CommitTree(DeltaNode* node);
   static void ClearDeltas(DeltaNode* node);
   static void RebuildPositions(const OngoingRelation& rel, PositionsMap* out);
-  static bool ValidateNet(const PositionsMap& positions, const NetMap& net);
+  static bool ValidateNet(const OngoingRelation& rel,
+                          const PositionsMap& positions, const NetMap& net);
   static void CommitInto(OngoingRelation* rel, PositionsMap* positions,
                          const NetMap& net, DeltaNode* index_owner);
 

@@ -24,17 +24,20 @@ OngoingInterval CloseAt(const OngoingInterval& vt, TimePoint tc) {
                          Min(vt.end(), OngoingTimePoint::Fixed(tc)));
 }
 
-// A tuple a modification's filter matched: its position and its valid
-// time closed at tc.
+// A tuple a modification applies to: its position and its valid time
+// closed at tc.
 struct Match {
   size_t pos;
   OngoingInterval closed;
 };
 
 // A modification's first pass, which changes nothing: the tuples
-// `filter` matches, in position order. The filter's first error fails
-// the modification, and so does a matched tuple whose valid time is not
-// an ongoing interval (a NULL): it has nothing to close.
+// `filter` matches whose valid time closing at tc changes, in position
+// order. A tuple already closed at or before tc (an earlier DELETE or
+// UPDATE, or a fixed end no later than tc) is left alone: it is not
+// counted, logged, copied or re-versioned. The filter's first error
+// fails the modification, and so does a matched tuple whose valid time
+// is not an ongoing interval (a NULL): it has nothing to close.
 Result<std::vector<Match>> MatchAndClose(const OngoingRelation& r,
                                          size_t vt_index, TimePoint tc,
                                          const ModificationFilter& filter) {
@@ -49,7 +52,10 @@ Result<std::vector<Match>> MatchAndClose(const OngoingRelation& r,
             "cannot close the valid time of " + t.ToString() + ": '" +
             r.schema().attribute(vt_index).name + "' is " + vt.ToString());
       }
-      matches.push_back({pos, CloseAt(vt.AsOngoingInterval(), tc)});
+      OngoingInterval closed = CloseAt(vt.AsOngoingInterval(), tc);
+      if (closed != vt.AsOngoingInterval()) {
+        matches.push_back({pos, closed});
+      }
     }
     ++pos;
   }

@@ -38,8 +38,10 @@ Status TemporalInsert(OngoingRelation* r, std::vector<Value> values,
                       size_t vt_index, TimePoint tc);
 
 /// Logically deletes matching tuples at commit time tc: each matching
-/// tuple's valid-time end becomes min(end, tc). Tuples whose valid time
-/// thereby becomes empty at every reference time are removed. Edits *r
+/// tuple's valid-time end becomes min(end, tc). A matching tuple whose
+/// valid time that leaves unchanged (already closed at or before tc) is
+/// not modified. Tuples whose valid time thereby becomes empty at every
+/// reference time are removed. Edits *r
 /// in place, so tuple order may change, and logs each matched tuple's
 /// removal and its closed replacement when *r's log is enabled. A filter
 /// error, or a matched tuple whose valid time is NULL (InvalidArgument),
@@ -50,7 +52,9 @@ Result<size_t> TemporalDelete(OngoingRelation* r, size_t vt_index,
 
 /// Logically updates matching tuples at commit time tc: the old version
 /// is closed at tc (end := min(end, tc)) and a new version with values
-/// produced by `updater` becomes valid as [tc, now). Edits and logs like
+/// produced by `updater` becomes valid as [tc, now). As for
+/// TemporalDelete, a tuple already closed at or before tc is neither
+/// closed nor re-versioned. Edits and logs like
 /// TemporalDelete, plus each new version's insertion. Each updater row is
 /// validated against the schema (arity, types) before anything changes;
 /// a bad row, like a NULL valid time, fails the update with neither *r

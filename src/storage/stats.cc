@@ -90,9 +90,6 @@ double IntervalColumnStats::EstimateProbeSelectivity(
     case IntervalProbeOp::kMetBy:
       return Clamp01(min_start.FractionAtMost(probe.max_end) -
                      max_start.FractionBelow(probe.min_end));
-    case IntervalProbeOp::kContains:
-      return Clamp01(min_start.FractionAtMost(probe.min_start) -
-                     max_end.FractionAtMost(probe.min_start));
   }
   return 1.0;
 }
@@ -113,8 +110,6 @@ double IntervalColumnStats::EstimateSweepFraction(
       return min_start.FractionAtMost(probe.max_end);
     case IntervalProbeOp::kAfter:
       return Clamp01(1.0 - max_start.FractionBelow(probe.min_end));
-    case IntervalProbeOp::kContains:
-      return min_start.FractionAtMost(probe.min_start);
   }
   return 1.0;
 }

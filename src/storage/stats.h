@@ -4,7 +4,7 @@
 //    size, RT attribute share, and the ongoing/fixed size ratio.
 //  * Per-column interval histograms — equi-depth distributions of an
 //    interval attribute's conservative endpoint bounds (start/end) and
-//    duration. The optimizer's cost-based access-path gating
+//    duration. The optimizer's cost-based join-algorithm gating
 //    (query/optimizer.h, ResolveAutoJoinAlgorithm) estimates the
 //    selectivity of an IntervalIndex probe from these, picking
 //    index-nested-loop vs hash vs scan-nested-loop without executing
@@ -55,7 +55,7 @@ struct StorageStats {
 StorageStats ComputeStorageStats(const OngoingRelation& r);
 
 // ---------------------------------------------------------------------------
-// Interval histograms (cost-based access-path gating)
+// Interval histograms (cost-based join-algorithm gating)
 // ---------------------------------------------------------------------------
 
 /// An equi-depth histogram over int64 samples: `fences` holds buckets+1
@@ -114,7 +114,7 @@ struct IntervalColumnStats {
   /// Estimated fraction of the column's tuples the IntervalIndex would
   /// return as candidates for `op` against `probe` — the probe
   /// selectivity the cost-based kAuto join gating keys on. Exact in the
-  /// histogram limit for kOverlaps/kBefore/kContains (their candidate
+  /// histogram limit for kOverlaps/kBefore (their candidate
   /// conditions decompose into disjoint marginal events); a slight
   /// overestimate for kAfter/kMeets/kMetBy (one secondary conjunct is
   /// dropped), which only ever biases the optimizer *away* from the

@@ -9,13 +9,11 @@
 // replay with ONGOINGDB_TEST_SEED=<seed>.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "query/aggregate.h"
 #include "query/executor.h"
 #include "query/join.h"
 #include "query/optimizer.h"
@@ -234,143 +232,6 @@ TEST(ParallelExecutorTest, SerialFallbackKicksInOnSmallInputs) {
   EXPECT_EQ((*parallel_op)->BorrowedRelation(), nullptr);
 }
 
-// --- StepFunction merge (parallel aggregation) -------------------------------
-
-TEST(StepFunctionMergeTest, AddStepFunctionsIsAssociativeAndCommutative) {
-  // The parallel COUNT/SUM path merges per-worker StepFunction partials
-  // with AddStepFunctions in whatever grouping the workers finish in;
-  // the merge must therefore be associative and commutative, with the
-  // empty function as identity.
-  Rng rng(99);
-  for (int trial = 0; trial < 25; ++trial) {
-    OngoingRelation r1 = MakeBase(rng, "A_", 15);
-    OngoingRelation r2 = MakeBase(rng, "B_", 15);
-    OngoingRelation r3 = MakeBase(rng, "C_", 15);
-    const StepFunction a = CountAtEachReferenceTime(r1);
-    const StepFunction b = CountAtEachReferenceTime(r2);
-    const StepFunction c = CountAtEachReferenceTime(r3);
-    EXPECT_EQ(AddStepFunctions(AddStepFunctions(a, b), c),
-              AddStepFunctions(a, AddStepFunctions(b, c)));
-    EXPECT_EQ(AddStepFunctions(a, b), AddStepFunctions(b, a));
-    EXPECT_EQ(AddStepFunctions(a, StepFunction{}), a);
-  }
-}
-
-TEST(StepFunctionMergeTest, PartitionedCountsMergeToTheWholeCount) {
-  // Any partitioning of a relation must aggregate to the same count
-  // after the merge — the correctness statement of per-worker partials.
-  Rng rng(41);
-  OngoingRelation whole = MakeBase(rng, "A_", 64);
-  std::vector<OngoingRelation> parts(3, OngoingRelation(whole.schema()));
-  for (size_t i = 0; i < whole.size(); ++i) {
-    parts[i % parts.size()].AppendUnchecked(whole.tuples()[i]);
-  }
-  StepFunction merged;
-  for (const OngoingRelation& part : parts) {
-    merged = AddStepFunctions(merged, CountAtEachReferenceTime(part));
-  }
-  EXPECT_EQ(merged, CountAtEachReferenceTime(whole));
-}
-
-// --- streaming aggregation over the batched executor ------------------------
-
-TEST(BatchedAggregateTest, StreamingCountMatchesMaterializedCount) {
-  Rng rng(23);
-  OngoingRelation r = MakeBase(rng, "A_", 40);
-  PlanPtr plan = Filter(Scan(&r, "A"),
-                        OverlapsExpr(Col("A_VT"),
-                                     Lit(OngoingInterval::Fixed(30, 70))));
-  auto materialized = Execute(plan);
-  ASSERT_TRUE(materialized.ok());
-  auto streamed = CountAtEachReferenceTime(plan);
-  ASSERT_TRUE(streamed.ok());
-  EXPECT_EQ(*streamed, CountAtEachReferenceTime(*materialized));
-}
-
-TEST(BatchedAggregateTest, StreamingPlanOverloadsMatchMaterialized) {
-  // Every aggregate must stream through the batched path: the PlanPtr
-  // overloads of SUM/MIN/MAX/grouped COUNT equal the relation-level
-  // aggregates over the materialized query result.
-  Rng rng(29);
-  OngoingRelation r = MakeBase(rng, "A_", 50);
-  PlanPtr plan = Filter(Scan(&r, "A"),
-                        OverlapsExpr(Col("A_VT"),
-                                     Lit(OngoingInterval::Fixed(20, 80))));
-  auto materialized = Execute(plan);
-  ASSERT_TRUE(materialized.ok());
-
-  auto sum = SumAtEachReferenceTime(plan, "A_ID");
-  ASSERT_TRUE(sum.ok()) << sum.status();
-  EXPECT_EQ(*sum, *SumAtEachReferenceTime(*materialized, "A_ID"));
-
-  auto min = MinAtEachReferenceTime(plan, "A_ID", -1);
-  ASSERT_TRUE(min.ok()) << min.status();
-  EXPECT_EQ(*min, *MinAtEachReferenceTime(*materialized, "A_ID", -1));
-
-  auto max = MaxAtEachReferenceTime(plan, "A_ID", -1);
-  ASSERT_TRUE(max.ok()) << max.status();
-  EXPECT_EQ(*max, *MaxAtEachReferenceTime(*materialized, "A_ID", -1));
-
-  auto grouped = CountGroupedBy(plan, "A_K");
-  ASSERT_TRUE(grouped.ok()) << grouped.status();
-  auto grouped_ref = CountGroupedBy(*materialized, "A_K");
-  ASSERT_TRUE(grouped_ref.ok());
-  ASSERT_EQ(grouped->size(), grouped_ref->size());
-  std::map<std::string, StepFunction> by_group;
-  for (const GroupedCount& g : *grouped_ref) {
-    by_group.emplace(g.group.ToString(), g.count);
-  }
-  for (const GroupedCount& g : *grouped) {
-    ASSERT_TRUE(by_group.count(g.group.ToString()) > 0);
-    EXPECT_EQ(g.count, by_group.at(g.group.ToString()));
-  }
-}
-
-TEST(BatchedAggregateTest, ParallelAggregatesMatchSerial) {
-  // Per-worker partials + associative merge must equal the serial
-  // single-stream aggregation for every aggregate.
-  Rng rng(31);
-  OngoingRelation r = MakeBase(rng, "A_", 60);
-  OngoingRelation s = MakeBase(rng, "B_", 60);
-  PlanPtr plan = Join(Scan(&r, "A"), Scan(&s, "B"),
-                      Eq(Col("A_K"), Col("B_K")), "L", "R");
-  ParallelOptions par = ForcedParallel(4, 9);
-
-  auto count_serial = CountAtEachReferenceTime(plan);
-  auto count_parallel = CountAtEachReferenceTime(plan, par);
-  ASSERT_TRUE(count_serial.ok());
-  ASSERT_TRUE(count_parallel.ok()) << count_parallel.status();
-  EXPECT_EQ(*count_parallel, *count_serial);
-
-  auto sum_serial = SumAtEachReferenceTime(plan, "A_ID");
-  auto sum_parallel = SumAtEachReferenceTime(plan, "A_ID", par);
-  ASSERT_TRUE(sum_serial.ok());
-  ASSERT_TRUE(sum_parallel.ok()) << sum_parallel.status();
-  EXPECT_EQ(*sum_parallel, *sum_serial);
-
-  auto min_serial = MinAtEachReferenceTime(plan, "B_ID", -7);
-  auto min_parallel = MinAtEachReferenceTime(plan, "B_ID", -7, par);
-  ASSERT_TRUE(min_serial.ok());
-  ASSERT_TRUE(min_parallel.ok()) << min_parallel.status();
-  EXPECT_EQ(*min_parallel, *min_serial);
-
-  auto max_serial = MaxAtEachReferenceTime(plan, "B_ID", -7);
-  auto max_parallel = MaxAtEachReferenceTime(plan, "B_ID", -7, par);
-  ASSERT_TRUE(max_serial.ok());
-  ASSERT_TRUE(max_parallel.ok()) << max_parallel.status();
-  EXPECT_EQ(*max_parallel, *max_serial);
-
-  auto grouped_serial = CountGroupedBy(plan, "A_K");
-  auto grouped_parallel = CountGroupedBy(plan, "A_K", par);
-  ASSERT_TRUE(grouped_serial.ok());
-  ASSERT_TRUE(grouped_parallel.ok()) << grouped_parallel.status();
-  ASSERT_EQ(grouped_parallel->size(), grouped_serial->size());
-  for (size_t i = 0; i < grouped_serial->size(); ++i) {
-    EXPECT_EQ((*grouped_parallel)[i].group, (*grouped_serial)[i].group);
-    EXPECT_EQ((*grouped_parallel)[i].count, (*grouped_serial)[i].count);
-  }
-}
-
 // --- allocation bounds ------------------------------------------------------
 
 TEST(BatchedEmissionAllocTest, EmitDominatedJoinStaysNearOneAllocPerTuple) {
@@ -507,12 +368,12 @@ TEST(BatchedJoinAllocationTest, RejectedPairsDoNotAllocate) {
 // allocate their value vectors on first use, so a scan that copied
 // before testing would allocate once per rejected tuple below the batch
 // capacity. Doubling the relation doubles the rejected tuples while the
-// three survivors stay; the drain's allocation count must stay flat, for
-// full and index scans in both modes.
+// three survivors stay; the drain's allocation count must stay flat, in
+// both modes.
 TEST(BatchedScanAllocationTest, RejectedTuplesDoNotAllocate) {
   // Every row but the last three has K = 0 and a string payload; the
-  // rows' VTs are [s, now) with s spread over [0, 1000), so the index
-  // probe keeps most of them as candidates and `K = 1` rejects them.
+  // rows' VTs are [s, now) with s spread over [0, 1000), so most of
+  // them overlap the probe and `K = 1` rejects them.
   auto make = [](size_t n) {
     OngoingRelation r(Schema({{"K", ValueType::kInt64},
                               {"S", ValueType::kString},
@@ -530,13 +391,12 @@ TEST(BatchedScanAllocationTest, RejectedTuplesDoNotAllocate) {
   const ExprPtr pred =
       And(Eq(Col("K"), Lit(int64_t{1})),
           OverlapsExpr(Col("VT"), Lit(OngoingInterval::Fixed(500, 2000))));
-  auto drain_allocs = [&](size_t n, AccessPath path, ExecMode mode,
-                          size_t* rows) {
+  auto drain_allocs = [&](size_t n, ExecMode mode, size_t* rows) {
     OngoingRelation r = make(n);
-    PlanPtr plan = Filter(Scan(&r, "R"), pred, path);
+    PlanPtr plan = Filter(Scan(&r, "R"), pred);
     Result<PhysicalOpPtr> op = Compile(plan, mode, 1500);
     EXPECT_TRUE(op.ok());
-    // Warm-up drain: the index and the scratch sets reach capacity.
+    // Warm-up drain: the scratch sets reach capacity.
     EXPECT_TRUE(DrainToRelation(**op).ok());
     AllocScope scope;
     Result<OngoingRelation> result = DrainToRelation(**op);
@@ -547,21 +407,18 @@ TEST(BatchedScanAllocationTest, RejectedTuplesDoNotAllocate) {
   };
   constexpr size_t kSmall = 150;
   static_assert(2 * kSmall < TupleBatch::kDefaultCapacity);
-  for (AccessPath path : {AccessPath::kFullScan, AccessPath::kIndex}) {
-    for (ExecMode mode : {ExecMode::kOngoing, ExecMode::kAtReferenceTime}) {
-      SCOPED_TRACE(::testing::Message() << "path " << static_cast<int>(path)
-                                        << " mode " << static_cast<int>(mode));
-      size_t rows_small = 0, rows_large = 0;
-      const uint64_t small = drain_allocs(kSmall, path, mode, &rows_small);
-      const uint64_t large = drain_allocs(2 * kSmall, path, mode, &rows_large);
-      EXPECT_EQ(rows_small, 3u);
-      EXPECT_EQ(rows_large, 3u);
-      const double extra_allocs =
-          static_cast<double>(large) - static_cast<double>(small);
-      EXPECT_LT(extra_allocs, static_cast<double>(kSmall) / 100.0)
-          << "allocations " << small << " -> " << large << " for " << kSmall
-          << " extra rejected tuples";
-    }
+  for (ExecMode mode : {ExecMode::kOngoing, ExecMode::kAtReferenceTime}) {
+    SCOPED_TRACE(::testing::Message() << "mode " << static_cast<int>(mode));
+    size_t rows_small = 0, rows_large = 0;
+    const uint64_t small = drain_allocs(kSmall, mode, &rows_small);
+    const uint64_t large = drain_allocs(2 * kSmall, mode, &rows_large);
+    EXPECT_EQ(rows_small, 3u);
+    EXPECT_EQ(rows_large, 3u);
+    const double extra_allocs =
+        static_cast<double>(large) - static_cast<double>(small);
+    EXPECT_LT(extra_allocs, static_cast<double>(kSmall) / 100.0)
+        << "allocations " << small << " -> " << large << " for " << kSmall
+        << " extra rejected tuples";
   }
 }
 

@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "query/aggregate.h"
 #include "query/executor.h"
 #include "query/materialized_view.h"
 #include "relation/modifications.h"
@@ -40,11 +39,11 @@ using plan_fuzz::Fingerprint;
 using plan_fuzz::ForcedParallel;
 using plan_fuzz::FuzzSeeds;
 using plan_fuzz::MakeBase;
+using plan_fuzz::NamesOfType;
 using plan_fuzz::PlanFixture;
 using plan_fuzz::RandomPlan;
 using plan_fuzz::ReferenceExecute;
 using plan_fuzz::ReferenceExecuteAt;
-using plan_fuzz::WithIndexAccess;
 
 bool IsInjectedFault(const Status& st) {
   return st.code() == StatusCode::kInternal &&
@@ -421,19 +420,30 @@ TEST_P(LifecycleFuzzTest, InjectedFaultsSurfaceCleanlyAndTreesReopen) {
   const PlanPtr drawn = RandomPlan(rng, &fx, 3);
   auto reference = ReferenceExecute(drawn);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  const std::multiset<std::string> want = Fingerprint(*reference);
+  SweepLifecycle(drawn, Fingerprint(*reference), seed);
 
-  // kAuto lowers every Filter(Scan) to the full scan; the plan with its
-  // eligible selections forced to the index also reaches the index
-  // scan's seams (index.build, candidate morsels).
-  std::vector<std::pair<const char*, PlanPtr>> variants = {{"kAuto", drawn}};
-  if (PlanPtr indexed = WithIndexAccess(drawn); indexed != drawn) {
-    variants.emplace_back("kIndex", std::move(indexed));
+  // kAuto picks an index-NL join only past its cost gate, which these
+  // small relations never pass. The drawn plan (or, when it projected
+  // every interval away, its first base relation) is therefore also the
+  // outer of a forced index-NL join with one more base relation, which
+  // reaches the index seams: index.build and the inner index the
+  // partition pipelines share.
+  std::vector<std::string> vts =
+      NamesOfType(*OutputSchema(drawn), ValueType::kOngoingInterval);
+  PlanPtr outer = drawn;
+  if (vts.empty()) {
+    outer = Scan(fx.relations.front().get(), "R0");
+    vts = {"R0_VT"};
   }
-  for (const auto& [access, plan] : variants) {
-    SCOPED_TRACE(access);
-    SweepLifecycle(plan, want, seed);
-  }
+  OngoingRelation inner = MakeBase(rng, "IX_", 12);
+  const PlanPtr index_join =
+      Join(outer, Scan(&inner, "IX"),
+           OverlapsExpr(Col(vts.front()), Col("IX_VT")), "LX", "RX",
+           JoinAlgorithm::kIndexNL);
+  auto join_reference = ReferenceExecute(index_join);
+  ASSERT_TRUE(join_reference.ok()) << join_reference.status().ToString();
+  SCOPED_TRACE("forced index-NL join");
+  SweepLifecycle(index_join, Fingerprint(*join_reference), seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LifecycleFuzzTest,
@@ -504,46 +514,6 @@ TEST_F(FaultInjectionTest, ExecuteSurfacesTypedStatuses) {
   auto plain = Execute(plan);
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(Fingerprint(*budgeted), Fingerprint(*plain));
-}
-
-TEST_F(FaultInjectionTest, StreamingAggregatesHonorLifecycle) {
-  Rng rng(12);
-  OngoingRelation r = MakeBase(rng, "A_", 40);
-  PlanPtr plan = Scan(&r, "R");
-
-  QueryContext ctx;
-  ctx.Cancel();
-  EXPECT_EQ(CountAtEachReferenceTime(plan, {}, &ctx).status().code(),
-            StatusCode::kCancelled);
-  EXPECT_EQ(CountAtEachReferenceTime(plan, ForcedParallel(2, 4), &ctx)
-                .status()
-                .code(),
-            StatusCode::kCancelled);
-  EXPECT_EQ(SumAtEachReferenceTime(plan, "A_K", {}, &ctx).status().code(),
-            StatusCode::kCancelled);
-  EXPECT_EQ(CountGroupedBy(plan, "A_K", {}, &ctx).status().code(),
-            StatusCode::kCancelled);
-  EXPECT_EQ(MaxAtEachReferenceTime(plan, "A_K", 0, {}, &ctx).status().code(),
-            StatusCode::kCancelled);
-
-  ctx.Reset();
-  auto counted = CountAtEachReferenceTime(plan, {}, &ctx);
-  ASSERT_TRUE(counted.ok()) << counted.status().ToString();
-  auto unscoped = CountAtEachReferenceTime(plan);
-  ASSERT_TRUE(unscoped.ok());
-  EXPECT_EQ(*counted, *unscoped);
-
-  // Mid-stream faults in the aggregation drain surface and recover.
-  {
-    ScopedFailpoint guard("exec.next", "after:2");
-    auto faulty = CountAtEachReferenceTime(plan, ForcedParallel(2, 4), &ctx);
-    if (!faulty.ok()) {
-      EXPECT_TRUE(IsInjectedFault(faulty.status()));
-    }
-  }
-  auto recovered = CountAtEachReferenceTime(plan, ForcedParallel(2, 4), &ctx);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(*recovered, *unscoped);
 }
 
 TEST_F(FaultInjectionTest, MaterializedViewKeepsResultAcrossFailedRefresh) {
@@ -775,8 +745,8 @@ TEST_F(FaultInjectionTest, IndexBuildFaultLeavesIndexUsable) {
 // batch capacity of scanned positions, as a Filter does per child batch.
 // With exec.next failing from its fourth hit on, a relation twelve batch
 // capacities long must fail with the injected error instead of draining
-// to an empty result. Covers a full scan and an index scan whose
-// residual rejects every candidate, in both modes, serially and at four
+// to an empty result. Covers a fixed atom that rejects every tuple,
+// alone and after an ongoing atom, in both modes, serially and at four
 // workers.
 TEST_F(FaultInjectionTest, RejectingScansCheckLifecyclePerScannedBatch) {
   Rng rng(15);
@@ -786,8 +756,7 @@ TEST_F(FaultInjectionTest, RejectingScansCheckLifecyclePerScannedBatch) {
       Filter(Scan(&r, "R"), none),
       Filter(Scan(&r, "R"),
              And(OverlapsExpr(Col("R_VT"), Lit(OngoingInterval::Fixed(0, 200))),
-                 none),
-             AccessPath::kIndex)};
+                 none))};
   for (const PlanPtr& plan : plans) {
     for (ExecMode mode : {ExecMode::kOngoing, ExecMode::kAtReferenceTime}) {
       for (size_t workers : {size_t{1}, size_t{4}}) {

@@ -21,6 +21,7 @@
 #include "query/physical.h"
 #include "relation/modifications.h"
 #include "testing/plan_fuzz.h"
+#include "util/failpoint.h"
 #include "util/rng.h"
 
 namespace ongoingdb {
@@ -236,7 +237,8 @@ TEST(IndexJoinEdgeCaseTest, AllOverlappingInnerDegeneratesToNestedLoop) {
 // MaterializedView: the inner index cached inside the compiled tree is
 // reused across Refresh() and rebuilt when base-data modifications
 // change the indexed inner column — including size-preserving in-place
-// valid-time closes.
+// valid-time closes. An armed index.build site tells a reuse (the
+// refresh passes) from a rebuild (it fails).
 TEST(IndexJoinMaterializedViewTest, RefreshRebuildsStaleInnerIndex) {
   OngoingRelation a(Schema({{"A_ID", ValueType::kInt64},
                             {"A_VT", ValueType::kOngoingInterval}}));
@@ -266,7 +268,10 @@ TEST(IndexJoinMaterializedViewTest, RefreshRebuildsStaleInnerIndex) {
   EXPECT_EQ(Fingerprint(view->ongoing_result()), Fingerprint(*expected0));
 
   // A refresh without modifications reuses the cached inner index.
-  ASSERT_TRUE(view->Refresh().ok());
+  {
+    ScopedFailpoint no_builds("index.build", "always");
+    ASSERT_TRUE(view->Refresh().ok());
+  }
   EXPECT_EQ(Fingerprint(view->ongoing_result()), Fingerprint(*expected0));
 
   // Close half the inner tuples at tc = 50: their VT becomes [i, 50) —
@@ -277,6 +282,10 @@ TEST(IndexJoinMaterializedViewTest, RefreshRebuildsStaleInnerIndex) {
   });
   ASSERT_TRUE(deleted.ok());
   ASSERT_EQ(b.size(), 40u);
+  {
+    ScopedFailpoint no_builds("index.build", "always");
+    EXPECT_FALSE(view->Refresh().ok());
+  }
   ASSERT_TRUE(view->Refresh().ok());
   auto expected1 = Execute(scanned);
   ASSERT_TRUE(expected1.ok());
@@ -330,8 +339,8 @@ TEST(IndexJoinBatchBoundaryTest, SuspendsAndResumesAtTinyCapacities) {
   }
 }
 
-// A NULL in an interval attribute is not an interval. Every access path
-// and join algorithm reports the TypeError the scalar predicate path
+// A NULL in an interval attribute is not an interval. The scan and every
+// join algorithm report the TypeError the scalar predicate path
 // reports, instead of aborting in the index build, the histogram
 // sampler or the index-join probe — serially and at 4 workers, in both
 // execution modes.
@@ -359,9 +368,7 @@ TEST(NullIntervalTest, EveryLoweringReturnsTypeError) {
   const ExprPtr join_pred =
       And(Eq(Col("A.K"), Col("B.K")), OverlapsExpr(Col("A.VT"), Col("B.VT")));
   const std::vector<std::pair<std::string, PlanPtr>> plans = {
-      {"full scan", Filter(Scan(&t, "T"), selection, AccessPath::kFullScan)},
-      {"index scan", Filter(Scan(&t, "T"), selection, AccessPath::kIndex)},
-      {"auto scan", Filter(Scan(&t, "T"), selection)},
+      {"scan", Filter(Scan(&t, "T"), selection)},
       {"auto join",
        Join(Scan(&t, "T"), Scan(&t, "T"), join_pred, "A", "B")},
       {"hash", Join(Scan(&t, "T"), Scan(&t, "T"), join_pred, "A", "B",

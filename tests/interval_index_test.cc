@@ -7,9 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "core/operations.h"
-#include "query/executor.h"
 #include "relation/algebra.h"
 #include "testing/plan_fuzz.h"
 #include "util/rng.h"
@@ -48,18 +48,9 @@ TEST(IntervalIndexTest, RequiresIntervalAttribute) {
   EXPECT_FALSE(IntervalIndex::Build(r, "Missing").ok());
 }
 
-// Filter(Scan) of `VT <op> [probe)` forced onto the index access path.
-PlanPtr IndexedProbe(const OngoingRelation* r, AllenOp op,
-                     FixedInterval probe) {
-  return Filter(
-      Scan(r, "R"),
-      Allen(op, Col("VT"), Lit(OngoingInterval::Fixed(probe.start, probe.end))),
-      AccessPath::kIndex);
-}
-
 // Regression: on a bitemporal relation whose transaction-time column
-// precedes the valid-time column, selections through an index built on
-// VT must evaluate VT — the old code re-resolved "the first interval
+// precedes the valid-time column, probes of an index built on VT must
+// answer for VT — the old code re-resolved "the first interval
 // attribute" and evaluated TT instead.
 TEST(IntervalIndexTest, SelectsOnTheIndexedColumnNotTheFirstIntervalColumn) {
   OngoingRelation r(Schema({{"ID", ValueType::kInt64},
@@ -80,17 +71,13 @@ TEST(IntervalIndexTest, SelectsOnTheIndexedColumnNotTheFirstIntervalColumn) {
   ASSERT_TRUE(index.ok());
   EXPECT_EQ(index->column_index(), 2u);
 
-  auto overlaps = Execute(IndexedProbe(&r, AllenOp::kOverlaps, {100, 150}));
-  ASSERT_TRUE(overlaps.ok()) << overlaps.status();
-  ASSERT_EQ(overlaps->size(), 1u);
-  EXPECT_EQ(overlaps->tuple(0).value(0).AsInt64(), 1);
+  // Fixed intervals make the candidates (CandidatesInto's answer for a
+  // fixed probe) exact: tuple 1 (position 0) only.
+  EXPECT_EQ(index->OverlapCandidates({100, 150}), std::vector<size_t>{0});
 
   // Before [300, 400): VT of tuple 1 ends at 200 (match); tuple 2's VT
   // starts at 500 (no match) even though its TT is long finished.
-  auto before = Execute(IndexedProbe(&r, AllenOp::kBefore, {300, 400}));
-  ASSERT_TRUE(before.ok()) << before.status();
-  ASSERT_EQ(before->size(), 1u);
-  EXPECT_EQ(before->tuple(0).value(0).AsInt64(), 1);
+  EXPECT_EQ(index->BeforeCandidates({300, 400}), std::vector<size_t>{0});
 }
 
 // Regression: the before-sweep used to stop at min_start >= probe.start,
@@ -121,18 +108,20 @@ TEST(IntervalIndexTest, BeforeCandidatesKeepDegenerateStopBoundEntries) {
       << "degenerate min_start == min_end == probe.start entry dropped";
   EXPECT_EQ(candidates.count(2), 0u);
 
-  // The exact selection through the index stays equivalent to the full
-  // scan.
-  auto indexed = Execute(IndexedProbe(&r, AllenOp::kBefore, probe));
-  ASSERT_TRUE(indexed.ok()) << indexed.status();
+  // The exact predicate over the candidates equals the full scan's
+  // selection.
+  OngoingRelation candidate_rows(r.schema());
+  for (size_t pos : c) candidate_rows.AppendUnchecked(r.tuple(pos));
   OngoingInterval probe_iv = OngoingInterval::Fixed(probe.start, probe.end);
-  OngoingRelation scanned = Select(r, [&probe_iv](const Tuple& t) {
+  auto before = [&probe_iv](const Tuple& t) {
     return Before(t.value(1).AsOngoingInterval(), probe_iv);
-  });
-  EXPECT_EQ(indexed->size(), scanned.size());
+  };
+  OngoingRelation indexed = Select(candidate_rows, before);
+  OngoingRelation scanned = Select(r, before);
+  EXPECT_EQ(indexed.size(), scanned.size());
   for (TimePoint rt = -5; rt <= 20; ++rt) {
     EXPECT_TRUE(
-        InstantiatedRelationsEqual(InstantiateRelation(*indexed, rt),
+        InstantiatedRelationsEqual(InstantiateRelation(indexed, rt),
                                    InstantiateRelation(scanned, rt)))
         << "rt=" << rt;
   }
@@ -262,19 +251,6 @@ TEST_P(IntervalIndexPropertyTest,
               << " vt=" << r.tuple(i).value(1).ToString()
               << " probe=" << probe_iv.ToString();
         }
-      }
-    }
-    // Contains: a point probe.
-    const TimePoint t = rng.Uniform(-10, 220);
-    index->CandidatesInto(IntervalProbeOp::kContains,
-                          IntervalBounds::Point(t), &candidates_buf);
-    std::set<size_t> candidates(candidates_buf.begin(), candidates_buf.end());
-    for (size_t i = 0; i < r.size(); ++i) {
-      OngoingBoolean exact = Contains(r.tuple(i).value(1).AsOngoingInterval(),
-                                      OngoingTimePoint::Fixed(t));
-      if (!exact.IsAlwaysFalse()) {
-        EXPECT_TRUE(candidates.count(i) > 0)
-            << "contains tuple " << i << " t=" << t;
       }
     }
   }

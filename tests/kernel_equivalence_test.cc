@@ -84,7 +84,8 @@ void ExpectFilterEquivalence(OngoingRelation* rel, const ExprPtr& pred,
 // column (an atom that tests) and the ongoing one (an atom that restricts
 // the RT), with a fixed literal or an ongoing one. Each runs alone, next
 // to a fixed comparison atom, and next to a fixed and an ongoing
-// conjunct that stay in the remainder.
+// conjunct that stay in the remainder. Then a timeslice CONTAINS of a
+// literal point on either column, alone and next to a fixed comparison.
 TEST_P(PredicateFuzzTest, FilterVsLiteralEquivalence) {
   const uint64_t seed = GetParam();
   ONGOINGDB_FUZZ_SEED_TRACE(seed);
@@ -115,6 +116,14 @@ TEST_P(PredicateFuzzTest, FilterVsLiteralEquivalence) {
             &rel, And(atom, Not(OverlapsExpr(Col("M_VT"), window))), rt);
       }
     }
+  }
+  for (const char* column : {"M_FT", "M_VT"}) {
+    const ExprPtr contains =
+        ContainsExpr(Col(column), Lit(Value::Time(rng.Uniform(0, 120))));
+    SCOPED_TRACE(contains->ToString());
+    ExpectFilterEquivalence(&rel, contains, rt);
+    ExpectFilterEquivalence(
+        &rel, And(contains, Lt(Col("M_ID"), Lit(rng.Uniform(0, 40)))), rt);
   }
 }
 
@@ -380,14 +389,12 @@ TEST(ScanBatchBoundaryTest, ExactResultSizes) {
         Col("FT"), Lit(Value::Interval(FixedInterval{
                        static_cast<TimePoint>(k),
                        static_cast<TimePoint>(k) + 1})));
-    for (AccessPath path : {AccessPath::kIndex, AccessPath::kFullScan}) {
-      PlanPtr plan = Filter(Scan(&rel, "R"), pred, path);
-      for (size_t capacity : {size_t{1}, kCap}) {
-        Result<PhysicalOpPtr> op = Compile(plan, ExecMode::kOngoing);
-        ASSERT_TRUE(op.ok());
-        EXPECT_EQ(plan_fuzz::DrainCountWithCapacity(**op, capacity), k)
-            << "capacity " << capacity << " path " << static_cast<int>(path);
-      }
+    PlanPtr plan = Filter(Scan(&rel, "R"), pred);
+    for (size_t capacity : {size_t{1}, kCap}) {
+      Result<PhysicalOpPtr> op = Compile(plan, ExecMode::kOngoing);
+      ASSERT_TRUE(op.ok());
+      EXPECT_EQ(plan_fuzz::DrainCountWithCapacity(**op, capacity), k)
+          << "capacity " << capacity;
     }
   }
 }

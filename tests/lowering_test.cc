@@ -133,17 +133,6 @@ TEST_F(LoweringPinTest, OperatorCountsPerDrain) {
        {"rows=98 open=1 materialize=0 index_build=0 route=0 next=3",
         "rows=98 open=3 materialize=0 index_build=0 route=0",
         "rows=98 open=5 materialize=0 index_build=0 route=0"}},
-      {"index-eligible filter, forced index",
-       Filter(scan_a,
-              OverlapsExpr(Col("A_VT"), Lit(OngoingInterval::Fixed(300, 340))),
-              AccessPath::kIndex),
-       "IndexScan",
-       {"rows=98 open=1 materialize=0 index_build=1 route=0 next=2",
-        "rows=98 open=3 materialize=0 index_build=1 route=0",
-        "rows=98 open=5 materialize=0 index_build=1 route=0"},
-       {"rows=98 open=1 materialize=0 index_build=1 route=0 next=2",
-        "rows=98 open=3 materialize=0 index_build=1 route=0",
-        "rows=98 open=5 materialize=0 index_build=1 route=0"}},
       {"ineligible filter", Filter(scan_a, Lt(Col("A_ID"), Lit(int64_t{1000}))),
        "Scan",
        {"rows=1000 open=1 materialize=0 index_build=0 route=0 next=3",

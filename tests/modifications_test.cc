@@ -263,6 +263,54 @@ TEST(ModificationsTest, NullValidTimeFailsWithNothingChanged) {
   EXPECT_EQ(*first_only, 1u);
 }
 
+TEST(ModificationsTest, RowsAlreadyClosedAtTcAreLeftAlone) {
+  // A delete or update at tc applies only to rows whose valid time
+  // closing at tc changes. A row an earlier delete closed at 03/01, and
+  // a row whose fixed valid time ends by tc, are neither counted,
+  // logged, copied nor re-versioned: the relation and its log stay as
+  // they were.
+  OngoingRelation r(ContractSchema());
+  ASSERT_TRUE(TemporalInsert(&r,
+                             {Value::Int64(1), Value::String("dev"),
+                              Value::Null()},
+                             kVt, MD(1, 1))
+                  .ok());
+  ASSERT_TRUE(r.Insert({Value::Int64(2), Value::String("qa"),
+                        Value::Ongoing(OngoingInterval::Fixed(MD(1, 1),
+                                                              MD(2, 1)))})
+                  .ok());
+  auto first = TemporalDelete(&r, kVt, MD(3, 1), [](const Tuple& t) {
+    return t.value(0).AsInt64() == 1;
+  });
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(*first, 1u);
+  r.EnableModificationLog();
+  ModificationLog* log = r.modification_log();
+  const uint64_t logged = log->next_seq();
+  auto rows = [&r] {
+    std::vector<std::string> out;
+    for (const Tuple& t : r.tuples()) out.push_back(t.ToString());
+    return out;
+  };
+  const std::vector<std::string> before = rows();
+  const ModificationFilter all = [](const Tuple&) { return true; };
+
+  auto deleted = TemporalDelete(&r, kVt, MD(5, 1), all);
+  ASSERT_TRUE(deleted.ok()) << deleted.status();
+  EXPECT_EQ(*deleted, 0u);
+  auto updated = TemporalUpdate(&r, kVt, MD(4, 1), all, [](const Tuple& t) {
+    std::vector<Value> values = t.values();
+    values[1] = Value::String("lead");
+    return values;
+  });
+  ASSERT_TRUE(updated.ok()) << updated.status();
+  EXPECT_EQ(*updated, 0u);
+  EXPECT_EQ(rows(), before);
+  EXPECT_EQ(log->next_seq(), logged);
+  EXPECT_EQ(r.tuple(0).value(kVt).AsOngoingInterval().ToString(),
+            "[01/01, +03/01)");
+}
+
 TEST(ModificationsTest, ValidationErrors) {
   OngoingRelation r(Schema({{"ID", ValueType::kInt64}}));
   EXPECT_FALSE(TemporalInsert(&r, {Value::Int64(1)}, 0, 0).ok());

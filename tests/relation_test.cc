@@ -320,7 +320,9 @@ TEST_P(RelationContractTest, VersionChainsKeepEveryVersion) {
   }
 }
 
-// The Torp modifications by their definition, as a rebuild: a matched
+// The Torp modifications by their definition, as a rebuild: a row the
+// filter selects is matched when min(end, tc) changes its valid time
+// (a row already closed at or before tc stays as it is); a matched
 // row's valid time ends at min(end, tc), and the row is dropped if it
 // is thereby never valid; an update also adds the updater's row valid
 // as [tc, now). Each matched row logs its removal and the insertion of
@@ -339,15 +341,15 @@ Rebuilt RebuildOracle(
     const Tuple& t = r.tuple(i);
     const Result<bool> match = filter(t);
     EXPECT_TRUE(match.ok()) << match.status();
-    if (!match.ok() || !*match) {
+    const OngoingInterval& vt = t.value(kContractVt).AsOngoingInterval();
+    const OngoingInterval closed(vt.start(),
+                                 Min(vt.end(), OngoingTimePoint::Fixed(tc)));
+    if (!match.ok() || !*match || closed == vt) {
       out.rows.insert(t.ToString());
       continue;
     }
     ++out.matched;
     out.deltas.insert("-" + t.ToString());
-    const OngoingInterval& vt = t.value(kContractVt).AsOngoingInterval();
-    const OngoingInterval closed(vt.start(),
-                                 Min(vt.end(), OngoingTimePoint::Fixed(tc)));
     if (!closed.IsAlwaysEmpty()) {
       std::vector<Value> values = t.values();
       values[kContractVt] = Value::Ongoing(closed);

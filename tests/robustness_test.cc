@@ -209,11 +209,10 @@ TEST_F(ReopenAfterErrorTest, ScanAndFilter) {
   Drill(Filter(Scan(&r, "R"), Lt(Col("F_ID"), Lit(int64_t{15}))));
 }
 
-TEST_F(ReopenAfterErrorTest, IndexBackedFilter) {
+TEST_F(ReopenAfterErrorTest, TemporalFilter) {
   OngoingRelation r = MakeRel(2, "I_", 30);
   Drill(Filter(Scan(&r, "R"),
-               OverlapsExpr(Col("I_VT"), Lit(OngoingInterval::Fixed(10, 60))),
-               AccessPath::kIndex));
+               OverlapsExpr(Col("I_VT"), Lit(OngoingInterval::Fixed(10, 60)))));
 }
 
 TEST_F(ReopenAfterErrorTest, Project) {

@@ -142,6 +142,38 @@ TEST_F(StatementTest, TemporalUpdate) {
             "[06/01, now)");
 }
 
+// A DELETE or UPDATE at tc applies to the rows whose valid time closing
+// at tc changes: after the first UPDATE closed row 1 at 03/01, a later
+// UPDATE and DELETE of it match no row, and the table keeps exactly the
+// closed row and its new version.
+TEST_F(StatementTest, ModificationsSkipRowsAlreadyClosed) {
+  ASSERT_TRUE(Run("CREATE TABLE T (A INT, VT PERIOD)").ok());
+  ASSERT_TRUE(Run("INSERT INTO T VALUES (1, PERIOD ['01/01', NOW))").ok());
+  auto first = Run("UPDATE T SET A = 5 WHERE A = 1 AT DATE '03/01'");
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->result.message, "1 row(s) updated");
+  auto second = Run("UPDATE T SET A = 6 WHERE A = 1 AT DATE '04/01'");
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->result.affected, 0u);
+  EXPECT_EQ(second->result.message, "0 row(s) updated");
+  auto deleted = Run("DELETE FROM T WHERE A = 1 AT DATE '05/01'");
+  ASSERT_TRUE(deleted.ok()) << deleted.status();
+  EXPECT_EQ(deleted->result.affected, 0u);
+  EXPECT_EQ(deleted->result.message, "0 row(s) logically deleted");
+
+  auto select = Run("SELECT * FROM T");
+  ASSERT_TRUE(select.ok()) << select.status();
+  ASSERT_TRUE(select->result.relation.has_value());
+  const OngoingRelation& t = *select->result.relation;
+  ASSERT_EQ(t.size(), 2u);
+  EXPECT_EQ(t.tuple(0).value(0).AsInt64(), 1);
+  EXPECT_EQ(t.tuple(0).value(1).AsOngoingInterval().ToString(),
+            "[01/01, +03/01)");
+  EXPECT_EQ(t.tuple(1).value(0).AsInt64(), 5);
+  EXPECT_EQ(t.tuple(1).value(1).AsOngoingInterval().ToString(),
+            "[03/01, now)");
+}
+
 TEST_F(StatementTest, ModificationRejectsOngoingPredicates) {
   ASSERT_TRUE(Run("CREATE TABLE Bugs (BID INT, VT PERIOD)").ok());
   ASSERT_TRUE(

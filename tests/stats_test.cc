@@ -80,11 +80,10 @@ TEST(IntervalColumnStatsTest, UniformDistributionEstimatesMatchExactCounts) {
   auto stats = ComputeIntervalColumnStats(r, 1, 32, r.size());
   ASSERT_TRUE(stats.ok());
   for (auto op : {IntervalProbeOp::kOverlaps, IntervalProbeOp::kBefore,
-                  IntervalProbeOp::kAfter, IntervalProbeOp::kContains}) {
+                  IntervalProbeOp::kAfter}) {
     for (TimePoint s : {TimePoint{100}, TimePoint{400}, TimePoint{800}}) {
-      IntervalBounds probe = op == IntervalProbeOp::kContains
-                                 ? IntervalBounds::Point(s)
-                                 : IntervalBounds::Of(FixedInterval{s, s + 100});
+      const IntervalBounds probe =
+          IntervalBounds::Of(FixedInterval{s, s + 100});
       const double exact = ExactCandidateFraction(r, "U_VT", op, probe);
       const double estimate = stats->EstimateProbeSelectivity(op, probe);
       EXPECT_NEAR(estimate, exact, 0.06)
@@ -118,9 +117,9 @@ TEST(IntervalColumnStatsTest, SkewedDistributionEstimatesMatchExactCounts) {
   }
 }
 
-TEST(IntervalColumnStatsTest, DegeneratePointIntervalsEstimateZeroContains) {
-  // Point intervals [s, s) are empty at every reference time: contains
-  // probes return (near) nothing, and the estimate must agree instead
+TEST(IntervalColumnStatsTest, DegeneratePointIntervalsEstimateZeroOverlaps) {
+  // Point intervals [s, s) are empty at every reference time: unit-width
+  // overlaps probes return nothing, and the estimate must agree instead
   // of assuming unit-width intervals.
   Rng rng(3);
   std::vector<OngoingInterval> ivs;
@@ -132,12 +131,12 @@ TEST(IntervalColumnStatsTest, DegeneratePointIntervalsEstimateZeroContains) {
   auto stats = ComputeIntervalColumnStats(r, 1, 32, r.size());
   ASSERT_TRUE(stats.ok());
   for (TimePoint t : {TimePoint{50}, TimePoint{100}, TimePoint{150}}) {
-    const IntervalBounds probe = IntervalBounds::Point(t);
+    const IntervalBounds probe = IntervalBounds::Of(FixedInterval{t, t + 1});
     const double exact =
-        ExactCandidateFraction(r, "P_VT", IntervalProbeOp::kContains, probe);
+        ExactCandidateFraction(r, "P_VT", IntervalProbeOp::kOverlaps, probe);
     EXPECT_NEAR(exact, 0.0, 1e-9);
     EXPECT_NEAR(
-        stats->EstimateProbeSelectivity(IntervalProbeOp::kContains, probe),
+        stats->EstimateProbeSelectivity(IntervalProbeOp::kOverlaps, probe),
         0.0, 0.05)
         << "t=" << t;
   }

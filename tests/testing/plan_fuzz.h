@@ -1,9 +1,9 @@
-// The shared randomized plan-generator equivalence harness. Three test
-// suites (batched_executor_test, index_scan_test, index_join_test) pit
-// the batched/parallel execution pipeline against a reference evaluator
-// built from the independently tested algebra primitives; this header
-// holds the pieces they all need so the harness cannot drift apart
-// per suite:
+// The shared randomized plan-generator equivalence harness. The fuzz
+// suites (batched_executor_test, index_join_test, kernel_equivalence_test
+// and others) pit the batched/parallel execution pipeline against a
+// reference evaluator built from the independently tested algebra
+// primitives; this header holds the pieces they all need so the harness
+// cannot drift apart per suite:
 //
 //  * a reference evaluator that materializes every node with nested
 //    loops and unsplit predicates (a deliberately different code path
@@ -384,7 +384,7 @@ inline PlanPtr WithAlgorithm(const PlanPtr& plan, JoinAlgorithm algorithm) {
     case PlanKind::kFilter: {
       const auto* node = static_cast<const FilterNode*>(plan.get());
       return Filter(WithAlgorithm(node->child(), algorithm),
-                    node->predicate(), node->access_path());
+                    node->predicate());
     }
     case PlanKind::kProject: {
       const auto* node = static_cast<const ProjectNode*>(plan.get());
@@ -396,46 +396,6 @@ inline PlanPtr WithAlgorithm(const PlanPtr& plan, JoinAlgorithm algorithm) {
       return Join(WithAlgorithm(node->left(), algorithm),
                   WithAlgorithm(node->right(), algorithm), node->predicate(),
                   node->left_prefix(), node->right_prefix(), algorithm);
-    }
-  }
-  return plan;
-}
-
-/// Rebuilds the plan with every index-eligible Filter(Scan)
-/// (MatchIndexScan) forcing AccessPath::kIndex, so that a suite drawing
-/// kAuto plans, which lower every Filter(Scan) to the full scan, reaches
-/// the index scan too. Returns `plan` itself when nothing is eligible.
-inline PlanPtr WithIndexAccess(const PlanPtr& plan) {
-  switch (plan->kind()) {
-    case PlanKind::kScan:
-      return plan;
-    case PlanKind::kFilter: {
-      const auto* node = static_cast<const FilterNode*>(plan.get());
-      if (node->access_path() != AccessPath::kIndex &&
-          MatchIndexScan(*node).has_value()) {
-        return Filter(node->child(), node->predicate(), AccessPath::kIndex);
-      }
-      PlanPtr child = WithIndexAccess(node->child());
-      return child == node->child()
-                 ? plan
-                 : Filter(std::move(child), node->predicate(),
-                          node->access_path());
-    }
-    case PlanKind::kProject: {
-      const auto* node = static_cast<const ProjectNode*>(plan.get());
-      PlanPtr child = WithIndexAccess(node->child());
-      return child == node->child()
-                 ? plan
-                 : ProjectPlan(std::move(child), node->names());
-    }
-    case PlanKind::kJoin: {
-      const auto* node = static_cast<const JoinNode*>(plan.get());
-      PlanPtr left = WithIndexAccess(node->left());
-      PlanPtr right = WithIndexAccess(node->right());
-      if (left == node->left() && right == node->right()) return plan;
-      return Join(std::move(left), std::move(right), node->predicate(),
-                  node->left_prefix(), node->right_prefix(),
-                  node->algorithm());
     }
   }
   return plan;

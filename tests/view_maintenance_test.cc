@@ -12,8 +12,9 @@
 //    the batch is large, the log was trimmed, or the log was detached
 //    by a wholesale replacement;
 //  * Refresh under a changed QueryContext rebinds the cached tree
-//    instead of recompiling — the warm index access path survives (the
-//    index.build failpoint proves no rebuild happens);
+//    instead of recompiling — an index-NL join's warm inner index
+//    survives (the index.build failpoint proves no rebuild happens);
+//  * tuples that print alike stay distinct through a delta refresh;
 //  * the randomized delta-vs-recompute equivalence suite: random plans
 //    x random modification batches, the incrementally maintained view
 //    fingerprint-equal to the reference evaluator, fresh serial and
@@ -22,6 +23,7 @@
 //    with ONGOINGDB_TEST_SEED=<seed>).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -294,6 +296,66 @@ TEST_F(ViewMaintenanceTest, FilterProjectPlanRefreshesByDelta) {
   EXPECT_EQ(view->last_refresh_mode(), RefreshMode::kNoop);
 }
 
+// Tuples that print alike stay distinct through a delta refresh:
+// ("a, b", "c") and ("a", "b, c") render the same row, and so do the
+// doubles 0.1 and 0.1000001. The rows are compared by value, since
+// their printed forms collide too.
+TEST_F(ViewMaintenanceTest, DeltaRefreshKeepsRowsThatPrintAlike) {
+  OngoingRelation r(Schema({{"S1", ValueType::kString},
+                            {"S2", ValueType::kString},
+                            {"D", ValueType::kDouble}}));
+  for (int64_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(r.Insert({Value::String("filler"),
+                          Value::String(std::to_string(i)), Value::Double(1)})
+                    .ok());
+  }
+  r.EnableModificationLog();
+  PlanPtr plan = ProjectPlan(Scan(&r, "R"), {"S1", "S2", "D"});
+  auto view = MaterializedView::Create(plan);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  auto expect_rows_of_execute = [&] {
+    auto want = Execute(plan);
+    ASSERT_TRUE(want.ok()) << want.status();
+    std::vector<Tuple> rest;
+    for (const Tuple& t : want->tuples()) rest.push_back(t);
+    ASSERT_EQ(view->ongoing_result().size(), rest.size());
+    for (const Tuple& t : view->ongoing_result().tuples()) {
+      auto it = std::find(rest.begin(), rest.end(), t);
+      ASSERT_NE(it, rest.end()) << "unexpected row " << t.ToString();
+      rest.erase(it);
+    }
+  };
+
+  const std::vector<std::vector<Value>> alike = {
+      {Value::String("a, b"), Value::String("c"), Value::Double(0.5)},
+      {Value::String("a"), Value::String("b, c"), Value::Double(0.5)},
+      {Value::String("x"), Value::String("y"), Value::Double(0.1)},
+      {Value::String("x"), Value::String("y"), Value::Double(0.1000001)}};
+  ASSERT_EQ(Tuple(alike[0]).ToString(), Tuple(alike[1]).ToString());
+  ASSERT_EQ(Tuple(alike[2]).ToString(), Tuple(alike[3]).ToString());
+  for (const std::vector<Value>& values : alike) {
+    ASSERT_TRUE(r.Insert(values).ok());
+  }
+  ASSERT_TRUE(view->Refresh().ok());
+  EXPECT_EQ(view->last_refresh_mode(), RefreshMode::kDelta);
+  expect_rows_of_execute();
+
+  // Removing the second row of each pair removes that row, not the row
+  // it prints like.
+  for (size_t k : {size_t{1}, size_t{3}}) {
+    for (size_t i = 0; i < r.size(); ++i) {
+      if (r.tuple(i).values() == alike[k]) {
+        r.SwapRemove(i);
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(r.size(), 42u);
+  ASSERT_TRUE(view->Refresh().ok());
+  EXPECT_EQ(view->last_refresh_mode(), RefreshMode::kDelta);
+  expect_rows_of_execute();
+}
+
 TEST_F(ViewMaintenanceTest, JoinPlanRefreshesByDeltaThroughTheIndexedInner) {
   Rng rng(3);
   OngoingRelation left = MakeBase(rng, "L_", 60);
@@ -448,19 +510,19 @@ TEST_F(ViewMaintenanceTest, RefreshObservesLifecycleAndLeavesResultIntact) {
   EXPECT_EQ(ctx.memory_used(), 0u);
 }
 
-// Satellite regression: Refresh used to recompile the physical tree
-// whenever the caller's context differed from the compile-time one,
-// silently discarding the warm IntervalIndex of an index access path.
+// Regression: Refresh used to recompile the physical tree whenever the
+// caller's context differed from the compile-time one, silently
+// discarding the warm IntervalIndex of an index-NL join's inner side.
 // With the index.build failpoint armed, any rebuild fails the refresh —
 // so a passing refresh under a NEW context proves the tree was rebound,
 // not recompiled.
 TEST_F(ViewMaintenanceTest, RefreshUnderNewContextKeepsTheWarmIndex) {
-  OngoingRelation r = MakeMixedRelation(9, "", 40);  // logless: full path
-  PlanPtr plan =
-      Filter(Scan(&r, "R"),
-             Allen(AllenOp::kOverlaps, Col("VT"),
-                   Lit(OngoingInterval::Fixed(30, 70))),
-             AccessPath::kIndex);
+  // Logless bases: the view takes the full path through its cached tree.
+  OngoingRelation outer = MakeMixedRelation(8, "O_", 20);
+  OngoingRelation r = MakeMixedRelation(9, "", 40);
+  PlanPtr plan = Join(Scan(&outer, "O"), Scan(&r, "R"),
+                      OverlapsExpr(Col("O_VT"), Col("VT")), "L", "R",
+                      JoinAlgorithm::kIndexNL);
   auto view = MaterializedView::Create(plan);  // builds the index, disarmed
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   const std::multiset<std::string> want = Fingerprint(view->ongoing_result());
@@ -477,8 +539,9 @@ TEST_F(ViewMaintenanceTest, RefreshUnderNewContextKeepsTheWarmIndex) {
     EXPECT_EQ(Fingerprint(view->ongoing_result()), want);
   }
 
-  // Base-data changes still invalidate the index via its fingerprint:
-  // the next refresh rebuilds (and the failpoint would catch it).
+  // Inner base-data changes still invalidate the index via its
+  // fingerprint: the next refresh rebuilds (and the failpoint catches
+  // it).
   ASSERT_TRUE(
       r.Insert({Value::Int64(999),
                 Value::Ongoing(OngoingInterval::Fixed(40, 50)),
