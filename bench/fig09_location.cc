@@ -16,7 +16,7 @@
 // ONGOINGDB_BENCH_JSON to additionally emit machine-readable records.
 #include <cstdio>
 
-#include "baselines/fixed_algebra.h"
+#include "baselines/clifford.h"
 #include "bench_common.h"
 
 using namespace ongoingdb;

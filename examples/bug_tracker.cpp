@@ -3,8 +3,6 @@
 //
 // Demonstrates, on top of the public API:
 //   * queries over ongoing valid times whose results stay valid,
-//   * the temporal aggregation extension (open-bug count as a function
-//     of the reference time, per component),
 //   * the duration extension (how long a bug has been open, as an
 //     ongoing integer),
 //   * the interval index extension for selective overlap probes.
@@ -16,7 +14,6 @@
 #include "core/ongoing_int.h"
 #include "core/operations.h"
 #include "datasets/mozilla.h"
-#include "query/aggregate.h"
 #include "query/executor.h"
 #include "query/interval_index.h"
 
@@ -48,39 +45,13 @@ int main() {
               "   needed as time passes by.\n\n",
               FormatFixedInterval(release).c_str(), result->size());
 
-  // --- 2. Open-bug count over time (aggregation extension) -----------------
-  // Restrict each bug's RT to the reference times when it is open, then
-  // count per reference time.
-  OngoingRelation open_bugs(result->schema());
-  {
-    size_t vt = *result->schema().IndexOf("VT");
-    for (const Tuple& t : result->tuples()) {
-      OngoingBoolean open = NonEmpty(t.value(vt).AsOngoingInterval());
-      IntervalSet rt = t.rt().Intersect(open.st());
-      if (!rt.IsEmpty()) {
-        open_bugs.AppendUnchecked(Tuple(t.values(), std::move(rt)));
-      }
-    }
-  }
-  StepFunction count = CountAtEachReferenceTime(open_bugs);
-  std::printf("2. Matching open-bug count as a function of the reference "
-              "time:\n");
-  for (int step = 0; step <= 4; ++step) {
-    TimePoint rt = data.history_end - 120 + step * 30;
-    std::printf("   at %s: %lld open matching bugs\n",
-                FormatTimePoint(rt).c_str(),
-                static_cast<long long>(count.At(rt)));
-  }
-  std::printf("   peak over all reference times: %lld\n\n",
-              static_cast<long long>(count.Max()));
-
-  // --- 3. Age of a deprioritized bug (duration extension) ------------------
+  // --- 2. Age of a deprioritized bug (duration extension) ------------------
   size_t vt_idx = *data.bug_info.schema().IndexOf("VT");
   for (const Tuple& t : data.bug_info.tuples()) {
     const OngoingInterval& vt = t.value(vt_idx).AsOngoingInterval();
     if (vt.Kind() != IntervalKind::kExpanding) continue;
     OngoingInt age = Duration(vt);
-    std::printf("3. Bug %lld has been open %s days.\n"
+    std::printf("2. Bug %lld has been open %s days.\n"
                 "   As of %s that is %lld days; one year later it will "
                 "be %lld days -\n   the ongoing integer stays valid as "
                 "time passes by.\n\n",
@@ -93,15 +64,17 @@ int main() {
     break;
   }
 
-  // --- 4. Index-accelerated overlap probe (index extension) ----------------
+  // --- 3. Index-accelerated overlap probe (index extension) ----------------
   auto index = IntervalIndex::Build(data.bug_info, "VT");
   if (!index.ok()) {
     std::cerr << index.status() << "\n";
     return 1;
   }
   FixedInterval probe{data.history_end - 7, data.history_end};
-  std::vector<size_t> candidates = index->OverlapCandidates(probe);
-  std::printf("4. Interval index: %zu of %zu bugs are candidates for "
+  std::vector<size_t> candidates;
+  index->CandidatesInto(IntervalProbeOp::kOverlaps, IntervalBounds::Of(probe),
+                        &candidates);
+  std::printf("3. Interval index: %zu of %zu bugs are candidates for "
               "overlapping the last week %s;\n   the exact ongoing "
               "'overlaps' predicate runs only on those.\n",
               candidates.size(), data.bug_info.size(),

@@ -25,7 +25,8 @@ BENCHMARK.json:
   gain         the change won at least 9 of 10 pairs (90%) and its
                median is better by more than the parent's IQR;
   unresolved   either side's IQR exceeds the bound (relative to its
-               median): the runs spread too widely to tell;
+               median): the runs spread too widely to tell, unless
+               every change run reads better than every parent run;
   within bound otherwise.
 
 --json PATH also writes every run's record and the summary. The
@@ -79,12 +80,19 @@ def compare(parent, change, better, bound):
     def spread(q1, med, q3):
         return (q3 - q1) / abs(med) if med else 0.0
 
+    # Every change run better than every parent run tells the sides
+    # apart however widely either spreads.
+    if better == "lower":
+        separated = max(change) < min(parent)
+    else:
+        separated = min(change) > max(parent)
     if worse > bound:
         verdict = "regression"
     elif (wins >= GAIN_WIN_SHARE * len(parent) and
           sign * (pmed - cmed) > pq3 - pq1):
         verdict = "gain"
-    elif spread(pq1, pmed, pq3) > bound or spread(cq1, cmed, cq3) > bound:
+    elif ((spread(pq1, pmed, pq3) > bound or spread(cq1, cmed, cq3) > bound)
+          and not separated):
         verdict = "unresolved"
     else:
         verdict = "within bound"

@@ -2,44 +2,6 @@
 
 namespace ongoingdb {
 
-Result<OngoingRelation> CliffordSelect(const OngoingRelation& r,
-                                       const ExprPtr& predicate,
-                                       TimePoint rt) {
-  OngoingRelation instantiated = InstantiateRelation(r, rt);
-  OngoingRelation result(instantiated.schema());
-  for (const Tuple& t : instantiated.tuples()) {
-    ONGOINGDB_ASSIGN_OR_RETURN(
-        bool keep, predicate->EvalPredicateFixed(instantiated.schema(), t, rt));
-    if (keep) result.AppendUnchecked(t);
-  }
-  return result;
-}
-
-Result<OngoingRelation> CliffordJoin(const OngoingRelation& r,
-                                     const OngoingRelation& s,
-                                     const ExprPtr& predicate, TimePoint rt,
-                                     const std::string& left_prefix,
-                                     const std::string& right_prefix) {
-  OngoingRelation ri = InstantiateRelation(r, rt);
-  OngoingRelation si = InstantiateRelation(s, rt);
-  Schema joined =
-      ri.schema().Concat(si.schema(), left_prefix, right_prefix);
-  OngoingRelation result(joined);
-  for (const Tuple& rt_ : ri.tuples()) {
-    for (const Tuple& st_ : si.tuples()) {
-      std::vector<Value> values;
-      values.reserve(rt_.num_values() + st_.num_values());
-      for (const Value& v : rt_.values()) values.push_back(v);
-      for (const Value& v : st_.values()) values.push_back(v);
-      Tuple combined(std::move(values));
-      ONGOINGDB_ASSIGN_OR_RETURN(
-          bool keep, predicate->EvalPredicateFixed(joined, combined, rt));
-      if (keep) result.AppendUnchecked(std::move(combined));
-    }
-  }
-  return result;
-}
-
 TimePoint CliffMaxReferenceTime(const OngoingRelation& r) {
   TimePoint latest = 0;
   auto consider = [&latest](TimePoint t) {
@@ -71,6 +33,15 @@ TimePoint CliffMaxReferenceTime(const OngoingRelation& r) {
     }
   }
   return latest + 1;
+}
+
+OngoingRelation StripOngoing(const OngoingRelation& r, TimePoint rt) {
+  OngoingRelation result(r.schema().Instantiated());
+  result.Reserve(r.size());
+  for (const Tuple& t : r.tuples()) {
+    result.AppendUnchecked(Tuple(t.InstantiateValues(rt)));
+  }
+  return result;
 }
 
 }  // namespace ongoingdb

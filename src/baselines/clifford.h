@@ -5,37 +5,26 @@
 // the chosen reference time and gets invalidated as time passes by —
 // re-running the query at a new reference time requires a full
 // re-evaluation, which is exactly what the paper's Fig. 8/10/11
-// experiments quantify.
+// experiments quantify. The engine evaluates a plan this way with
+// ExecuteAtReferenceTime (query/executor.h).
 //
 // Cliff_max (Sec. IX-A) uses a reference time greater than the latest end
 // point in the data, the typical use case of reference times close to
 // the current time.
 #pragma once
 
-#include "expr/expr.h"
 #include "relation/relation.h"
-#include "util/result.h"
 
 namespace ongoingdb {
-
-/// Evaluates a selection the Clifford way: instantiate relation `r` at
-/// `rt`, then filter with the fixed predicate. The result contains fixed
-/// values only and is valid at `rt` only.
-Result<OngoingRelation> CliffordSelect(const OngoingRelation& r,
-                                       const ExprPtr& predicate,
-                                       TimePoint rt);
-
-/// Evaluates a theta join the Clifford way: instantiate both inputs at
-/// `rt`, then join with fixed predicate semantics (nested loops).
-Result<OngoingRelation> CliffordJoin(const OngoingRelation& r,
-                                     const OngoingRelation& s,
-                                     const ExprPtr& predicate, TimePoint rt,
-                                     const std::string& left_prefix = "L",
-                                     const std::string& right_prefix = "R");
 
 /// A reference time strictly greater than every finite time point
 /// appearing in the relation's ongoing and fixed temporal attributes —
 /// the Cliff_max choice of the paper's evaluation.
 TimePoint CliffMaxReferenceTime(const OngoingRelation& r);
+
+/// Replaces every ongoing attribute value by its instantiation at `rt`,
+/// keeping all tuples (trivial RT). Used to build the Fig. 9 baseline
+/// data sets "without ongoing intervals".
+OngoingRelation StripOngoing(const OngoingRelation& r, TimePoint rt);
 
 }  // namespace ongoingdb

@@ -8,11 +8,6 @@ namespace ongoingdb {
 
 namespace {
 
-// The error of every index path on a non-interval value (a NULL).
-Status NotAnInterval() {
-  return Status::TypeError("interval index requires an interval attribute");
-}
-
 inline uint64_t MixBound(uint64_t h, uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   h *= 0xff51afd7ed558ccdULL;
@@ -40,12 +35,11 @@ Result<uint64_t> IntervalIndex::ColumnFingerprint(const OngoingRelation& r,
                              ValidateIntervalColumn(r, column_index));
   uint64_t h = MixBound(r.size(), idx);
   for (const Tuple& t : r.tuples()) {
-    const std::optional<IntervalBounds> b = IntervalBoundsOfValue(t.value(idx));
-    if (!b.has_value()) return NotAnInterval();
-    h = MixBound(h, static_cast<uint64_t>(b->min_start));
-    h = MixBound(h, static_cast<uint64_t>(b->max_start));
-    h = MixBound(h, static_cast<uint64_t>(b->min_end));
-    h = MixBound(h, static_cast<uint64_t>(b->max_end));
+    const IntervalBounds b = IntervalBoundsOfValue(t.value(idx));
+    h = MixBound(h, static_cast<uint64_t>(b.min_start));
+    h = MixBound(h, static_cast<uint64_t>(b.max_start));
+    h = MixBound(h, static_cast<uint64_t>(b.min_end));
+    h = MixBound(h, static_cast<uint64_t>(b.max_end));
   }
   return h;
 }
@@ -63,9 +57,8 @@ Result<IntervalIndex> IntervalIndex::Build(const OngoingRelation& r,
   uint64_t h = MixBound(r.size(), idx);
   size_t i = 0;
   for (const Tuple& t : r.tuples()) {
-    const std::optional<IntervalBounds> b = IntervalBoundsOfValue(t.value(idx));
-    if (!b.has_value()) return NotAnInterval();
-    const Entry e{b->min_start, b->max_start, b->min_end, b->max_end, i};
+    const IntervalBounds b = IntervalBoundsOfValue(t.value(idx));
+    const Entry e{b.min_start, b.max_start, b.min_end, b.max_end, i};
     h = MixBound(h, static_cast<uint64_t>(e.min_start));
     h = MixBound(h, static_cast<uint64_t>(e.max_start));
     h = MixBound(h, static_cast<uint64_t>(e.min_end));
@@ -94,11 +87,8 @@ Status IntervalIndex::ApplyInsert(const Tuple& tuple, size_t tuple_index) {
     return Status::InvalidArgument(
         "tuple is too narrow for the indexed column");
   }
-  const std::optional<IntervalBounds> b =
-      IntervalBoundsOfValue(tuple.value(column_index_));
-  if (!b.has_value()) return NotAnInterval();
-  const Entry e{b->min_start, b->max_start, b->min_end, b->max_end,
-                tuple_index};
+  const IntervalBounds b = IntervalBoundsOfValue(tuple.value(column_index_));
+  const Entry e{b.min_start, b.max_start, b.min_end, b.max_end, tuple_index};
   const auto pos_it = std::upper_bound(
       entries_.begin(), entries_.end(), e.min_start,
       [](TimePoint v_, const Entry& x) { return v_ < x.min_start; });
@@ -233,22 +223,6 @@ void IntervalIndex::CandidatesInto(IntervalProbeOp op,
       return;
     }
   }
-}
-
-std::vector<size_t> IntervalIndex::OverlapCandidates(
-    const FixedInterval& probe) const {
-  std::vector<size_t> candidates;
-  CandidatesInto(IntervalProbeOp::kOverlaps, IntervalBounds::Of(probe),
-                 &candidates);
-  return candidates;
-}
-
-std::vector<size_t> IntervalIndex::BeforeCandidates(
-    const FixedInterval& probe) const {
-  std::vector<size_t> candidates;
-  CandidatesInto(IntervalProbeOp::kBefore, IntervalBounds::Of(probe),
-                 &candidates);
-  return candidates;
 }
 
 }  // namespace ongoingdb

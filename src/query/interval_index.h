@@ -51,16 +51,6 @@ class IntervalIndex {
   void CandidatesInto(IntervalProbeOp op, const IntervalBounds& probe,
                       std::vector<size_t>* out) const;
 
-  /// Tuple indices whose interval could overlap [ts, te) at some
-  /// reference time (superset of the exact answer).
-  std::vector<size_t> OverlapCandidates(const FixedInterval& probe) const;
-
-  /// Tuple indices whose interval could be strictly before [ts, te) at
-  /// some reference time (superset of the exact answer, including
-  /// degenerate candidates whose earliest start and earliest end both
-  /// coincide with the probe's start).
-  std::vector<size_t> BeforeCandidates(const FixedInterval& probe) const;
-
   size_t size() const { return entries_.size(); }
 
   /// The ordinal of the indexed column, resolved at Build time.
@@ -92,8 +82,8 @@ class IntervalIndex {
 
   /// Indexes `tuple`, which the underlying relation now holds at
   /// `tuple_index`. O(n) worst case (ordered insertion into both bound
-  /// orders), O(log n) search. Fails on a non-interval value; the index
-  /// is unchanged on failure.
+  /// orders), O(log n) search. Fails when the tuple is too narrow for
+  /// the indexed column; the index is unchanged on failure.
   Status ApplyInsert(const Tuple& tuple, size_t tuple_index);
 
   /// Drops the entry for `tuple_index`. When the relation removed the

@@ -310,16 +310,14 @@ Result<IndexJoinEstimate> EstimateIndexJoinFractions(
       (probe_rel->size() + kProbeSample - 1) / kProbeSample;
   size_t samples = 0;
   for (size_t i = 0; i < probe_rel->size(); i += stride) {
-    std::optional<IntervalBounds> probe =
+    const IntervalBounds probe =
         IntervalBoundsOfValue(probe_rel->tuple(i).value(probe_column));
-    if (!probe.has_value()) continue;
     estimate.selectivity +=
-        inner_stats.EstimateProbeSelectivity(info.op, *probe);
+        inner_stats.EstimateProbeSelectivity(info.op, probe);
     estimate.sweep_fraction +=
-        inner_stats.EstimateSweepFraction(info.op, *probe);
+        inner_stats.EstimateSweepFraction(info.op, probe);
     ++samples;
   }
-  if (samples == 0) return estimate;
   estimate.selectivity /= static_cast<double>(samples);
   estimate.sweep_fraction /= static_cast<double>(samples);
   return estimate;

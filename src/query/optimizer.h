@@ -72,8 +72,8 @@ Result<JoinAlgorithm> ResolveAutoJoinAlgorithm(const JoinNode& node,
                                                const Schema& left_schema,
                                                const Schema& right_schema);
 
-/// Replaces JoinAlgorithm::kAuto with kHash when fixed equality
-/// conjuncts exist and kNestedLoop otherwise.
+/// Replaces every JoinAlgorithm::kAuto with the algorithm
+/// ResolveAutoJoinAlgorithm picks for that join's input schemas.
 Result<PlanPtr> ChooseJoinAlgorithms(const PlanPtr& plan);
 
 /// Applies all rewrite rules.

@@ -823,13 +823,9 @@ class IndexJoinOp final : public PhysicalOperator {
       ONGOINGDB_ASSIGN_OR_RETURN(const Tuple* lt, outer_stream_.Current());
       if (lt == nullptr) return Status::OK();
       if (!cands_valid_) {
-        std::optional<IntervalBounds> probe =
-            IntervalBoundsOfValue(lt->value(outer_column_index_));
-        if (!probe.has_value()) {
-          return Status::TypeError("index join requires an interval probe");
-        }
-        state_->index_after_ensure().CandidatesInto(state_->op, *probe,
-                                                    &cands_);
+        state_->index_after_ensure().CandidatesInto(
+            state_->op, IntervalBoundsOfValue(lt->value(outer_column_index_)),
+            &cands_);
         cand_pos_ = 0;
         cands_valid_ = true;
       }

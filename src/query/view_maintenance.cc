@@ -490,12 +490,11 @@ Status ViewDeltaMaintainer::ComputeDelta(DeltaNode* n, QueryContext* ctx,
       std::vector<size_t> candidates;
       for (const DeltaEntry& dl : n->left->delta) {
         if (use_index) {
-          std::optional<IntervalBounds> probe = IntervalBoundsOfValue(
-              dl.tuple.value(n->index_info->outer_column_index));
-          if (!probe.has_value()) {
-            return Status::TypeError("index join requires an interval probe");
-          }
-          n->index->CandidatesInto(n->index_info->op, *probe, &candidates);
+          n->index->CandidatesInto(
+              n->index_info->op,
+              IntervalBoundsOfValue(
+                  dl.tuple.value(n->index_info->outer_column_index)),
+              &candidates);
           for (size_t ri : candidates) {
             ONGOINGDB_RETURN_NOT_OK(tick());
             ONGOINGDB_RETURN_NOT_OK(EmitJoinPair(

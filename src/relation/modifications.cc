@@ -36,8 +36,7 @@ struct Match {
 // order. A tuple already closed at or before tc (an earlier DELETE or
 // UPDATE, or a fixed end no later than tc) is left alone: it is not
 // counted, logged, copied or re-versioned. The filter's first error
-// fails the modification, and so does a matched tuple whose valid time
-// is not an ongoing interval (a NULL): it has nothing to close.
+// fails the modification.
 Result<std::vector<Match>> MatchAndClose(const OngoingRelation& r,
                                          size_t vt_index, TimePoint tc,
                                          const ModificationFilter& filter) {
@@ -46,16 +45,9 @@ Result<std::vector<Match>> MatchAndClose(const OngoingRelation& r,
   for (const Tuple& t : r.tuples()) {
     ONGOINGDB_ASSIGN_OR_RETURN(bool match, filter(t));
     if (match) {
-      const Value& vt = t.value(vt_index);
-      if (vt.type() != ValueType::kOngoingInterval) {
-        return Status::InvalidArgument(
-            "cannot close the valid time of " + t.ToString() + ": '" +
-            r.schema().attribute(vt_index).name + "' is " + vt.ToString());
-      }
-      OngoingInterval closed = CloseAt(vt.AsOngoingInterval(), tc);
-      if (closed != vt.AsOngoingInterval()) {
-        matches.push_back({pos, closed});
-      }
+      const OngoingInterval& vt = t.value(vt_index).AsOngoingInterval();
+      OngoingInterval closed = CloseAt(vt, tc);
+      if (closed != vt) matches.push_back({pos, closed});
     }
     ++pos;
   }

@@ -33,7 +33,8 @@ using ModificationFilter = std::function<Result<bool>(const Tuple&)>;
 Result<size_t> VtIndexOf(const Schema& schema);
 
 /// Inserts a tuple valid from the commit time on: the value at
-/// `vt_index` is set to [tc, now).
+/// `vt_index` is set to [tc, now) before Insert validates the row, so
+/// the caller may pass any placeholder there (a NULL).
 Status TemporalInsert(OngoingRelation* r, std::vector<Value> values,
                       size_t vt_index, TimePoint tc);
 
@@ -44,9 +45,8 @@ Status TemporalInsert(OngoingRelation* r, std::vector<Value> values,
 /// reference time are removed. Edits *r
 /// in place, so tuple order may change, and logs each matched tuple's
 /// removal and its closed replacement when *r's log is enabled. A filter
-/// error, or a matched tuple whose valid time is NULL (InvalidArgument),
-/// fails the delete with neither *r nor its log changed. Returns the
-/// number of modified tuples.
+/// error fails the delete with neither *r nor its log changed. Returns
+/// the number of modified tuples.
 Result<size_t> TemporalDelete(OngoingRelation* r, size_t vt_index,
                               TimePoint tc, const ModificationFilter& filter);
 
@@ -56,10 +56,9 @@ Result<size_t> TemporalDelete(OngoingRelation* r, size_t vt_index,
 /// TemporalDelete, a tuple already closed at or before tc is neither
 /// closed nor re-versioned. Edits and logs like
 /// TemporalDelete, plus each new version's insertion. Each updater row is
-/// validated against the schema (arity, types) before anything changes;
-/// a bad row, like a NULL valid time, fails the update with neither *r
-/// nor its modification log changed. Returns the number of updated
-/// tuples.
+/// validated against the schema (arity, types, no NULL) before anything
+/// changes; a bad row fails the update with neither *r nor its
+/// modification log changed. Returns the number of updated tuples.
 Result<size_t> TemporalUpdate(
     OngoingRelation* r, size_t vt_index, TimePoint tc,
     const ModificationFilter& filter,

@@ -41,7 +41,6 @@ Status OngoingRelation::ValidateValues(
         " values, got " + std::to_string(values.size()));
   }
   for (size_t i = 0; i < values.size(); ++i) {
-    if (values[i].is_null()) continue;
     if (values[i].type() != schema_.attribute(i).type) {
       return Status::TypeError(
           "attribute '" + schema_.attribute(i).name + "' expects " +

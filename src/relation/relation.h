@@ -109,7 +109,9 @@ class OngoingRelation {
   const Tuple& tuple(size_t i) const { return tuples_[i]; }
 
   /// Checks a row against the schema: arity, and the type of every
-  /// non-null value. The check Insert and InsertWithRt run.
+  /// value. A NULL matches no attribute type: neither the paper's model
+  /// nor the SQL surface has NULL, so a stored relation never holds one.
+  /// The check Insert and InsertWithRt run.
   Status ValidateValues(const std::vector<Value>& values) const;
 
   /// Inserts a base tuple (RT is set to the trivial reference time by the
@@ -122,7 +124,11 @@ class OngoingRelation {
 
   /// Appends a pre-validated tuple (used by operators on already typed
   /// intermediate results). Tuples with empty RT are silently dropped,
-  /// matching the algebra's x.RT != {} conditions.
+  /// matching the algebra's x.RT != {} conditions. The caller vouches for
+  /// what ValidateValues would check, a NULL-free row of the schema's
+  /// types; rows that arrive from outside go through Insert or
+  /// InsertWithRt, and the serving catalog validates every row it
+  /// registers.
   void AppendUnchecked(Tuple tuple);
 
   /// Removes tuple i by swapping the last tuple into its place; tuple

@@ -158,9 +158,9 @@ struct ValueHash {
   size_t operator()(const Value& v) const;
 };
 
-/// Total order over values for sort-based operators (the grouped
-/// aggregates' group order): orders by type tag first, then by payload.
-/// Returns <0, 0, >0.
+/// Total order over values: orders by type tag first, then by payload.
+/// Returns <0, 0, >0. The key-driven joins and the view maintainer
+/// compare keys with it through ValueEq.
 /// Consistent with operator== except NaN doubles, which compare equal
 /// to themselves and greater than every number (Postgres-style) so the
 /// order stays strict-weak and key-driven joins group NaN keys alike.

@@ -84,6 +84,9 @@ Result<uint64_t> Catalog::CreateTable(const std::string& name,
 
 Result<uint64_t> Catalog::RegisterTable(const std::string& name,
                                         const OngoingRelation& data) {
+  for (const Tuple& t : data.tuples()) {
+    ONGOINGDB_RETURN_NOT_OK(data.ValidateValues(t.values()));
+  }
   auto version = std::make_shared<const OngoingRelation>(data);
   MutexLock lock(mu_);
   if (state_.Load()->tables.count(name) != 0) {
@@ -95,21 +98,24 @@ Result<uint64_t> Catalog::RegisterTable(const std::string& name,
 
 Result<uint64_t> Catalog::Commit(
     const std::string& name,
-    const std::function<Status(OngoingRelation*)>& modify) {
+    const std::function<Result<size_t>(OngoingRelation*)>& modify) {
   MutexLock lock(mu_);
+  const Snapshot latest = PinSnapshot();
   ONGOINGDB_ASSIGN_OR_RETURN(std::shared_ptr<const OngoingRelation> current,
-                             PinSnapshot().Get(name));
+                             latest.Get(name));
   ONGOINGDB_FAILPOINT(fp_catalog_commit);
   OngoingRelation next = *current;
-  ONGOINGDB_RETURN_NOT_OK(modify(&next));
+  ONGOINGDB_ASSIGN_OR_RETURN(size_t changed, modify(&next));
+  if (changed == 0) return latest.commit_seq();
   return Publish(name,
                  std::make_shared<const OngoingRelation>(std::move(next)));
 }
 
 Result<uint64_t> Catalog::Insert(const std::string& name,
                                  std::vector<Value> values) {
-  return Commit(name, [&values](OngoingRelation* r) {
-    return r->Insert(std::move(values));
+  return Commit(name, [&values](OngoingRelation* r) -> Result<size_t> {
+    ONGOINGDB_RETURN_NOT_OK(r->Insert(std::move(values)));
+    return 1;
   });
 }
 
@@ -117,11 +123,11 @@ Result<uint64_t> Catalog::TemporalDeleteWhere(const std::string& name,
                                               TimePoint tc,
                                               const ModificationFilter& filter,
                                               size_t* deleted) {
-  return Commit(name, [&](OngoingRelation* r) -> Status {
+  return Commit(name, [&](OngoingRelation* r) -> Result<size_t> {
     ONGOINGDB_ASSIGN_OR_RETURN(size_t vt, VtIndexOf(r->schema()));
     ONGOINGDB_ASSIGN_OR_RETURN(size_t count, TemporalDelete(r, vt, tc, filter));
     if (deleted != nullptr) *deleted = count;
-    return Status::OK();
+    return count;
   });
 }
 
@@ -129,12 +135,12 @@ Result<uint64_t> Catalog::TemporalUpdateWhere(
     const std::string& name, TimePoint tc, const ModificationFilter& filter,
     const std::function<std::vector<Value>(const Tuple&)>& updater,
     size_t* updated) {
-  return Commit(name, [&](OngoingRelation* r) -> Status {
+  return Commit(name, [&](OngoingRelation* r) -> Result<size_t> {
     ONGOINGDB_ASSIGN_OR_RETURN(size_t vt, VtIndexOf(r->schema()));
     ONGOINGDB_ASSIGN_OR_RETURN(size_t count,
                                TemporalUpdate(r, vt, tc, filter, updater));
     if (updated != nullptr) *updated = count;
-    return Status::OK();
+    return count;
   });
 }
 

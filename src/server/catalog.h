@@ -141,14 +141,21 @@ class Catalog {
   // DELETE's or UPDATE's filter scan. On any failure — including the
   // `catalog.commit` failpoint — nothing is published: a reader can
   // never observe a half-applied write, and a failed commit consumes no
-  // sequence number. All return the commit sequence they published.
+  // sequence number. All return the commit sequence they published. A
+  // DELETE or UPDATE that changes no row publishes nothing either, and
+  // returns the sequence of the state it read: the catalog's last
+  // committed sequence, at which the table already looks as it would
+  // have after the write.
 
   /// Creates an empty table. Fails if the name exists.
   Result<uint64_t> CreateTable(const std::string& name, Schema schema);
 
   /// Bulk-registers an existing relation as a table whose tuples are all
   /// inserted at the returned commit sequence (test/bench/bootstrap
-  /// loading). Fails if the name exists.
+  /// loading). Every row is validated as Insert validates it (arity,
+  /// types, no NULL), since the relation may have been built with
+  /// AppendUnchecked. Fails, publishing nothing, on a bad row or if the
+  /// name exists.
   Result<uint64_t> RegisterTable(const std::string& name,
                                  const OngoingRelation& data);
 
@@ -176,11 +183,12 @@ class Catalog {
 
  private:
   /// The commit routine every DML write shares: copies `name`'s current
-  /// version, applies `modify` to the copy, and publishes it. A failing
-  /// `modify` leaves nothing published.
+  /// version, applies `modify` to the copy, and publishes it. `modify`
+  /// returns how many rows it changed; when that is none, or `modify`
+  /// fails, nothing is published.
   Result<uint64_t> Commit(
       const std::string& name,
-      const std::function<Status(OngoingRelation*)>& modify);
+      const std::function<Result<size_t>(OngoingRelation*)>& modify);
 
   /// Publishes `data` as `name`'s next version at the next commit
   /// sequence, evicting the ring's oldest entry past the cap. Never

@@ -23,54 +23,6 @@ void PutF64(std::vector<uint8_t>* out, double v) {
   PutI64(out, static_cast<int64_t>(u));
 }
 
-class Reader {
- public:
-  explicit Reader(const std::vector<uint8_t>& bytes) : bytes_(bytes) {}
-
-  Result<uint8_t> U8() {
-    if (pos_ + 1 > bytes_.size()) return Fail();
-    return bytes_[pos_++];
-  }
-
-  Result<uint32_t> U32() {
-    if (pos_ + 4 > bytes_.size()) return Fail();
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(bytes_[pos_++]) << (8 * i);
-    return v;
-  }
-
-  Result<int64_t> I64() {
-    if (pos_ + 8 > bytes_.size()) return Fail();
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(bytes_[pos_++]) << (8 * i);
-    return static_cast<int64_t>(v);
-  }
-
-  Result<double> F64() {
-    ONGOINGDB_ASSIGN_OR_RETURN(int64_t bits, I64());
-    double v;
-    uint64_t u = static_cast<uint64_t>(bits);
-    std::memcpy(&v, &u, sizeof(v));
-    return v;
-  }
-
-  Result<std::string> Str() {
-    ONGOINGDB_ASSIGN_OR_RETURN(uint32_t len, U32());
-    if (pos_ + len > bytes_.size()) return Fail();
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), len);
-    pos_ += len;
-    return s;
-  }
-
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
- private:
-  Status Fail() const { return Status::IOError("truncated tuple buffer"); }
-
-  const std::vector<uint8_t>& bytes_;
-  size_t pos_ = 0;
-};
-
 void SerializeValue(std::vector<uint8_t>* out, const Value& v) {
   PutU8(out, static_cast<uint8_t>(v.type()));
   switch (v.type()) {
@@ -114,62 +66,6 @@ void SerializeValue(std::vector<uint8_t>* out, const Value& v) {
   }
 }
 
-Result<Value> DeserializeValue(Reader* reader, ValueType expected) {
-  ONGOINGDB_ASSIGN_OR_RETURN(uint8_t tag, reader->U8());
-  ValueType type = static_cast<ValueType>(tag);
-  if (type != expected && type != ValueType::kNull) {
-    return Status::TypeError("tuple buffer type mismatch");
-  }
-  switch (type) {
-    case ValueType::kNull:
-      return Value::Null();
-    case ValueType::kInt64: {
-      ONGOINGDB_ASSIGN_OR_RETURN(int64_t v, reader->I64());
-      return Value::Int64(v);
-    }
-    case ValueType::kDouble: {
-      ONGOINGDB_ASSIGN_OR_RETURN(double v, reader->F64());
-      return Value::Double(v);
-    }
-    case ValueType::kString: {
-      ONGOINGDB_ASSIGN_OR_RETURN(std::string v, reader->Str());
-      return Value::String(std::move(v));
-    }
-    case ValueType::kBool: {
-      ONGOINGDB_ASSIGN_OR_RETURN(uint8_t v, reader->U8());
-      return Value::Bool(v != 0);
-    }
-    case ValueType::kTimePoint: {
-      ONGOINGDB_ASSIGN_OR_RETURN(int64_t v, reader->I64());
-      return Value::Time(v);
-    }
-    case ValueType::kFixedInterval: {
-      ONGOINGDB_ASSIGN_OR_RETURN(int64_t s, reader->I64());
-      ONGOINGDB_ASSIGN_OR_RETURN(int64_t e, reader->I64());
-      return Value::Interval(FixedInterval{s, e});
-    }
-    case ValueType::kOngoingTimePoint: {
-      ONGOINGDB_ASSIGN_OR_RETURN(int64_t a, reader->I64());
-      ONGOINGDB_ASSIGN_OR_RETURN(int64_t b, reader->I64());
-      ONGOINGDB_ASSIGN_OR_RETURN(OngoingTimePoint p,
-                                 OngoingTimePoint::Make(a, b));
-      return Value::Ongoing(p);
-    }
-    case ValueType::kOngoingInterval: {
-      ONGOINGDB_ASSIGN_OR_RETURN(int64_t sa, reader->I64());
-      ONGOINGDB_ASSIGN_OR_RETURN(int64_t sb, reader->I64());
-      ONGOINGDB_ASSIGN_OR_RETURN(int64_t ea, reader->I64());
-      ONGOINGDB_ASSIGN_OR_RETURN(int64_t eb, reader->I64());
-      ONGOINGDB_ASSIGN_OR_RETURN(OngoingTimePoint s,
-                                 OngoingTimePoint::Make(sa, sb));
-      ONGOINGDB_ASSIGN_OR_RETURN(OngoingTimePoint e,
-                                 OngoingTimePoint::Make(ea, eb));
-      return Value::Ongoing(OngoingInterval(s, e));
-    }
-  }
-  return Status::TypeError("unknown value tag");
-}
-
 }  // namespace
 
 std::vector<uint8_t> SerializeTuple(const Tuple& tuple) {
@@ -185,35 +81,6 @@ std::vector<uint8_t> SerializeTuple(const Tuple& tuple) {
     PutI64(&out, iv.end);
   }
   return out;
-}
-
-Result<Tuple> DeserializeTuple(const Schema& schema,
-                               const std::vector<uint8_t>& bytes) {
-  Reader reader(bytes);
-  ONGOINGDB_ASSIGN_OR_RETURN(uint32_t n, reader.U32());
-  if (n != schema.num_attributes()) {
-    return Status::SchemaMismatch("tuple buffer arity mismatch");
-  }
-  std::vector<Value> values;
-  values.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    ONGOINGDB_ASSIGN_OR_RETURN(
-        Value v, DeserializeValue(&reader, schema.attribute(i).type));
-    values.push_back(std::move(v));
-  }
-  ONGOINGDB_ASSIGN_OR_RETURN(uint32_t rt_count, reader.U32());
-  std::vector<FixedInterval> intervals;
-  intervals.reserve(rt_count);
-  for (uint32_t i = 0; i < rt_count; ++i) {
-    ONGOINGDB_ASSIGN_OR_RETURN(int64_t s, reader.I64());
-    ONGOINGDB_ASSIGN_OR_RETURN(int64_t e, reader.I64());
-    intervals.push_back(FixedInterval{s, e});
-  }
-  if (!reader.AtEnd()) {
-    return Status::IOError("trailing bytes after tuple");
-  }
-  return Tuple(std::move(values),
-               IntervalSet::FromNormalized(intervals.data(), intervals.size()));
 }
 
 size_t SerializedTupleSize(const Tuple& tuple) {

@@ -8,25 +8,19 @@
 //    space is allocated for the typical one-interval case;
 //  * strings are varlena: 4-byte length header plus payload.
 //
-// The serializer is used by the heap-file storage (heap_file.h) and by
-// the Table V per-tuple storage accounting (stats.h).
+// The Table V per-tuple storage accounting (stats.h) sizes tuples in
+// this format; nothing is written to or read back from disk.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "relation/relation.h"
-#include "util/result.h"
 
 namespace ongoingdb {
 
 /// Serializes a tuple (attribute values + RT array) to bytes.
 std::vector<uint8_t> SerializeTuple(const Tuple& tuple);
-
-/// Deserializes a tuple previously produced by SerializeTuple. The
-/// schema provides the expected attribute types.
-Result<Tuple> DeserializeTuple(const Schema& schema,
-                               const std::vector<uint8_t>& bytes);
 
 /// The serialized size of a tuple in bytes without materializing the
 /// buffer.

@@ -141,14 +141,13 @@ Result<IntervalColumnStats> ComputeIntervalColumnStats(
   max_ends.reserve(expect);
   durations.reserve(expect);
   for (size_t i = 0; i < r.size(); i += stride) {
-    std::optional<IntervalBounds> b =
+    const IntervalBounds b =
         IntervalBoundsOfValue(r.tuple(i).value(column_index));
-    if (!b.has_value()) continue;
-    min_starts.push_back(b->min_start);
-    max_starts.push_back(b->max_start);
-    min_ends.push_back(b->min_end);
-    max_ends.push_back(b->max_end);
-    durations.push_back(b->max_end - b->min_start);
+    min_starts.push_back(b.min_start);
+    max_starts.push_back(b.max_start);
+    min_ends.push_back(b.min_end);
+    max_ends.push_back(b.max_end);
+    durations.push_back(b.max_end - b.min_start);
   }
   stats.min_start = BuildEquiDepthHistogram(std::move(min_starts), buckets);
   stats.max_start = BuildEquiDepthHistogram(std::move(max_starts), buckets);

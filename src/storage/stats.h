@@ -11,7 +11,6 @@
 //    anything.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "core/interval_bounds.h"
@@ -82,19 +81,17 @@ EquiDepthHistogram BuildEquiDepthHistogram(std::vector<TimePoint> samples,
                                            size_t buckets);
 
 /// The conservative IntervalBounds of an interval-typed value (ongoing
-/// or fixed); nullopt for any other value (a NULL). The single
-/// conversion the histogram sampler, the cost model's probe sampling,
-/// the index build and the index-join probing all share — so the
-/// estimators and the execution path cannot disagree about a probe's
-/// bounds. The samplers skip a nullopt; the index paths report it as a
-/// TypeError.
-inline std::optional<IntervalBounds> IntervalBoundsOfValue(const Value& v) {
-  switch (v.type()) {
-    case ValueType::kFixedInterval: return IntervalBounds::Of(v.AsInterval());
-    case ValueType::kOngoingInterval:
-      return IntervalBounds::Of(v.AsOngoingInterval());
-    default: return std::nullopt;
+/// or fixed). The single conversion the histogram sampler, the cost
+/// model's probe sampling, the index build and the index-join probing
+/// all share — so the estimators and the execution path cannot disagree
+/// about a probe's bounds. The value must be an interval, as for Value's
+/// typed accessors: callers check the column's type, and a stored
+/// relation holds no NULL (OngoingRelation::ValidateValues).
+inline IntervalBounds IntervalBoundsOfValue(const Value& v) {
+  if (v.type() == ValueType::kFixedInterval) {
+    return IntervalBounds::Of(v.AsInterval());
   }
+  return IntervalBounds::Of(v.AsOngoingInterval());
 }
 
 /// Equi-depth histograms of one interval column's conservative endpoint

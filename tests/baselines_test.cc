@@ -1,10 +1,12 @@
-// Tests of the related-work baselines: Clifford instantiation and Torp's
-// Tf domain (including its non-closure, Table I).
+// Tests of the related-work baselines: Clifford instantiation, which the
+// engine runs as ExecuteAtReferenceTime, and Torp's Tf domain (including
+// its non-closure, Table I).
 #include <gtest/gtest.h>
 
 #include "baselines/clifford.h"
 #include "baselines/torp.h"
 #include "core/operations.h"
+#include "query/executor.h"
 
 namespace ongoingdb {
 namespace {
@@ -28,8 +30,8 @@ TEST(CliffordTest, SelectInstantiatesThenFilters) {
   // Bugs open before patch [08/15, 08/24), evaluated at rt = 05/14.
   ExprPtr pred = BeforeExpr(
       Col("VT"), Lit(Value::Interval({MD(8, 15), MD(8, 24)})));
-  auto result = CliffordSelect(b, pred, MD(5, 14));
-  ASSERT_TRUE(result.ok());
+  auto result = ExecuteAtReferenceTime(Filter(Scan(&b, "B"), pred), MD(5, 14));
+  ASSERT_TRUE(result.ok()) << result.status();
   // At 05/14 bug 500's interval is [01/25, 05/14): before the patch.
   // Bug 501 ends 08/21, after the patch start, and does not qualify.
   ASSERT_EQ(result->size(), 1u);
@@ -44,8 +46,9 @@ TEST(CliffordTest, ResultsGetInvalidatedAsTimePassesBy) {
   OngoingRelation b = BugsRelation();
   ExprPtr pred = BeforeExpr(
       Col("VT"), Lit(Value::Interval({MD(8, 15), MD(8, 24)})));
-  auto early = CliffordSelect(b, pred, MD(5, 14));
-  auto late = CliffordSelect(b, pred, MD(9, 30));
+  const PlanPtr plan = Filter(Scan(&b, "B"), pred);
+  auto early = ExecuteAtReferenceTime(plan, MD(5, 14));
+  auto late = ExecuteAtReferenceTime(plan, MD(9, 30));
   ASSERT_TRUE(early.ok());
   ASSERT_TRUE(late.ok());
   // At 09/30, bug 500's instantiated interval [01/25, 09/30) is no
@@ -70,9 +73,13 @@ TEST(CliffordTest, JoinAgreesWithOngoingInstantiation) {
                             OngoingInterval::Fixed(MD(8, 15), MD(8, 24)))})
                   .ok());
   ExprPtr pred = BeforeExpr(Col("B.VT"), Col("P.VT"));
-  auto fixed = CliffordJoin(b, p, pred, MD(5, 14), "B", "P");
-  ASSERT_TRUE(fixed.ok());
-  EXPECT_EQ(fixed->size(), 1u);
+  auto fixed = ExecuteAtReferenceTime(
+      Join(Scan(&b, "B"), Scan(&p, "P"), pred, "B", "P"), MD(5, 14));
+  ASSERT_TRUE(fixed.ok()) << fixed.status();
+  // At 05/14 only bug 500, [01/25, 05/14), ends before patch 201 starts.
+  ASSERT_EQ(fixed->size(), 1u);
+  EXPECT_EQ(fixed->tuple(0).value(0).AsInt64(), 500);
+  EXPECT_EQ(fixed->tuple(0).value(2).AsInt64(), 201);
 }
 
 // --- Torp's Tf domain ------------------------------------------------------

@@ -87,6 +87,17 @@ def main():
     expect("unresolved",
            ab.compare([25.0, 25.5, 24.5, 25.0], noisy, "lower",
                       0.25)["verdict"], "unresolved")
+    # ... unless every change run reads better than every parent run,
+    # even with the median gap inside the parent's IQR (no gain).
+    expect("separated despite spread",
+           ab.compare([10.0, 11.0, 40.0, 41.0], [9.0, 9.5, 9.8, 9.9],
+                      "lower", 0.25)["verdict"], "within bound")
+    expect("separated despite spread, higher is better",
+           ab.compare([10.0, 11.0, 40.0, 41.0], [42.0, 43.0, 44.0, 45.0],
+                      "higher", 0.25)["verdict"], "within bound")
+    expect("one overlapping run stays unresolved",
+           ab.compare([10.0, 11.0, 40.0, 41.0], [9.0, 9.5, 9.8, 10.5],
+                      "lower", 0.25)["verdict"], "unresolved")
 
     # Workload summary: health and per-metric rows from records.
     summary = ab.summarize(SPEC, [record(v) for v in parent],

@@ -4,15 +4,17 @@
 // writers commit inserts, temporal deletes, and temporal updates.
 //
 // The oracle: every write is logged with the commit sequence the catalog
-// assigned it. After the threads join, each recorded read (pinned
-// sequence S, result fingerprint) is checked against a serial replay —
-// the committed prefix with sequence <= S applied in sequence order to a
-// plain relation with the PLAIN Torp modifications, then the same SELECT
-// executed over that reconstruction. Equality means snapshot isolation
-// held: the reader saw exactly the serial state at its pinned sequence,
-// never a half-applied commit, never a torn mix of sequences — and each
-// published version is the plain modification applied to its
-// predecessor, end to end.
+// assigned it and the number of rows it changed. A write that changed no
+// row published nothing and is logged with the sequence it read. After
+// the threads join, each recorded read (pinned sequence S, result
+// fingerprint) is checked against a serial replay — the committed prefix
+// with sequence <= S applied in sequence order to a plain relation with
+// the PLAIN Torp modifications, each changing as many rows as it did
+// when served, then the same SELECT executed over that reconstruction.
+// Equality means snapshot isolation held: the reader saw exactly the
+// serial state at its pinned sequence, never a half-applied commit,
+// never a torn mix of sequences — and each published version is the
+// plain modification applied to its predecessor, end to end.
 //
 // Runs under TSan in CI (with the fault-injection and thread-pool
 // suites): the no-reader-side-lock read path is exactly the kind of code
@@ -58,6 +60,7 @@ constexpr size_t kVtIndex = 3;  // MakeBase: {ID, K, S, VT}
 struct LoggedWrite {
   enum Kind { kInsert, kDelete, kUpdate };
   uint64_t seq = 0;
+  size_t changed = 1;  // rows the write changed; 0 published nothing
   Kind kind = kInsert;
   std::vector<Value> values;  // kInsert
   int64_t key = 0;            // kDelete/kUpdate: match T_K == key
@@ -93,7 +96,9 @@ std::function<std::vector<Value>(const Tuple&)> ReplaceS(
 
 // Serial reference: the base relation with every logged write of
 // sequence <= `seq` applied in sequence order, then `statement` parsed,
-// optimized and executed over it directly, without a Session.
+// optimized and executed over it directly, without a Session. The log
+// is sorted by sequence, a write that changed rows before the no-op
+// writes that read its state.
 std::multiset<std::string> ReplayAt(const OngoingRelation& base,
                                     const std::vector<LoggedWrite>& log,
                                     uint64_t seq, size_t statement) {
@@ -104,15 +109,19 @@ std::multiset<std::string> ReplayAt(const OngoingRelation& base,
       case LoggedWrite::kInsert:
         EXPECT_TRUE(state.Insert(w.values).ok());
         break;
-      case LoggedWrite::kDelete:
-        EXPECT_TRUE(
-            TemporalDelete(&state, kVtIndex, w.tc, KeyFilter(w.key)).ok());
+      case LoggedWrite::kDelete: {
+        auto deleted = TemporalDelete(&state, kVtIndex, w.tc, KeyFilter(w.key));
+        EXPECT_TRUE(deleted.ok() && *deleted == w.changed)
+            << "delete at seq " << w.seq;
         break;
-      case LoggedWrite::kUpdate:
-        EXPECT_TRUE(TemporalUpdate(&state, kVtIndex, w.tc, KeyFilter(w.key),
-                                   ReplaceS(w.replacement))
-                        .ok());
+      }
+      case LoggedWrite::kUpdate: {
+        auto updated = TemporalUpdate(&state, kVtIndex, w.tc, KeyFilter(w.key),
+                                      ReplaceS(w.replacement));
+        EXPECT_TRUE(updated.ok() && *updated == w.changed)
+            << "update at seq " << w.seq;
         break;
+      }
     }
   }
   sql::Catalog reference;
@@ -171,17 +180,17 @@ void ExpectReadersSeeExactSerialStates(uint64_t seed, size_t base_rows) {
             entry.kind = LoggedWrite::kDelete;
             entry.key = rng.Uniform(0, 4);
             entry.tc = rng.Uniform(0, 100);
-            return catalog.TemporalDeleteWhere("T", entry.tc,
-                                               KeyFilter(entry.key));
+            return catalog.TemporalDeleteWhere(
+                "T", entry.tc, KeyFilter(entry.key), &entry.changed);
           }
           entry.kind = LoggedWrite::kUpdate;
           entry.key = rng.Uniform(0, 4);
           entry.tc = rng.Uniform(0, 100);
           entry.replacement =
               StringPool()[static_cast<size_t>(rng.Uniform(0, 3))];
-          return catalog.TemporalUpdateWhere("T", entry.tc,
-                                             KeyFilter(entry.key),
-                                             ReplaceS(entry.replacement));
+          return catalog.TemporalUpdateWhere(
+              "T", entry.tc, KeyFilter(entry.key),
+              ReplaceS(entry.replacement), &entry.changed);
         }();
         ASSERT_TRUE(committed.ok()) << committed.status();
         entry.seq = *committed;
@@ -232,17 +241,26 @@ void ExpectReadersSeeExactSerialStates(uint64_t seed, size_t base_rows) {
 
   for (std::thread& t : threads) t.join();
 
-  // Commit sequences are unique and gapless: every commit published
-  // exactly once, failed commits (there are none here) consume nothing.
+  // The sequences of the writes that changed rows are unique and
+  // gapless: each published exactly once, and failed commits (there are
+  // none here) consume nothing. A write that changed no row reports the
+  // sequence of a state already published.
   ASSERT_EQ(write_log.size(), kWriters * kWritesPerWriter);
   std::sort(write_log.begin(), write_log.end(),
             [](const LoggedWrite& a, const LoggedWrite& b) {
-              return a.seq < b.seq;
+              if (a.seq != b.seq) return a.seq < b.seq;
+              return a.changed > 0 && b.changed == 0;
             });
-  for (size_t i = 0; i < write_log.size(); ++i) {
-    EXPECT_EQ(write_log[i].seq, base_seq + 1 + i);
+  uint64_t next_seq = base_seq + 1;
+  for (const LoggedWrite& w : write_log) {
+    if (w.changed > 0) {
+      EXPECT_EQ(w.seq, next_seq++);
+    } else {
+      EXPECT_GE(w.seq, base_seq);
+      EXPECT_LT(w.seq, next_seq);
+    }
   }
-  EXPECT_EQ(catalog.commit_seq(), base_seq + write_log.size());
+  EXPECT_EQ(catalog.commit_seq(), next_seq - 1);
 
   // Every read equals the serial replay at its pinned sequence.
   ASSERT_EQ(read_log.size(), kReaders * kReadsPerReader);

@@ -480,7 +480,7 @@ TEST_P(LifecycleFuzzTest, AtReferenceTimeHonorsLifecycle) {
   EXPECT_EQ(ctx.memory_used(), 0u);
 }
 
-// --- executor / aggregate / view surfaces -----------------------------------
+// --- executor / view surfaces -----------------------------------------------
 
 TEST_F(FaultInjectionTest, ExecuteSurfacesTypedStatuses) {
   Rng rng(11);

@@ -42,6 +42,14 @@ OngoingRelation MakeRelation(uint64_t seed, size_t n) {
   return r;
 }
 
+// The candidates CandidatesInto returns for `op` against a fixed probe.
+std::vector<size_t> Candidates(const IntervalIndex& index, IntervalProbeOp op,
+                               const FixedInterval& probe) {
+  std::vector<size_t> out;
+  index.CandidatesInto(op, IntervalBounds::Of(probe), &out);
+  return out;
+}
+
 TEST(IntervalIndexTest, RequiresIntervalAttribute) {
   OngoingRelation r(Schema({{"ID", ValueType::kInt64}}));
   EXPECT_FALSE(IntervalIndex::Build(r, "ID").ok());
@@ -73,18 +81,20 @@ TEST(IntervalIndexTest, SelectsOnTheIndexedColumnNotTheFirstIntervalColumn) {
 
   // Fixed intervals make the candidates (CandidatesInto's answer for a
   // fixed probe) exact: tuple 1 (position 0) only.
-  EXPECT_EQ(index->OverlapCandidates({100, 150}), std::vector<size_t>{0});
+  EXPECT_EQ(Candidates(*index, IntervalProbeOp::kOverlaps, {100, 150}),
+            std::vector<size_t>{0});
 
   // Before [300, 400): VT of tuple 1 ends at 200 (match); tuple 2's VT
   // starts at 500 (no match) even though its TT is long finished.
-  EXPECT_EQ(index->BeforeCandidates({300, 400}), std::vector<size_t>{0});
+  EXPECT_EQ(Candidates(*index, IntervalProbeOp::kBefore, {300, 400}),
+            std::vector<size_t>{0});
 }
 
 // Regression: the before-sweep used to stop at min_start >= probe.start,
 // dropping degenerate candidates with min_start == min_end ==
 // probe.start even though they satisfy the candidate condition
 // min_end <= probe.start.
-TEST(IntervalIndexTest, BeforeCandidatesKeepDegenerateStopBoundEntries) {
+TEST(IntervalIndexTest, BeforeProbeKeepsDegenerateStopBoundEntries) {
   OngoingRelation r(Schema({{"ID", ValueType::kInt64},
                             {"VT", ValueType::kOngoingInterval}}));
   // min_start == min_end == 5: start = 5+, end = 5+9.
@@ -101,7 +111,7 @@ TEST(IntervalIndexTest, BeforeCandidatesKeepDegenerateStopBoundEntries) {
   ASSERT_TRUE(index.ok());
 
   const FixedInterval probe{5, 8};
-  std::vector<size_t> c = index->BeforeCandidates(probe);
+  std::vector<size_t> c = Candidates(*index, IntervalProbeOp::kBefore, probe);
   std::set<size_t> candidates(c.begin(), c.end());
   EXPECT_TRUE(candidates.count(0) > 0);
   EXPECT_TRUE(candidates.count(1) > 0)
@@ -129,7 +139,7 @@ TEST(IntervalIndexTest, BeforeCandidatesKeepDegenerateStopBoundEntries) {
 
 class IntervalIndexPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(IntervalIndexPropertyTest, OverlapCandidatesAreSupersetOfExact) {
+TEST_P(IntervalIndexPropertyTest, OverlapsProbeIsSupersetOfExact) {
   ONGOINGDB_FUZZ_SEED_TRACE(GetParam());
   OngoingRelation r = MakeRelation(GetParam(), 120);
   auto index = IntervalIndex::Build(r, "VT");
@@ -139,7 +149,8 @@ TEST_P(IntervalIndexPropertyTest, OverlapCandidatesAreSupersetOfExact) {
     TimePoint s = rng.Uniform(0, 200);
     FixedInterval probe{s, s + rng.Uniform(1, 50)};
     OngoingInterval probe_iv = OngoingInterval::Fixed(probe.start, probe.end);
-    std::vector<size_t> c = index->OverlapCandidates(probe);
+    std::vector<size_t> c =
+        Candidates(*index, IntervalProbeOp::kOverlaps, probe);
     std::set<size_t> candidates(c.begin(), c.end());
     for (size_t i = 0; i < r.size(); ++i) {
       OngoingBoolean exact =
@@ -153,7 +164,7 @@ TEST_P(IntervalIndexPropertyTest, OverlapCandidatesAreSupersetOfExact) {
   }
 }
 
-TEST_P(IntervalIndexPropertyTest, BeforeCandidatesAreSupersetOfExact) {
+TEST_P(IntervalIndexPropertyTest, BeforeProbeIsSupersetOfExact) {
   ONGOINGDB_FUZZ_SEED_TRACE(GetParam());
   OngoingRelation r = MakeRelation(GetParam() + 7, 120);
   auto index = IntervalIndex::Build(r, "VT");
@@ -163,7 +174,7 @@ TEST_P(IntervalIndexPropertyTest, BeforeCandidatesAreSupersetOfExact) {
     TimePoint s = rng.Uniform(0, 220);
     FixedInterval probe{s, s + rng.Uniform(1, 50)};
     OngoingInterval probe_iv = OngoingInterval::Fixed(probe.start, probe.end);
-    std::vector<size_t> c = index->BeforeCandidates(probe);
+    std::vector<size_t> c = Candidates(*index, IntervalProbeOp::kBefore, probe);
     std::set<size_t> candidates(c.begin(), c.end());
     for (size_t i = 0; i < r.size(); ++i) {
       OngoingBoolean exact =
@@ -182,7 +193,8 @@ TEST_P(IntervalIndexPropertyTest, CandidatesPruneSomething) {
   auto index = IntervalIndex::Build(r, "VT");
   ASSERT_TRUE(index.ok());
   FixedInterval narrow{0, 2};
-  EXPECT_LT(index->OverlapCandidates(narrow).size(), r.size());
+  EXPECT_LT(Candidates(*index, IntervalProbeOp::kOverlaps, narrow).size(),
+            r.size());
 }
 
 TEST_P(IntervalIndexPropertyTest,

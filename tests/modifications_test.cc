@@ -222,10 +222,12 @@ TEST(ModificationsTest, UpdateRejectsBadUpdaterRowsWithNothingChanged) {
   }
 }
 
-TEST(ModificationsTest, NullValidTimeFailsWithNothingChanged) {
-  // A NULL valid time passes the schema check, but a delete or update
-  // that matches the row has no interval to close: it fails before
-  // anything changes instead of reading the NULL as an interval.
+TEST(ModificationsTest, NullIsRejectedWhereRowsEnter) {
+  // Neither the paper's model nor SQL has NULL. Insert, InsertWithRt,
+  // TemporalInsert and an updater row reject a NULL in any column with a
+  // TypeError, and neither the relation nor its log changes. Only
+  // TemporalInsert's valid-time placeholder may be NULL: it is replaced
+  // before the row is validated.
   OngoingRelation r(ContractSchema());
   r.EnableModificationLog();
   ASSERT_TRUE(TemporalInsert(&r,
@@ -233,8 +235,6 @@ TEST(ModificationsTest, NullValidTimeFailsWithNothingChanged) {
                               Value::Null()},
                              kVt, MD(1, 1))
                   .ok());
-  ASSERT_TRUE(
-      r.Insert({Value::Int64(2), Value::String("qa"), Value::Null()}).ok());
   ModificationLog* log = r.modification_log();
   const uint64_t logged = log->next_seq();
   auto rows = [&r] {
@@ -243,24 +243,27 @@ TEST(ModificationsTest, NullValidTimeFailsWithNothingChanged) {
     return out;
   };
   const std::vector<std::string> before = rows();
-  const ModificationFilter all = [](const Tuple&) { return true; };
+  const std::vector<Value> good = r.tuple(0).values();
 
-  auto deleted = TemporalDelete(&r, kVt, MD(6, 1), all);
-  ASSERT_FALSE(deleted.ok());
-  EXPECT_EQ(deleted.status().code(), StatusCode::kInvalidArgument);
-  auto updated = TemporalUpdate(&r, kVt, MD(6, 1), all,
-                                [](const Tuple& t) { return t.values(); });
-  ASSERT_FALSE(updated.ok());
-  EXPECT_EQ(updated.status().code(), StatusCode::kInvalidArgument);
+  for (size_t column = 0; column < good.size(); ++column) {
+    SCOPED_TRACE("NULL in column " + std::to_string(column));
+    std::vector<Value> bad = good;
+    bad[column] = Value::Null();
+    EXPECT_EQ(r.Insert(bad).code(), StatusCode::kTypeError);
+    EXPECT_EQ(r.InsertWithRt(bad, IntervalSet{{MD(1, 1), MD(2, 1)}}).code(),
+              StatusCode::kTypeError);
+    if (column != kVt) {
+      EXPECT_EQ(TemporalInsert(&r, bad, kVt, MD(2, 1)).code(),
+                StatusCode::kTypeError);
+    }
+    auto updated = TemporalUpdate(
+        &r, kVt, MD(6, 1), [](const Tuple&) { return true; },
+        [&bad](const Tuple&) { return bad; });
+    ASSERT_FALSE(updated.ok());
+    EXPECT_EQ(updated.status().code(), StatusCode::kTypeError);
+  }
   EXPECT_EQ(rows(), before);
   EXPECT_EQ(log->next_seq(), logged);
-
-  // A filter that skips the NULL row modifies the rest as usual.
-  auto first_only = TemporalDelete(&r, kVt, MD(6, 1), [](const Tuple& t) {
-    return t.value(0).AsInt64() == 1;
-  });
-  ASSERT_TRUE(first_only.ok()) << first_only.status();
-  EXPECT_EQ(*first_only, 1u);
 }
 
 TEST(ModificationsTest, RowsAlreadyClosedAtTcAreLeftAlone) {

@@ -1,12 +1,11 @@
 // Cross-cutting robustness tests: plan rendering, expression rewriting,
-// boundary values near the time-domain limits, storage fuzzing, and
+// boundary values near the time-domain limits, and
 // reopen-after-error drills for every physical operator kind.
 #include <gtest/gtest.h>
 
 #include "core/operations.h"
 #include "query/executor.h"
 #include "query/optimizer.h"
-#include "storage/heap_file.h"
 #include "testing/plan_fuzz.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
@@ -76,36 +75,6 @@ TEST(BoundaryTest, IntervalSetMinMaxAccessors) {
   IntervalSet s{{5, 10}, {20, 30}};
   EXPECT_EQ(s.Min(), 5);
   EXPECT_EQ(s.MaxExclusive(), 30);
-}
-
-TEST(StorageFuzzTest, HeapFileRandomPageSizes) {
-  Rng rng(123);
-  Schema schema({{"ID", ValueType::kInt64},
-                 {"S", ValueType::kString},
-                 {"VT", ValueType::kOngoingInterval}});
-  for (int round = 0; round < 5; ++round) {
-    size_t page_size = static_cast<size_t>(rng.Uniform(512, 8192));
-    HeapFile file(schema, page_size);
-    OngoingRelation r(schema);
-    const int n = static_cast<int>(rng.Uniform(10, 200));
-    for (int i = 0; i < n; ++i) {
-      ASSERT_TRUE(
-          r.Insert({Value::Int64(i),
-                    Value::String(rng.String(
-                        static_cast<size_t>(rng.Uniform(0, 100)))),
-                    Value::Ongoing(OngoingInterval::SinceUntilNow(
-                        rng.Uniform(0, 1000)))})
-              .ok());
-    }
-    ASSERT_TRUE(file.Load(r).ok());
-    auto scanned = file.Scan();
-    ASSERT_TRUE(scanned.ok());
-    ASSERT_EQ(scanned->size(), r.size());
-    for (size_t i = 0; i < r.size(); ++i) {
-      EXPECT_EQ(scanned->tuple(i), r.tuple(i));
-    }
-    EXPECT_LE(file.UsedBytes(), file.TotalBytes());
-  }
 }
 
 TEST(OptimizerRobustnessTest, NestedFiltersAndProjections) {

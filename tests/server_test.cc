@@ -141,18 +141,22 @@ TEST(ServerCatalogTest, TimeTravelWithinRingAndOutOfRangeBelowIt) {
 // The served-table contract: every sequence the ring retains resolves
 // to the committed prefix replayed through the plain Torp functions
 // from `base`, older sequences are OutOfRange, and a failing write
-// consumes no sequence. One commit to a second table leaves a gap in
-// Bugs' ring.
+// consumes no sequence. A write that changes no row publishes no
+// version and reports the sequence it read; the replay still applies
+// it, so a write wrongly taken for a no-op shows as a difference. One
+// commit to a second table leaves a gap in Bugs' ring.
 void ExpectRingAnswersAsThePlainReplay(const OngoingRelation& base) {
   constexpr size_t kRingCap = 3;
   Catalog catalog(kRingCap);
 
-  // Every successful Bugs commit, replayable on a plain relation.
+  // Every successful Bugs write, replayable on a plain relation, and the
+  // sequences of the versions they published.
   struct Committed {
     uint64_t seq;
     std::function<void(OngoingRelation*)> apply;
   };
   std::vector<Committed> committed;
+  std::vector<uint64_t> published;
   auto replay = [&committed, &base](uint64_t seq) {
     OngoingRelation plain = base;
     for (const Committed& c : committed) {
@@ -164,6 +168,7 @@ void ExpectRingAnswersAsThePlainReplay(const OngoingRelation& base) {
   auto created = catalog.RegisterTable("Bugs", base);
   ASSERT_TRUE(created.ok()) << created.status();
   committed.push_back({*created, [](OngoingRelation*) {}});
+  published.push_back(*created);
   ASSERT_TRUE(
       catalog.CreateTable("Flat", Schema({{"X", ValueType::kInt64}})).ok());
 
@@ -171,8 +176,8 @@ void ExpectRingAnswersAsThePlainReplay(const OngoingRelation& base) {
     SCOPED_TRACE(when);
     Snapshot snap = catalog.PinSnapshot();
     const uint64_t top = snap.commit_seq();
-    const size_t kept = std::min(kRingCap, committed.size());
-    const uint64_t oldest = committed[committed.size() - kept].seq;
+    const size_t kept = std::min(kRingCap, published.size());
+    const uint64_t oldest = published[published.size() - kept];
     for (uint64_t seq = 0; seq <= top; ++seq) {
       SCOPED_TRACE("seq " + std::to_string(seq));
       auto at = snap.GetAsOf("Bugs", seq);
@@ -198,6 +203,7 @@ void ExpectRingAnswersAsThePlainReplay(const OngoingRelation& base) {
   };
   for (int i = 0; i < 14; ++i) {
     const TimePoint tc = 100 + 10 * i;
+    const uint64_t last_seq = catalog.commit_seq();
     Result<uint64_t> seq = Status::Internal("no commit");
     std::function<void(OngoingRelation*)> apply;
     if (i % 3 == 0 || i == 1) {
@@ -222,6 +228,7 @@ void ExpectRingAnswersAsThePlainReplay(const OngoingRelation& base) {
     }
     ASSERT_TRUE(seq.ok()) << "commit " << i << ": " << seq.status();
     EXPECT_EQ(*seq, catalog.commit_seq());
+    if (*seq != last_seq) published.push_back(*seq);
     committed.push_back({*seq, std::move(apply)});
     check("after commit " + std::to_string(i));
 
@@ -376,29 +383,93 @@ TEST(ServerCatalogTest, ServedModificationsMatchPlainOps) {
   EXPECT_EQ(Fingerprint(**unchanged), Fingerprint(plain));
 }
 
-TEST(ServerCatalogTest, NullValidTimeFailsTheCommitAndPublishesNothing) {
-  // The INSERT is accepted (NULL passes the schema check), but a DELETE
-  // or UPDATE that matches the row has no valid time to close.
+TEST(ServerCatalogTest, NullRowsFailTheCommitAndPublishNothing) {
+  // Neither the paper's model nor SQL has NULL, so a row holding one is
+  // rejected where it enters the catalog: an inserted row, a row of a
+  // registered relation (which AppendUnchecked may have built) and an
+  // UPDATE's replacement row. Each fails with a TypeError and publishes
+  // nothing.
   Catalog catalog;
-  Schema schema(
-      {{"ID", ValueType::kInt64}, {"VT", ValueType::kOngoingInterval}});
-  ASSERT_TRUE(catalog.CreateTable("T", std::move(schema)).ok());
-  ASSERT_TRUE(catalog.Insert("T", {Value::Int64(1), Value::Null()}).ok());
+  ASSERT_TRUE(catalog.CreateTable("Bugs", BugsSchema()).ok());
+  ASSERT_TRUE(catalog.Insert("Bugs", BugRow(500, "spam", 10)).ok());
   const uint64_t before = catalog.commit_seq();
-  const ModificationFilter all = [](const Tuple&) { return true; };
+  auto pinned = catalog.PinSnapshot().Get("Bugs");
+  ASSERT_TRUE(pinned.ok());
+  const std::shared_ptr<const OngoingRelation> version = *pinned;
+  const auto rows = Fingerprint(*version);
+  auto expect_rejected = [&](const Status& st) {
+    EXPECT_EQ(st.code(), StatusCode::kTypeError) << st;
+    EXPECT_EQ(catalog.commit_seq(), before);
+    auto current = catalog.PinSnapshot().Get("Bugs");
+    ASSERT_TRUE(current.ok());
+    EXPECT_EQ(*current, version);
+    EXPECT_EQ(Fingerprint(**current), rows);
+  };
 
-  auto deleted = catalog.TemporalDeleteWhere("T", 10, all);
-  ASSERT_FALSE(deleted.ok());
-  EXPECT_EQ(deleted.status().code(), StatusCode::kInvalidArgument);
-  auto updated = catalog.TemporalUpdateWhere(
-      "T", 10, all, [](const Tuple& t) { return t.values(); });
-  ASSERT_FALSE(updated.ok());
-  EXPECT_EQ(updated.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(catalog.commit_seq(), before);
-  auto current = catalog.PinSnapshot().Get("T");
-  ASSERT_TRUE(current.ok());
-  ASSERT_EQ((*current)->size(), 1u);
-  EXPECT_TRUE((*current)->tuple(0).value(1).is_null());
+  for (size_t column = 0; column < 3; ++column) {
+    SCOPED_TRACE("NULL in column " + std::to_string(column));
+    std::vector<Value> row = BugRow(501, "ui", 20);
+    row[column] = Value::Null();
+    expect_rejected(catalog.Insert("Bugs", row).status());
+    auto updated = catalog.TemporalUpdateWhere(
+        "Bugs", 60, [](const Tuple&) { return true; },
+        [&row](const Tuple&) { return row; });
+    expect_rejected(updated.status());
+  }
+
+  OngoingRelation loaded(BugsSchema());
+  ASSERT_TRUE(loaded.Insert(BugRow(600, "perf", 30)).ok());
+  loaded.AppendUnchecked(
+      Tuple({Value::Int64(601), Value::Null(),
+             Value::Ongoing(OngoingInterval::SinceUntilNow(40))}));
+  expect_rejected(catalog.RegisterTable("Loaded", loaded).status());
+  auto missing = catalog.PinSnapshot().Get("Loaded");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+}
+
+TEST(ServerCatalogTest, WritesThatChangeNoRowPublishNothing) {
+  // A DELETE or UPDATE that matches no row still open at its tc changes
+  // nothing. It reports 0 rows and the sequence it read, and the
+  // published version stays the same object, so it neither consumes a
+  // sequence nor evicts a retained version from the ring.
+  Catalog catalog;
+  SessionManager manager(&catalog);
+  auto session = manager.CreateSession();
+  ASSERT_TRUE(session->Execute("CREATE TABLE T (ID INT, C TEXT, VT PERIOD)")
+                  .ok());
+  auto inserted = session->Execute(
+      "INSERT INTO T VALUES (1, 'a', PERIOD ['01/01', '02/01'))");
+  ASSERT_TRUE(inserted.ok()) << inserted.status();
+  ASSERT_EQ(inserted->snapshot_seq, 2u);
+  auto pinned = catalog.PinSnapshot().Get("T");
+  ASSERT_TRUE(pinned.ok());
+  const std::shared_ptr<const OngoingRelation> version = *pinned;
+
+  // Row 1's valid time ends on 02/01, before either tc; row 2 does not
+  // exist.
+  for (const char* statement :
+       {"DELETE FROM T WHERE ID = 1 AT DATE '05/01'",
+        "UPDATE T SET C = 'b' WHERE ID = 1 AT DATE '05/01'",
+        "DELETE FROM T WHERE ID = 2 AT DATE '01/15'",
+        "UPDATE T SET C = 'b' WHERE ID = 2 AT DATE '01/15'"}) {
+    SCOPED_TRACE(statement);
+    auto result = session->Execute(statement);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->result.affected, 0u);
+    EXPECT_EQ(result->snapshot_seq, 2u);
+    EXPECT_EQ(catalog.commit_seq(), 2u);
+    auto current = catalog.PinSnapshot().Get("T");
+    ASSERT_TRUE(current.ok());
+    EXPECT_EQ(*current, version);
+  }
+
+  // A write that changes a row publishes as before.
+  auto deleted = session->Execute("DELETE FROM T WHERE ID = 1 AT DATE '01/15'");
+  ASSERT_TRUE(deleted.ok()) << deleted.status();
+  EXPECT_EQ(deleted->result.affected, 1u);
+  EXPECT_EQ(deleted->snapshot_seq, 3u);
+  EXPECT_EQ(catalog.commit_seq(), 3u);
 }
 
 TEST(ServerCatalogTest, CommitsAllocateTheirDeltaNotTheTable) {
