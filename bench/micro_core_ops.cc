@@ -26,6 +26,7 @@
 #include "core/operations.h"
 #include "query/join.h"
 #include "query/physical.h"
+#include "sql/statement.h"
 #include "util/alloc_counter.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
@@ -619,19 +620,19 @@ void BM_FilterScanDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_FilterScanDrain)->ArgName("pct")->Arg(1)->Arg(50)->Arg(99);
 
-// The ingest benchmark's point SELECT over 20,000 rows: K = k (1,000
-// keys) AND VT OVERLAPS a one-year window, 9 rows out. The fixed
-// key atom rejects almost every stored tuple before it claims a batch
-// slot.
-void BM_PointSelectDrain(benchmark::State& state) {
-  constexpr size_t kRows = 20000;
+// A table of the ingest benchmark's shape: 20,000 rows of (ID, K, VT)
+// with positional IDs, K uniform over 1,000 keys and VT a fixed or
+// growing interval starting in 2010-2018.
+constexpr size_t kIngestRows = 20000;
+
+OngoingRelation MakeIngestRelation() {
   constexpr TimePoint kFirst = Date(2010, 1, 1);
   constexpr TimePoint kLast = Date(2019, 1, 1);
   Rng rng(61);
   OngoingRelation r(Schema({{"ID", ValueType::kInt64},
                             {"K", ValueType::kInt64},
                             {"VT", ValueType::kOngoingInterval}}));
-  for (size_t i = 0; i < kRows; ++i) {
+  for (size_t i = 0; i < kIngestRows; ++i) {
     const TimePoint s = rng.Uniform(kFirst, kLast);
     const OngoingInterval vt =
         rng.Bernoulli(0.3) ? OngoingInterval::SinceUntilNow(s)
@@ -640,13 +641,45 @@ void BM_PointSelectDrain(benchmark::State& state) {
     (void)r.Insert({Value::Int64(static_cast<int64_t>(i)),
                     Value::Int64(rng.Uniform(0, 999)), Value::Ongoing(vt)});
   }
+  return r;
+}
+
+// The ingest benchmark's point SELECT over 20,000 rows: K = k (1,000
+// keys) AND VT OVERLAPS a one-year window, 9 rows out. The fixed
+// key atom rejects almost every stored tuple before it claims a batch
+// slot.
+void BM_PointSelectDrain(benchmark::State& state) {
+  const OngoingRelation r = MakeIngestRelation();
   const ExprPtr pred = And(
       Eq(Col("K"), Lit(int64_t{7})),
       OverlapsExpr(Col("VT"), Lit(OngoingInterval::Fixed(Date(2016, 1, 1),
                                                          Date(2017, 1, 1)))));
-  DrainCompiled(state, Filter(Scan(&r, "R"), pred), kRows);
+  DrainCompiled(state, Filter(Scan(&r, "R"), pred), kIngestRows);
 }
 BENCHMARK(BM_PointSelectDrain);
+
+// The WHERE scan of the ingest benchmark's by-ID DELETE and UPDATE: the
+// modification filter of `ID = x` (sql::MakeModificationFilter) on every
+// stored row of the same table, as a DELETE or UPDATE matches its rows
+// before it changes any. One row matches.
+void BM_ModificationFilterScan(benchmark::State& state) {
+  const OngoingRelation r = MakeIngestRelation();
+  const ModificationFilter filter = sql::MakeModificationFilter(
+      Eq(Col("ID"), Lit(int64_t{12345})), r.schema());
+  AllocScope alloc_scope;
+  for (auto _ : state) {
+    size_t matches = 0;
+    for (const Tuple& t : r.tuples()) {
+      Result<bool> keep = filter(t);
+      matches += keep.ok() && *keep;
+    }
+    benchmark::DoNotOptimize(matches);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kIngestRows));
+  ReportAllocs(state, alloc_scope);
+}
+BENCHMARK(BM_ModificationFilterScan);
 
 // The console table's options as google-benchmark's own console
 // reporter picks them: --benchmark_color=auto (the default) colours only

@@ -29,9 +29,12 @@ BENCHMARK.json:
                every change run reads better than every parent run;
   within bound otherwise.
 
---json PATH also writes every run's record and the summary. The
-statistics and the verdict are pure functions, checked on canned
-records by tests/bench_ab_test.py (a ctest entry; no build, no run).
+--json PATH also writes every run's record and the summary. The exit
+status is 1 when any workload's health or any metric reads
+`regression`, and 0 otherwise, so the script can gate a change. The
+statistics, the verdicts and the exit status are pure functions,
+checked on canned records by tests/bench_ab_test.py (a ctest entry; no
+build, no run).
 """
 import argparse
 import json
@@ -129,6 +132,19 @@ def summarize(spec, parent_records, change_records):
                        "verdict": "ok" if healthy else "regression"}}
 
 
+def exit_code(report):
+    """1 when any workload of `report` (its "workloads" map to each
+    summary) reads `regression` in its health or in any metric, else 0."""
+    for workload in report["workloads"].values():
+        summary = workload["summary"]
+        if summary["health"]["verdict"] == "regression":
+            return 1
+        if any(row["verdict"] == "regression"
+               for row in summary["metrics"].values()):
+            return 1
+    return 0
+
+
 def format_summary(workload, summary):
     lines = [f"== {workload}"]
     h = summary["health"]
@@ -206,7 +222,7 @@ def main():
     if args.json:
         with open(args.json, "w") as f:
             json.dump(report, f, indent=1)
-    return 0
+    return exit_code(report)
 
 
 if __name__ == "__main__":

@@ -78,6 +78,9 @@ class IntervalSet {
   /// True iff the set contains no time points.
   bool IsEmpty() const { return intervals_.empty(); }
 
+  /// Empties the set in place, keeping its buffer.
+  void Clear() { intervals_.clear(); }
+
   /// True iff the set contains every time point of T.
   bool IsAll() const;
 

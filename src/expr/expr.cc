@@ -76,41 +76,13 @@ const char* AllenOpName(AllenOp op) {
   return "?";
 }
 
-template <typename T>
-bool ApplyCompare(CompareOp op, const T& a, const T& b) {
-  switch (op) {
-    case CompareOp::kLt: return a < b;
-    case CompareOp::kLe: return a <= b;
-    case CompareOp::kEq: return a == b;
-    case CompareOp::kNe: return a != b;
-    case CompareOp::kGe: return a >= b;
-    case CompareOp::kGt: return a > b;
-  }
-  return false;
-}
-
 }  // namespace
 
 Result<bool> EvalCompareFixed(CompareOp op, const Value& a, const Value& b) {
-  if (a.type() == ValueType::kInt64 && b.type() == ValueType::kInt64) {
-    return ApplyCompare(op, a.AsInt64(), b.AsInt64());
-  }
-  if (a.type() == ValueType::kDouble && b.type() == ValueType::kDouble) {
-    return ApplyCompare(op, a.AsDouble(), b.AsDouble());
-  }
-  if (a.type() == ValueType::kString && b.type() == ValueType::kString) {
-    return ApplyCompare(op, a.AsString(), b.AsString());
-  }
-  if (a.type() == ValueType::kBool && b.type() == ValueType::kBool) {
-    return ApplyCompare(op, a.AsBool(), b.AsBool());
-  }
-  if (a.type() == ValueType::kTimePoint && b.type() == ValueType::kTimePoint) {
-    return ApplyCompare(op, a.AsTime(), b.AsTime());
-  }
+  bool out;
+  if (TryCompareFixed(op, a, b, &out)) return out;
   if (a.type() == ValueType::kFixedInterval &&
       b.type() == ValueType::kFixedInterval) {
-    if (op == CompareOp::kEq) return a.AsInterval() == b.AsInterval();
-    if (op == CompareOp::kNe) return !(a.AsInterval() == b.AsInterval());
     return Status::TypeError("intervals support only = and != comparisons");
   }
   return Status::TypeError(std::string("cannot compare ") +
@@ -165,22 +137,10 @@ Result<OngoingBoolean> EvalAllen(AllenOp op, const Value& a, const Value& b) {
 }
 
 Result<bool> EvalAllenFixed(AllenOp op, const Value& a, const Value& b) {
-  if (a.type() != ValueType::kFixedInterval ||
-      b.type() != ValueType::kFixedInterval) {
-    return Status::TypeError(
-        "fixed Allen predicate requires fixed interval operands");
-  }
-  FixedInterval x = a.AsInterval(), y = b.AsInterval();
-  switch (op) {
-    case AllenOp::kBefore: return BeforeF(x, y);
-    case AllenOp::kMeets: return MeetsF(x, y);
-    case AllenOp::kOverlaps: return OverlapsF(x, y);
-    case AllenOp::kStarts: return StartsF(x, y);
-    case AllenOp::kFinishes: return FinishesF(x, y);
-    case AllenOp::kDuring: return DuringF(x, y);
-    case AllenOp::kEquals: return EqualsF(x, y);
-  }
-  return Status::Internal("unreachable");
+  bool out;
+  if (TryAllenFixed(op, a, b, &out)) return out;
+  return Status::TypeError(
+      "fixed Allen predicate requires fixed interval operands");
 }
 
 Result<OngoingBoolean> EvalContains(const Value& interval,
@@ -192,12 +152,10 @@ Result<OngoingBoolean> EvalContains(const Value& interval,
 }
 
 Result<bool> EvalContainsFixed(const Value& interval, const Value& point) {
-  if (interval.type() != ValueType::kFixedInterval ||
-      point.type() != ValueType::kTimePoint) {
-    return Status::TypeError(
-        "fixed contains requires a fixed interval and time point");
-  }
-  return ContainsF(interval.AsInterval(), point.AsTime());
+  bool out;
+  if (TryContainsFixed(interval, point, &out)) return out;
+  return Status::TypeError(
+      "fixed contains requires a fixed interval and time point");
 }
 
 namespace {

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/operations.h"
 #include "relation/schema.h"
 #include "relation/tuple.h"
 #include "util/result.h"
@@ -156,6 +157,97 @@ ExprPtr DurationCompare(CompareOp op, ExprPtr interval, int64_t ticks);
 // semantics and errors. The ongoing forms lift fixed operands (a fixed
 // interval is the ongoing interval [s, e)); the *Fixed forms take
 // instantiated operands, as EvalPredicateFixed does.
+
+/// `a op b` in T's order; the fixed comparisons below and DURATION's
+/// share it. Forced inline, as TryCompareFixed is: in a caller as large
+/// as the scan's batch loop (query/physical.cc) GCC otherwise leaves the
+/// INT64 comparison of each tested tuple a call.
+template <typename T>
+[[gnu::always_inline]] inline bool ApplyCompare(CompareOp op, const T& a,
+                                                 const T& b) {
+  switch (op) {
+    case CompareOp::kLt: return a < b;
+    case CompareOp::kLe: return a <= b;
+    case CompareOp::kEq: return a == b;
+    case CompareOp::kNe: return a != b;
+    case CompareOp::kGe: return a >= b;
+    case CompareOp::kGt: return a > b;
+  }
+  return false;
+}
+
+/// The *Fixed forms' type dispatch, which cannot fail: on operands of
+/// types the form decides, the result goes to *out and they return
+/// true; on any others they return false and leave *out alone. The
+/// *Fixed forms below wrap them and add the TypeError. The compiled
+/// predicates (query/join.h) call them once per stored tuple, so they
+/// are inline, and TryCompareFixed, which decides the INT64 atoms of a
+/// point SELECT and a by-ID DELETE or UPDATE, is forced inline as
+/// ApplyCompare is.
+///
+/// Comparison: same-type INT64, DOUBLE, STRING, BOOL or TIMEPOINT, and
+/// = or != on two fixed intervals. Doubles compare in CompareDoubles'
+/// order (relation/value.h), the one the key joins group by: NaN = NaN
+/// holds and NaN is greater than every number.
+[[gnu::always_inline]] inline bool TryCompareFixed(CompareOp op,
+                                                   const Value& a,
+                                                   const Value& b, bool* out) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case ValueType::kInt64:
+      *out = ApplyCompare(op, a.AsInt64(), b.AsInt64());
+      return true;
+    case ValueType::kDouble:
+      *out = ApplyCompare(op, CompareDoubles(a.AsDouble(), b.AsDouble()), 0);
+      return true;
+    case ValueType::kString:
+      *out = ApplyCompare(op, a.AsString(), b.AsString());
+      return true;
+    case ValueType::kBool:
+      *out = ApplyCompare(op, a.AsBool(), b.AsBool());
+      return true;
+    case ValueType::kTimePoint:
+      *out = ApplyCompare(op, a.AsTime(), b.AsTime());
+      return true;
+    case ValueType::kFixedInterval:
+      if (op != CompareOp::kEq && op != CompareOp::kNe) return false;
+      *out = (a.AsInterval() == b.AsInterval()) == (op == CompareOp::kEq);
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Allen (Table II) on two fixed intervals.
+inline bool TryAllenFixed(AllenOp op, const Value& a, const Value& b,
+                          bool* out) {
+  if (a.type() != ValueType::kFixedInterval ||
+      b.type() != ValueType::kFixedInterval) {
+    return false;
+  }
+  const FixedInterval x = a.AsInterval(), y = b.AsInterval();
+  switch (op) {
+    case AllenOp::kBefore: *out = BeforeF(x, y); return true;
+    case AllenOp::kMeets: *out = MeetsF(x, y); return true;
+    case AllenOp::kOverlaps: *out = OverlapsF(x, y); return true;
+    case AllenOp::kStarts: *out = StartsF(x, y); return true;
+    case AllenOp::kFinishes: *out = FinishesF(x, y); return true;
+    case AllenOp::kDuring: *out = DuringF(x, y); return true;
+    case AllenOp::kEquals: *out = EqualsF(x, y); return true;
+  }
+  return false;
+}
+
+/// CONTAINS of a fixed interval and a time point.
+inline bool TryContainsFixed(const Value& interval, const Value& point,
+                             bool* out) {
+  if (interval.type() != ValueType::kFixedInterval ||
+      point.type() != ValueType::kTimePoint) {
+    return false;
+  }
+  *out = ContainsF(interval.AsInterval(), point.AsTime());
+  return true;
+}
 
 /// Ongoing `a op b`: time-point families compare with time-dependent
 /// semantics (Fig. 6), interval families support = and != only, other

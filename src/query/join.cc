@@ -200,28 +200,34 @@ PairPredicate::PairPredicate(const ExprPtr& conjunction, const Schema& joined,
   remainder_ = AndAll(rest);
 }
 
-Result<bool> PairPredicate::Test(const Atom& atom, const Tuple& l,
-                                 const Tuple& r) const {
-  const Value& a = Get(atom.lhs, l, r);
-  const Value& b = Get(atom.rhs, l, r);
-  if (atom.lhs.instantiate || atom.rhs.instantiate) {
-    return TestFixed(atom, a.Instantiate(rt_), b.Instantiate(rt_));
-  }
-  return TestFixed(atom, a, b);
+namespace {
+
+// A boolean atom's test through the *Fixed forms: the scalar path's
+// result and error.
+Result<bool> TestFixed(ExprKind kind, CompareOp compare, AllenOp allen,
+                       const Value& a, const Value& b) {
+  return kind == ExprKind::kAllen      ? EvalAllenFixed(allen, a, b)
+         : kind == ExprKind::kContains ? EvalContainsFixed(a, b)
+                                       : EvalCompareFixed(compare, a, b);
 }
 
-Status PairPredicate::RestrictFrom(const Tuple& l, const Tuple& r,
-                                   const IntervalSet& in, IntervalSet* rt,
-                                   IntervalSet* scratch) const {
-  // The fixed atoms test inline rather than through a call of their
-  // own: the joins run this once per candidate pair.
-  for (size_t i = 0; i < num_fixed_ && !in.IsEmpty(); ++i) {
-    ONGOINGDB_ASSIGN_OR_RETURN(bool holds, Test(atoms_[i], l, r));
-    if (!holds) {
-      *rt = IntervalSet();
-      return Status::OK();
-    }
-  }
+}  // namespace
+
+Status PairPredicate::TestGeneric(const Atom& atom, const Value& a,
+                                  const Value& b, bool* holds) const {
+  Result<bool> r =
+      atom.lhs.instantiate || atom.rhs.instantiate
+          ? TestFixed(atom.kind, atom.compare, atom.allen, a.Instantiate(rt_),
+                      b.Instantiate(rt_))
+          : TestFixed(atom.kind, atom.compare, atom.allen, a, b);
+  if (!r.ok()) return r.status();
+  *holds = *r;
+  return Status::OK();
+}
+
+Status PairPredicate::RestrictOngoing(const Tuple& l, const Tuple& r,
+                                      const IntervalSet& in, IntervalSet* rt,
+                                      IntervalSet* scratch) const {
   if (rt != &in) *rt = in;
   for (size_t i = num_fixed_; i < atoms_.size() && !rt->IsEmpty(); ++i) {
     const Atom& atom = atoms_[i];
@@ -239,14 +245,6 @@ Status PairPredicate::RestrictFrom(const Tuple& l, const Tuple& r,
   return Status::OK();
 }
 
-Result<bool> PairPredicate::Holds(const Tuple& l, const Tuple& r) const {
-  for (const Atom& atom : atoms_) {
-    ONGOINGDB_ASSIGN_OR_RETURN(bool holds, Test(atom, l, r));
-    if (!holds) return false;
-  }
-  return true;
-}
-
 Status PairPredicate::RestrictRemainder(const Schema& schema, const Tuple& t,
                                         IntervalSet* rt,
                                         IntervalSet* scratch) const {
@@ -254,7 +252,7 @@ Status PairPredicate::RestrictRemainder(const Schema& schema, const Tuple& t,
     ONGOINGDB_ASSIGN_OR_RETURN(bool keep,
                                fixed_rest_->EvalPredicateFixed(schema, t));
     if (!keep) {
-      *rt = IntervalSet();
+      rt->Clear();
       return Status::OK();
     }
   }

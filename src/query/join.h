@@ -88,15 +88,24 @@ bool JoinKeysEqual(const Tuple& a, const std::vector<size_t>& a_indices,
 /// literal or a column becomes an atom, its columns resolved to (input
 /// side, ordinal) by ordinal against the left input's arity. Under
 /// ongoing semantics the conjuncts follow the Sec. VIII split (Split()):
-/// a fixed-only conjunct is a boolean test through the *Fixed forms, an
-/// ongoing one restricts the reference time by its St. Under Clifford
-/// semantics every conjunct is a boolean test at rt. Every other
-/// conjunct (disjunctions, negations, DURATION, nested scalars) stays in
-/// remainder(), which the caller evaluates on the tuple it builds from
-/// surviving inputs. Atoms evaluate through the Expr nodes' value-level
-/// dispatch (expr/expr.h), so results and errors equal the scalar
-/// path's, and on interval operands they allocate nothing
-/// (core/operations.h).
+/// a fixed-only conjunct is a boolean test, an ongoing one restricts the
+/// reference time by its St. Under Clifford semantics every conjunct is
+/// a boolean test at rt. Every other conjunct (disjunctions, negations,
+/// DURATION, nested scalars) stays in remainder(), which the caller
+/// evaluates on the tuple it builds from surviving inputs.
+///
+/// An atom that tests as a boolean decides inline through the *Fixed
+/// forms' type dispatch (TryCompareFixed, TryAllenFixed,
+/// TryContainsFixed in expr/expr.h), which switches on the operands'
+/// runtime type tags and cannot fail: same-type INT64, DOUBLE, STRING,
+/// BOOL or TIMEPOINT comparisons, = or != on fixed intervals, fixed
+/// Allen, and a fixed interval CONTAINS a time point. Any other operands
+/// (mixed types, intervals under <, ongoing columns under Clifford
+/// semantics, which it instantiates at rt first) take the generic arm,
+/// the *Fixed form itself, the only path that can fail. Both share the
+/// one dispatch, so results and errors equal the scalar path's. Ongoing
+/// atoms evaluate through the Expr nodes' value-level dispatch and
+/// allocate nothing on interval operands (core/operations.h).
 class PairPredicate {
  public:
   /// Compiles `conjunction` (null = true) against `joined`, the
@@ -118,21 +127,30 @@ class PairPredicate {
   /// (l, r) in order, then intersects *rt with each ongoing atom's St,
   /// stopping once it is empty; a failed fixed atom empties *rt.
   /// `scratch` is a reusable buffer that must not alias *rt.
-  Status Restrict(const Tuple& l, const Tuple& r, IntervalSet* rt,
-                  IntervalSet* scratch) const {
+  [[gnu::always_inline]] Status Restrict(const Tuple& l, const Tuple& r,
+                                         IntervalSet* rt,
+                                         IntervalSet* scratch) const {
     return RestrictFrom(l, r, *rt, rt, scratch);
   }
 
   /// The one-input form: *rt becomes t's RT restricted as above. The
   /// fixed atoms test the stored tuple before its RT is copied, so a
   /// tuple they reject costs no copy.
-  Status Restrict(const Tuple& t, IntervalSet* rt, IntervalSet* scratch) const {
+  [[gnu::always_inline]] Status Restrict(const Tuple& t, IntervalSet* rt,
+                                         IntervalSet* scratch) const {
     return RestrictFrom(t, t, t.rt(), rt, scratch);
   }
 
   /// Clifford semantics: true iff every atom holds on (l, r).
-  Result<bool> Holds(const Tuple& l, const Tuple& r) const;
-  Result<bool> Holds(const Tuple& t) const { return Holds(t, t); }
+  [[gnu::always_inline]] Result<bool> Holds(const Tuple& l,
+                                            const Tuple& r) const {
+    bool holds;
+    ONGOINGDB_RETURN_NOT_OK(TestAtoms(atoms_.size(), l, r, &holds));
+    return holds;
+  }
+  [[gnu::always_inline]] Result<bool> Holds(const Tuple& t) const {
+    return Holds(t, t);
+  }
 
   /// The remainder on `t`, a tuple of `schema` built from the surviving
   /// inputs. Ongoing semantics: fixed conjuncts test, ongoing ones
@@ -171,22 +189,67 @@ class PairPredicate {
                                                  : o.literal;
   }
 
-  static Result<bool> TestFixed(const Atom& atom, const Value& a,
-                                const Value& b) {
-    return atom.kind == ExprKind::kAllen ? EvalAllenFixed(atom.allen, a, b)
-           : atom.kind == ExprKind::kContains
-               ? EvalContainsFixed(a, b)
-               : EvalCompareFixed(atom.compare, a, b);
+  // The atom on (a, b) through the type dispatch; false, leaving *holds
+  // alone, where the generic arm must decide.
+  [[gnu::always_inline]] static bool TryTest(const Atom& atom,
+                                             const Value& a, const Value& b,
+                                             bool* holds) {
+    switch (atom.kind) {
+      case ExprKind::kAllen: return TryAllenFixed(atom.allen, a, b, holds);
+      case ExprKind::kContains: return TryContainsFixed(a, b, holds);
+      default: return TryCompareFixed(atom.compare, a, b, holds);
+    }
   }
 
-  // A fixed atom's boolean on (l, r).
-  Result<bool> Test(const Atom& atom, const Tuple& l, const Tuple& r) const;
+  // The generic arm: the *Fixed form on (a, b), instantiated at rt where
+  // an operand is an ongoing column read under Clifford semantics.
+  Status TestGeneric(const Atom& atom, const Value& a, const Value& b,
+                     bool* holds) const;
+
+  // Tests atoms_[0, n) on (l, r) in order; *holds turns false at the
+  // first that fails. The fixed-atom loop of Restrict and Holds. It and
+  // the functions that reach it are forced inline: they run once per
+  // scanned tuple, candidate pair or DML row, and GCC's size limits
+  // otherwise leave them calls (measured with BM_PointSelectDrain and
+  // BM_ModificationFilterScan, DESIGN.md "Predicate evaluation").
+  [[gnu::always_inline]] Status TestAtoms(size_t n, const Tuple& l,
+                                          const Tuple& r,
+                                          bool* holds) const {
+    *holds = true;
+    for (size_t i = 0; i < n; ++i) {
+      const Atom& atom = atoms_[i];
+      const Value& a = Get(atom.lhs, l, r);
+      const Value& b = Get(atom.rhs, l, r);
+      if (!TryTest(atom, a, b, holds)) {
+        ONGOINGDB_RETURN_NOT_OK(TestGeneric(atom, a, b, holds));
+      }
+      if (!*holds) break;
+    }
+    return Status::OK();
+  }
 
   // Both Restrict forms: *rt becomes `in`, which may be *rt itself,
   // restricted on (l, r). Unless `in` is empty the fixed atoms test
-  // first, and *rt takes `in` only once they hold.
-  Status RestrictFrom(const Tuple& l, const Tuple& r, const IntervalSet& in,
-                      IntervalSet* rt, IntervalSet* scratch) const;
+  // first; one that fails empties *rt in place, and only once they hold
+  // do the ongoing atoms run (RestrictOngoing).
+  [[gnu::always_inline]] Status RestrictFrom(const Tuple& l, const Tuple& r,
+                                             const IntervalSet& in,
+                                             IntervalSet* rt,
+                                             IntervalSet* scratch) const {
+    if (num_fixed_ != 0 && !in.IsEmpty()) {
+      bool holds;
+      ONGOINGDB_RETURN_NOT_OK(TestAtoms(num_fixed_, l, r, &holds));
+      if (!holds) {
+        rt->Clear();
+        return Status::OK();
+      }
+    }
+    return RestrictOngoing(l, r, in, rt, scratch);
+  }
+
+  // *rt takes `in`, then each ongoing atom's St on (l, r).
+  Status RestrictOngoing(const Tuple& l, const Tuple& r, const IntervalSet& in,
+                         IntervalSet* rt, IntervalSet* scratch) const;
 
   // Fixed atoms first: atoms_[0, num_fixed_) test as booleans.
   std::vector<Atom> atoms_;

@@ -234,14 +234,8 @@ int ValueCompare(const Value& a, const Value& b) {
       return 0;
     case ValueType::kInt64:
       return ThreeWay(a.AsInt64(), b.AsInt64());
-    case ValueType::kDouble: {
-      const double x = a.AsDouble(), y = b.AsDouble();
-      // NaN sorts after every number and equal to itself: IEEE < would
-      // break std::sort's strict-weak-ordering requirement.
-      const bool x_nan = std::isnan(x), y_nan = std::isnan(y);
-      if (x_nan || y_nan) return x_nan == y_nan ? 0 : (x_nan ? 1 : -1);
-      return ThreeWay(x, y);
-    }
+    case ValueType::kDouble:
+      return CompareDoubles(a.AsDouble(), b.AsDouble());
     case ValueType::kString: {
       int c = a.AsString().compare(b.AsString());
       return c < 0 ? -1 : (c > 0 ? 1 : 0);

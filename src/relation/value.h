@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -158,12 +159,22 @@ struct ValueHash {
   size_t operator()(const Value& v) const;
 };
 
+/// The one order on doubles, returning <0, 0, >0: numbers in IEEE
+/// order (so -0.0 equals 0.0), and NaN equal to itself and greater
+/// than every number (Postgres-style), so the order stays strict-weak.
+/// ValueCompare orders DOUBLE values by it, and so do the fixed DOUBLE
+/// comparisons (expr/expr.h), so a key join and a filter agree on NaN.
+inline int CompareDoubles(double x, double y) {
+  const bool x_nan = std::isnan(x), y_nan = std::isnan(y);
+  if (x_nan || y_nan) return x_nan == y_nan ? 0 : (x_nan ? 1 : -1);
+  return (x > y) - (x < y);
+}
+
 /// Total order over values: orders by type tag first, then by payload.
 /// Returns <0, 0, >0. The key-driven joins and the view maintainer
 /// compare keys with it through ValueEq.
-/// Consistent with operator== except NaN doubles, which compare equal
-/// to themselves and greater than every number (Postgres-style) so the
-/// order stays strict-weak and key-driven joins group NaN keys alike.
+/// Consistent with operator== except NaN doubles, which order by
+/// CompareDoubles so key-driven joins group NaN keys alike.
 int ValueCompare(const Value& a, const Value& b);
 
 /// Equality functor matching ValueCompare (so NaN equals NaN, unlike

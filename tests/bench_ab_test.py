@@ -117,6 +117,31 @@ def main():
     text = ab.format_summary("report", summary)
     expect("formatted", "t_ms" in text and "gain" in text, True)
 
+    # Exit status: 1 once any workload's health or metric regresses.
+    def report_of(*summaries):
+        return {"workloads": {f"w{i}": {"records": {}, "summary": s}
+                              for i, s in enumerate(summaries)}}
+
+    base = [record(v) for v in parent]
+    expect("exit on gains", ab.exit_code(report_of(summary)), 0)
+    expect("exit with no workloads", ab.exit_code(report_of()), 0)
+    regressed = ab.summarize(SPEC, base, [record(v) for v in slower])
+    expect("regressed metric verdict",
+           regressed["metrics"]["t_ms"]["verdict"], "regression")
+    expect("exit on a regressed metric",
+           ab.exit_code(report_of(summary, regressed)), 1)
+    unhealthy = ab.summarize(SPEC, base, broken)
+    expect("exit on an incorrect run",
+           ab.exit_code(report_of(unhealthy, summary)), 1)
+    expect("exit on a larger failed share",
+           ab.exit_code(report_of(ab.summarize(SPEC, base, failing))), 1)
+    unresolved = ab.summarize(
+        SPEC, [record(v) for v in [25.0, 25.5, 24.5, 25.0]],
+        [record(v) for v in [10.0, 20.0, 30.0, 40.0]])
+    expect("unresolved verdict", unresolved["metrics"]["t_ms"]["verdict"],
+           "unresolved")
+    expect("exit on unresolved", ab.exit_code(report_of(unresolved)), 0)
+
     if failures:
         print(f"{len(failures)} check(s) failed: {', '.join(failures)}")
         return 1

@@ -1,14 +1,18 @@
 // Tests for the typed join keys: distinct multi-column keys that collide
 // on the 64-bit key hash must still join correctly (equality, not the
-// hash, decides matches), and the hash join must agree with nested-loop
-// on randomized ongoing relations.
+// hash, decides matches), the hash join must agree with nested-loop
+// on randomized ongoing relations, and every join algorithm must agree
+// on NaN keys.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "query/executor.h"
 #include "query/join.h"
 #include "util/rng.h"
 
@@ -225,6 +229,63 @@ TEST_P(JoinEquivalenceTest, MultiColumnStringKeysMatchNestedLoop) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, JoinEquivalenceTest,
                          ::testing::Range<uint64_t>(0, 25));
+
+// The hash join groups keys by ValueCompare, which orders NaN equal to
+// itself; the nested-loop join tests `A.X = B.X` as a fixed DOUBLE
+// comparison, which must use that same order. Each side holds {NaN,
+// 1.0}, so every algorithm, serial or on 4 workers, joins NaN with NaN
+// and 1.0 with 1.0, and a filter `X = X` keeps the NaN row.
+TEST(JoinKeyNaNTest, EveryAlgorithmJoinsNaNKeysAlike) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Schema schema(
+      {{"X", ValueType::kDouble}, {"VT", ValueType::kOngoingInterval}});
+  auto make = [&] {
+    OngoingRelation r(schema);
+    for (double x : {nan, 1.0}) {
+      EXPECT_TRUE(r.Insert({Value::Double(x), Value::Ongoing(
+                                                  OngoingInterval::Fixed(
+                                                      0, 10))})
+                      .ok());
+    }
+    return r;
+  };
+  const OngoingRelation a = make(), b = make();
+  const ExprPtr pred = Eq(Col("A.X"), Col("B.X"));
+  ParallelOptions four;
+  four.workers = 4;
+  four.morsel_size = 1;
+  four.min_parallel_tuples = 0;
+  for (JoinAlgorithm algorithm :
+       {JoinAlgorithm::kHash, JoinAlgorithm::kNestedLoop,
+        JoinAlgorithm::kAuto}) {
+    const PlanPtr plan =
+        Join(Scan(&a, "A"), Scan(&b, "B"), pred, "A", "B", algorithm);
+    for (const ParallelOptions& options : {ParallelOptions{}, four}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "algorithm " << static_cast<int>(algorithm)
+                   << " workers " << options.workers);
+      Result<OngoingRelation> got = Execute(plan, options);
+      ASSERT_TRUE(got.ok()) << got.status();
+      ASSERT_EQ(got->size(), 2u);
+      size_t nan_rows = 0;
+      for (const Tuple& t : got->tuples()) {
+        nan_rows += std::isnan(t.value(0).AsDouble()) &&
+                    std::isnan(t.value(2).AsDouble());
+      }
+      EXPECT_EQ(nan_rows, 1u);
+      Result<OngoingRelation> at = ExecuteAtReferenceTime(plan, 5, options);
+      ASSERT_TRUE(at.ok()) << at.status();
+      EXPECT_EQ(at->size(), 2u);
+    }
+  }
+  const PlanPtr self = Filter(Scan(&a, "A"), Eq(Col("X"), Col("X")));
+  Result<OngoingRelation> kept = Execute(self);
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  EXPECT_EQ(kept->size(), 2u);
+  Result<OngoingRelation> kept_at = ExecuteAtReferenceTime(self, 5);
+  ASSERT_TRUE(kept_at.ok()) << kept_at.status();
+  EXPECT_EQ(kept_at->size(), 2u);
+}
 
 }  // namespace
 }  // namespace ongoingdb

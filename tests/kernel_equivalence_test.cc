@@ -10,9 +10,13 @@
 //  * the conjunct classification (atoms that test, atoms that restrict
 //    the RT, remainder) for one input and for a join pair;
 //  * join residuals of every atom shape through hash, nested-loop and
-//    index-NL joins.
+//    index-NL joins;
+//  * the boolean atoms' inline type dispatch against the *Fixed forms,
+//    value by value, including mixed and mistyped operands.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "query/executor.h"
@@ -397,6 +401,260 @@ TEST(ScanBatchBoundaryTest, ExactResultSizes) {
           << "capacity " << capacity;
     }
   }
+}
+
+// --- typed atoms -------------------------------------------------------------
+// A boolean atom decides inline through the *Fixed forms' type dispatch
+// (TryCompareFixed, TryAllenFixed, TryContainsFixed), or through the
+// generic arm (the *Fixed forms themselves). These sweeps evaluate every
+// comparison, Allen and CONTAINS shape on every pair of pool values,
+// with the column declared right and wrong, and require Restrict and
+// Holds to give exactly what the *Fixed form gives on the same
+// operands: the boolean, or the error's code and message.
+
+// One atom shape: a comparison, an Allen predicate or CONTAINS.
+struct AtomShape {
+  ExprKind kind;
+  CompareOp compare = CompareOp::kEq;
+  AllenOp allen = AllenOp::kOverlaps;
+
+  ExprPtr Build(ExprPtr lhs, ExprPtr rhs) const {
+    return kind == ExprKind::kAllen ? Allen(allen, lhs, rhs)
+           : kind == ExprKind::kContains
+               ? ContainsExpr(lhs, rhs)
+               : Compare(compare, lhs, rhs);
+  }
+
+  Result<bool> Fixed(const Value& a, const Value& b) const {
+    return kind == ExprKind::kAllen      ? EvalAllenFixed(allen, a, b)
+           : kind == ExprKind::kContains ? EvalContainsFixed(a, b)
+                                         : EvalCompareFixed(compare, a, b);
+  }
+};
+
+std::vector<AtomShape> AllAtomShapes() {
+  std::vector<AtomShape> shapes;
+  for (CompareOp op : {CompareOp::kLt, CompareOp::kLe, CompareOp::kEq,
+                       CompareOp::kNe, CompareOp::kGe, CompareOp::kGt}) {
+    shapes.push_back({ExprKind::kCompare, op});
+  }
+  for (AllenOp op : AllAllenOps()) {
+    shapes.push_back({ExprKind::kAllen, CompareOp::kEq, op});
+  }
+  shapes.push_back({ExprKind::kContains});
+  return shapes;
+}
+
+const std::vector<ValueType>& FixedTypes() {
+  static const std::vector<ValueType> types = {
+      ValueType::kInt64, ValueType::kDouble,    ValueType::kString,
+      ValueType::kBool,  ValueType::kTimePoint, ValueType::kFixedInterval};
+  return types;
+}
+
+// Values of `type` that exercise each arm's edges: NaN, -0.0 and 0.0,
+// infinities, the empty string and two equal strings with distinct
+// payloads, extreme integers, empty intervals with different bounds.
+std::vector<Value> PoolOf(ValueType type) {
+  const double inf = std::numeric_limits<double>::infinity();
+  switch (type) {
+    case ValueType::kInt64:
+      return {Value::Int64(std::numeric_limits<int64_t>::min()),
+              Value::Int64(-3), Value::Int64(0), Value::Int64(7),
+              Value::Int64(std::numeric_limits<int64_t>::max())};
+    case ValueType::kDouble:
+      return {Value::Double(std::numeric_limits<double>::quiet_NaN()),
+              Value::Double(-inf), Value::Double(-0.0), Value::Double(0.0),
+              Value::Double(1.5), Value::Double(inf)};
+    case ValueType::kString:
+      return {Value::String(""), Value::String("ab"), Value::String("ab"),
+              Value::String("b")};
+    case ValueType::kBool:
+      return {Value::Bool(false), Value::Bool(true)};
+    case ValueType::kTimePoint:
+      return {Value::Time(-5), Value::Time(3), Value::Time(4),
+              Value::Time(9)};
+    case ValueType::kFixedInterval:
+      return {Value::Interval({3, 3}), Value::Interval({5, 5}),
+              Value::Interval({1, 4}), Value::Interval({3, 9}),
+              Value::Interval({4, 9}), Value::Interval({1, 4})};
+    case ValueType::kOngoingTimePoint:
+      return {Value::Ongoing(OngoingTimePoint::Now()),
+              Value::Ongoing(OngoingTimePoint::Growing(4)),
+              Value::Ongoing(OngoingTimePoint::Fixed(3))};
+    case ValueType::kOngoingInterval:
+      return {Value::Ongoing(OngoingInterval::SinceUntilNow(3)),
+              Value::Ongoing(OngoingInterval::FromNowUntil(6)),
+              Value::Ongoing(OngoingInterval::Fixed(1, 4))};
+    default:
+      return {};
+  }
+}
+
+// `got` is exactly `want`: the same boolean, or an error with the same
+// code and message.
+void ExpectSameOutcome(const Result<bool>& got, const Result<bool>& want) {
+  ASSERT_EQ(got.ok(), want.ok()) << (got.ok() ? want.status() : got.status());
+  if (want.ok()) {
+    EXPECT_EQ(*got, *want);
+  } else {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    EXPECT_EQ(got.status().message(), want.status().message());
+  }
+}
+
+// Restrict under ongoing semantics as a boolean: the RT survives whole
+// or empties.
+Result<bool> RestrictOutcome(const PairPredicate& pred, const Tuple& l,
+                             const Tuple& r) {
+  IntervalSet rt = IntervalSet::All(), scratch;
+  Status st = pred.Restrict(l, r, &rt, &scratch);
+  if (!st.ok()) return st;
+  EXPECT_TRUE(rt.IsEmpty() || rt.IsAll()) << rt.ToString();
+  return !rt.IsEmpty();
+}
+
+// Every shape on every pair of fixed pool values, the column declared
+// as each fixed type, right or wrong: the dispatch reads the values'
+// own type tags, so no result may depend on the schema. Column against
+// literal in both orientations, under both semantics.
+TEST(TypedAtomTest, ColumnAgainstLiteralEqualsFixedForms) {
+  for (const AtomShape& shape : AllAtomShapes()) {
+    for (ValueType ta : FixedTypes()) {
+      for (ValueType tb : FixedTypes()) {
+        for (const Value& a : PoolOf(ta)) {
+          for (const Value& b : PoolOf(tb)) {
+            SCOPED_TRACE(shape.Build(Lit(a), Lit(b))->ToString());
+            const Result<bool> want = shape.Fixed(a, b);
+            for (ValueType declared : FixedTypes()) {
+              SCOPED_TRACE(::testing::Message()
+                           << "column declared "
+                           << ValueTypeToString(declared));
+              const Schema schema({{"C", declared}});
+              const ExprPtr col_lit = shape.Build(Col("C"), Lit(b));
+              const ExprPtr lit_col = shape.Build(Lit(a), Col("C"));
+              const Tuple ta_row({a}), tb_row({b});
+              ExpectSameOutcome(
+                  RestrictOutcome(PairPredicate(col_lit, schema, false, 0),
+                                  ta_row, ta_row),
+                  want);
+              ExpectSameOutcome(
+                  PairPredicate(col_lit, schema, true, 7).Holds(ta_row),
+                  want);
+              ExpectSameOutcome(
+                  RestrictOutcome(PairPredicate(lit_col, schema, false, 0),
+                                  tb_row, tb_row),
+                  want);
+              ExpectSameOutcome(
+                  PairPredicate(lit_col, schema, true, 7).Holds(tb_row),
+                  want);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Column against column on a join pair: the left input's column holds
+// a, the right input's b, each typed by its schema.
+TEST(TypedAtomTest, JoinPairColumnsEqualFixedForms) {
+  for (const AtomShape& shape : AllAtomShapes()) {
+    for (ValueType ta : FixedTypes()) {
+      for (ValueType tb : FixedTypes()) {
+        const Schema left({{"X", ta}}), right({{"Y", tb}});
+        const Schema joined = left.Concat(right, "L", "R");
+        const ExprPtr pred = shape.Build(Col("L.X"), Col("R.Y"));
+        const PairPredicate ongoing(pred, joined, 1, false, 0);
+        const PairPredicate clifford(pred, joined, 1, true, 7);
+        ASSERT_EQ(ongoing.fixed_atoms(), 1u) << pred->ToString();
+        for (const Value& a : PoolOf(ta)) {
+          for (const Value& b : PoolOf(tb)) {
+            SCOPED_TRACE(shape.Build(Lit(a), Lit(b))->ToString());
+            const Result<bool> want = shape.Fixed(a, b);
+            const Tuple l({a}), r({b});
+            ExpectSameOutcome(RestrictOutcome(ongoing, l, r), want);
+            ExpectSameOutcome(clifford.Holds(l, r), want);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Clifford semantics on ongoing columns: the generic arm instantiates
+// the stored values at rt, and the result equals the *Fixed form on the
+// instantiated operands, against every other pool value as a literal
+// (instantiated when compiled) or as the other input's column.
+TEST(TypedAtomTest, CliffordInstantiatedColumnsEqualFixedForms) {
+  std::vector<ValueType> all = FixedTypes();
+  all.push_back(ValueType::kOngoingTimePoint);
+  all.push_back(ValueType::kOngoingInterval);
+  for (TimePoint rt : {TimePoint{2}, TimePoint{6}}) {
+    for (const AtomShape& shape : AllAtomShapes()) {
+      for (ValueType ongoing : {ValueType::kOngoingTimePoint,
+                                ValueType::kOngoingInterval}) {
+        for (ValueType other : all) {
+          const Schema left({{"X", ongoing}}), right({{"Y", other}});
+          const Schema joined = left.Concat(right, "L", "R");
+          const PairPredicate pair(shape.Build(Col("L.X"), Col("R.Y")),
+                                   joined, 1, true, rt);
+          for (const Value& a : PoolOf(ongoing)) {
+            for (const Value& b : PoolOf(other)) {
+              SCOPED_TRACE(::testing::Message()
+                           << shape.Build(Lit(a), Lit(b))->ToString()
+                           << " at " << rt);
+              const Value ia = a.Instantiate(rt), ib = b.Instantiate(rt);
+              const Tuple l({a}), r({b});
+              ExpectSameOutcome(pair.Holds(l, r), shape.Fixed(ia, ib));
+              ExpectSameOutcome(
+                  PairPredicate(shape.Build(Col("X"), Lit(b)), left, true,
+                                rt)
+                      .Holds(l),
+                  shape.Fixed(ia, ib));
+              ExpectSameOutcome(
+                  PairPredicate(shape.Build(Lit(b), Col("X")), left, true,
+                                rt)
+                      .Holds(l),
+                  shape.Fixed(ib, ia));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The double order is CompareDoubles': NaN equals NaN and is greater
+// than every number, and -0.0 equals 0.0, through the inline dispatch
+// and the scalar path alike.
+TEST(TypedAtomTest, DoublesCompareInValueCompareOrder) {
+  const Value nan = Value::Double(std::numeric_limits<double>::quiet_NaN());
+  const Value one = Value::Double(1.0);
+  const Value inf = Value::Double(std::numeric_limits<double>::infinity());
+  const Schema schema({{"D", ValueType::kDouble}});
+  auto holds = [&](CompareOp op, const Value& a, const Value& b) {
+    const Result<bool> typed =
+        PairPredicate(Compare(op, Col("D"), Lit(b)), schema, true, 0)
+            .Holds(Tuple({a}));
+    const Result<bool> fixed = EvalCompareFixed(op, a, b);
+    if (!typed.ok() || !fixed.ok()) {
+      ADD_FAILURE() << (typed.ok() ? fixed.status() : typed.status());
+      return false;
+    }
+    EXPECT_EQ(*typed, *fixed);
+    EXPECT_EQ(*fixed, ApplyCompare(op, ValueCompare(a, b), 0));
+    return *typed;
+  };
+  EXPECT_TRUE(holds(CompareOp::kEq, nan, nan));
+  EXPECT_FALSE(holds(CompareOp::kNe, nan, nan));
+  EXPECT_TRUE(holds(CompareOp::kGt, nan, inf));
+  EXPECT_TRUE(holds(CompareOp::kLt, one, nan));
+  EXPECT_FALSE(holds(CompareOp::kEq, nan, one));
+  EXPECT_TRUE(
+      holds(CompareOp::kEq, Value::Double(-0.0), Value::Double(0.0)));
+  EXPECT_FALSE(
+      holds(CompareOp::kLt, Value::Double(-0.0), Value::Double(0.0)));
 }
 
 }  // namespace
