@@ -658,10 +658,11 @@ void BM_PointSelectDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_PointSelectDrain);
 
-// The WHERE scan of the ingest benchmark's by-ID DELETE and UPDATE: the
-// modification filter of `ID = x` (sql::MakeModificationFilter) on every
-// stored row of the same table, as a DELETE or UPDATE matches its rows
-// before it changes any. One row matches.
+// The per-row test of the ingest benchmark's by-ID DELETE and UPDATE:
+// the tuple test of `ID = x` (sql::MakeModificationFilter) on every
+// stored row of the same table. It times what a chunk the WHERE's chunk
+// test cannot rule out pays per row, not a DML's match, which tests only
+// such chunks and the tail (relation/modifications.cc). One row matches.
 void BM_ModificationFilterScan(benchmark::State& state) {
   const OngoingRelation r = MakeIngestRelation();
   const ModificationFilter filter = sql::MakeModificationFilter(

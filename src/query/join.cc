@@ -8,6 +8,31 @@ namespace ongoingdb {
 
 namespace {
 
+// The operator that holds on (b, a) where `op` holds on (a, b).
+CompareOp Mirror(CompareOp op) {
+  switch (op) {
+    case CompareOp::kLt: return CompareOp::kGt;
+    case CompareOp::kLe: return CompareOp::kGe;
+    case CompareOp::kGe: return CompareOp::kLe;
+    case CompareOp::kGt: return CompareOp::kLt;
+    default: return op;  // = and != are symmetric
+  }
+}
+
+// Whether some v in [range.min, range.max] satisfies `v op literal`.
+bool SomeValueSatisfies(const ChunkSynopsis::Int64Range& range, CompareOp op,
+                        int64_t literal) {
+  switch (op) {
+    case CompareOp::kLt: return range.min < literal;
+    case CompareOp::kLe: return range.min <= literal;
+    case CompareOp::kEq: return range.min <= literal && literal <= range.max;
+    case CompareOp::kNe: return range.min != literal || range.max != literal;
+    case CompareOp::kGe: return range.max >= literal;
+    case CompareOp::kGt: return range.max > literal;
+  }
+  return true;
+}
+
 // Resolves a (possibly prefix-qualified) column name against one join
 // side: "K" matches attribute K directly; "L.K" matches attribute K of
 // the side with prefix "L".
@@ -193,6 +218,28 @@ PairPredicate::PairPredicate(const ExprPtr& conjunction, const Schema& joined,
                                    : Split(conjunction, joined);
   std::vector<ExprPtr> rest = compile(split.fixed_part);
   num_fixed_ = atoms_.size();
+  // RulesOut's run. The column is INT64 by schema, so it is read as
+  // stored, never instantiated.
+  auto range_atom = [&](const Atom& atom) -> std::optional<RangeAtom> {
+    if (atom.kind != ExprKind::kCompare) return std::nullopt;
+    const bool column_first = atom.lhs.source == Operand::Source::kLeft;
+    const Operand& column = column_first ? atom.lhs : atom.rhs;
+    const Operand& literal = column_first ? atom.rhs : atom.lhs;
+    if (column.source != Operand::Source::kLeft ||
+        joined.attribute(column.ordinal).type != ValueType::kInt64 ||
+        literal.source != Operand::Source::kLiteral ||
+        literal.literal.type() != ValueType::kInt64) {
+      return std::nullopt;
+    }
+    return RangeAtom{column.ordinal,
+                     column_first ? atom.compare : Mirror(atom.compare),
+                     literal.literal.AsInt64()};
+  };
+  for (size_t i = 0; i < num_fixed_; ++i) {
+    std::optional<RangeAtom> range = range_atom(atoms_[i]);
+    if (!range) break;
+    range_atoms_.push_back(*range);
+  }
   fixed_rest_ = AndAll(rest);
   std::vector<ExprPtr> ongoing_rest = compile(split.ongoing_part);
   ongoing_rest_ = AndAll(ongoing_rest);
@@ -223,6 +270,16 @@ Status PairPredicate::TestGeneric(const Atom& atom, const Value& a,
   if (!r.ok()) return r.status();
   *holds = *r;
   return Status::OK();
+}
+
+bool PairPredicate::RulesOut(const ChunkSynopsis& synopsis) const {
+  for (const RangeAtom& atom : range_atoms_) {
+    const ChunkSynopsis::Int64Range* range = synopsis.Int64At(atom.ordinal);
+    // Some tuple holds another type there, which the atom could fail on.
+    if (range == nullptr) return false;
+    if (!SomeValueSatisfies(*range, atom.op, atom.literal)) return true;
+  }
+  return false;
 }
 
 Status PairPredicate::RestrictOngoing(const Tuple& l, const Tuple& r,

@@ -106,6 +106,11 @@ bool JoinKeysEqual(const Tuple& a, const std::vector<size_t>& a_indices,
 /// one dispatch, so results and errors equal the scalar path's. Ongoing
 /// atoms evaluate through the Expr nodes' value-level dispatch and
 /// allocate nothing on interval operands (core/operations.h).
+///
+/// The one-input form also has a chunk test, RulesOut, which proves from
+/// a full chunk's synopsis (relation/tuple_store.h) that no stored tuple
+/// of the chunk passes the fixed atoms and that none fails them, so that
+/// a DML WHERE (sql::MakeModificationFilter) can pass over the chunk.
 class PairPredicate {
  public:
   /// Compiles `conjunction` (null = true) against `joined`, the
@@ -160,6 +165,19 @@ class PairPredicate {
                            IntervalSet* rt, IntervalSet* scratch) const;
   Result<bool> RemainderHolds(const Schema& schema, const Tuple& t) const;
 
+  /// The one-input form's chunk test: true when `synopsis` proves that
+  /// every tuple of its chunk fails a fixed atom, and that testing the
+  /// atoms in order raises no error on any of them. It reads the leading
+  /// run of fixed atoms that compare an INT64 column with an INT64
+  /// literal, in either orientation, by =, !=, <, <=, > or >=: on a
+  /// chunk whose synopsis holds the column's range, such an atom cannot
+  /// fail, and the chunk is ruled out when no value in the range
+  /// satisfies it. The first atom of any other kind ends the run, since
+  /// it could fail on a tuple that a later atom rejects, and so does a
+  /// column the synopsis holds no range for. False when nothing is
+  /// proven; the tuples must then be tested one by one.
+  bool RulesOut(const ChunkSynopsis& synopsis) const;
+
   /// The conjuncts left for evaluation on the built tuple (null = true).
   const ExprPtr& remainder() const { return remainder_; }
 
@@ -181,6 +199,13 @@ class PairPredicate {
     CompareOp compare = CompareOp::kEq;
     AllenOp allen = AllenOp::kOverlaps;
     Operand lhs, rhs;
+  };
+  // A kCompare atom on an INT64 column and an INT64 literal, oriented as
+  // `column op literal`.
+  struct RangeAtom {
+    size_t ordinal = 0;
+    CompareOp op = CompareOp::kEq;
+    int64_t literal = 0;
   };
 
   static const Value& Get(const Operand& o, const Tuple& l, const Tuple& r) {
@@ -254,6 +279,9 @@ class PairPredicate {
   // Fixed atoms first: atoms_[0, num_fixed_) test as booleans.
   std::vector<Atom> atoms_;
   size_t num_fixed_ = 0;
+  // RulesOut's run: the leading fixed atoms that compare an INT64 column
+  // of the (left) input with an INT64 literal.
+  std::vector<RangeAtom> range_atoms_;
   ExprPtr remainder_;
   // The remainder's halves; under Clifford semantics all of it is
   // fixed_rest_.

@@ -36,20 +36,32 @@ struct Match {
 // order. A tuple already closed at or before tc (an earlier DELETE or
 // UPDATE, or a fixed end no later than tc) is left alone: it is not
 // counted, logged, copied or re-versioned. The filter's first error
-// fails the modification.
+// fails the modification. The walk goes chunk by chunk, and a full
+// chunk the filter's chunk test rules out is passed over whole; the
+// tail has no synopsis and is always tested.
 Result<std::vector<Match>> MatchAndClose(const OngoingRelation& r,
                                          size_t vt_index, TimePoint tc,
                                          const ModificationFilter& filter) {
   std::vector<Match> matches;
+  const TupleStore& store = r.tuples();
+  const ModificationFilter::ChunkTest& rules_out = filter.chunk_test();
+  const size_t full = store.num_full_chunks();
   size_t pos = 0;
-  for (const Tuple& t : r.tuples()) {
-    ONGOINGDB_ASSIGN_OR_RETURN(bool match, filter(t));
-    if (match) {
-      const OngoingInterval& vt = t.value(vt_index).AsOngoingInterval();
-      OngoingInterval closed = CloseAt(vt, tc);
-      if (closed != vt) matches.push_back({pos, closed});
+  for (size_t c = 0; c <= full; ++c) {
+    const std::span<const Tuple> chunk = store.chunk(c);
+    if (c < full && rules_out && rules_out(store.synopsis(c))) {
+      pos += chunk.size();
+      continue;
     }
-    ++pos;
+    for (const Tuple& t : chunk) {
+      ONGOINGDB_ASSIGN_OR_RETURN(bool match, filter(t));
+      if (match) {
+        const OngoingInterval& vt = t.value(vt_index).AsOngoingInterval();
+        OngoingInterval closed = CloseAt(vt, tc);
+        if (closed != vt) matches.push_back({pos, closed});
+      }
+      ++pos;
+    }
   }
   return matches;
 }

@@ -16,17 +16,54 @@
 // nor Tf can represent for subsequent modifications in general.
 #pragma once
 
+#include <concepts>
 #include <functional>
+#include <type_traits>
+#include <utility>
 
 #include "relation/relation.h"
 #include "util/result.h"
 
 namespace ongoingdb {
 
-/// Matches tuples a modification applies to (evaluated on fixed
-/// attributes; true to modify). An error fails the modification before
-/// anything changes.
-using ModificationFilter = std::function<Result<bool>(const Tuple&)>;
+/// Matches the tuples a modification applies to, on fixed attributes.
+/// It holds a tuple test (true to modify; an error fails the
+/// modification before anything changes) and, optionally, a chunk test:
+/// true when a full chunk's synopsis (relation/tuple_store.h) proves
+/// that the tuple test neither matches nor fails on any tuple of the
+/// chunk. The match then passes over that chunk's tuples without testing
+/// them, so the chunk test must never rule out a chunk the tuple test
+/// would match a row of or fail on. sql::MakeModificationFilter supplies
+/// one, which rules chunks out by the WHERE's leading comparisons of
+/// INT64 columns with INT64 literals; any callable on a tuple returning
+/// bool or Result<bool> converts to a filter without one, which tests
+/// every tuple.
+class ModificationFilter {
+ public:
+  using TupleTest = std::function<Result<bool>(const Tuple&)>;
+  using ChunkTest = std::function<bool(const ChunkSynopsis&)>;
+
+  template <typename F>
+    requires(!std::same_as<std::remove_cvref_t<F>, ModificationFilter> &&
+             std::convertible_to<std::invoke_result_t<const F&, const Tuple&>,
+                                 Result<bool>>)
+  ModificationFilter(F test)  // NOLINT(runtime/explicit)
+      : tuple_test_(std::move(test)) {}
+
+  ModificationFilter(TupleTest tuple_test, ChunkTest chunk_test)
+      : tuple_test_(std::move(tuple_test)),
+        chunk_test_(std::move(chunk_test)) {}
+
+  /// The tuple test.
+  Result<bool> operator()(const Tuple& t) const { return tuple_test_(t); }
+
+  /// Empty when the filter has none.
+  const ChunkTest& chunk_test() const { return chunk_test_; }
+
+ private:
+  TupleTest tuple_test_;
+  ChunkTest chunk_test_;
+};
 
 /// The valid-time attribute temporal DML applies to: the first PERIOD
 /// (ongoing interval) column of `schema`. InvalidArgument if none.

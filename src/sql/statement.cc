@@ -1,6 +1,7 @@
 #include "sql/statement.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "query/join.h"
 #include "relation/modifications.h"
@@ -235,14 +236,20 @@ ModificationFilter MakeModificationFilter(const ExprPtr& predicate,
   if (predicate == nullptr) return [](const Tuple&) { return true; };
   // The WHERE is fixed-only (ParseWhereAt), so its boolean form is exact
   // at any reference time: every conjunct tests the stored tuple, and an
-  // evaluation error fails the modification.
-  return [pred = PairPredicate(predicate, schema, /*at_reference_time=*/true,
-                               0),
-          schema](const Tuple& t) -> Result<bool> {
-    ONGOINGDB_ASSIGN_OR_RETURN(bool keep, pred.Holds(t));
-    if (!keep) return false;
-    return pred.RemainderHolds(schema, t);
-  };
+  // evaluation error fails the modification. The remainder runs only on
+  // a tuple every atom holds on, so a chunk the atoms rule out holds no
+  // tuple that matches or fails.
+  auto pred = std::make_shared<const PairPredicate>(
+      predicate, schema, /*at_reference_time=*/true, 0);
+  return ModificationFilter(
+      [pred, schema](const Tuple& t) -> Result<bool> {
+        ONGOINGDB_ASSIGN_OR_RETURN(bool keep, pred->Holds(t));
+        if (!keep) return false;
+        return pred->RemainderHolds(schema, t);
+      },
+      [pred](const ChunkSynopsis& synopsis) {
+        return pred->RulesOut(synopsis);
+      });
 }
 
 std::function<std::vector<Value>(const Tuple&)> MakeAssignmentUpdater(

@@ -89,7 +89,11 @@ Result<ParsedStatement> ParseStatement(const std::string& statement,
 /// The ModificationFilter for a parsed WHERE predicate (nullptr matches
 /// everything). The schema is captured by value: the filter may outlive
 /// the catalog view it was parsed against (the serving path applies it
-/// to a copy of the table's current version under the commit lock).
+/// to a copy of the table's current version under the commit lock). Its
+/// chunk test is the compiled WHERE's PairPredicate::RulesOut, so a
+/// WHERE that leads with an INT64 column compared to an INT64 literal,
+/// such as a by-ID `ID = 42`, passes over every full chunk whose range
+/// cannot hold a match.
 ModificationFilter MakeModificationFilter(const ExprPtr& predicate,
                                           const Schema& schema);
 

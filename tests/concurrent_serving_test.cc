@@ -16,6 +16,10 @@
 // never a torn mix of sequences — and each published version is the
 // plain modification applied to its predecessor, end to end.
 //
+// A second test registers one relation in two catalogs, so that their
+// writers race on the chunk synopses the shared chunks carry, and checks
+// each catalog against the plain replay of its own writes.
+//
 // Runs under TSan in CI (with the fault-injection and thread-pool
 // suites): the no-reader-side-lock read path is exactly the kind of code
 // a race detector must vet, not just reason about.
@@ -293,6 +297,84 @@ TEST_P(ConcurrentServingTest, ReadersSeeExactSerialStatesOverSharedChunks) {
   const uint64_t seed = GetParam();
   ONGOINGDB_FUZZ_SEED_TRACE(seed);
   ExpectReadersSeeExactSerialStates(seed, 3 * TupleStore::kChunkSize + 5);
+}
+
+TEST_P(ConcurrentServingTest, CatalogsSharingChunksEachEndAsTheirReplay) {
+  // One relation registered in two catalogs: their versions share every
+  // full chunk, and with it the synopsis a SQL DELETE or UPDATE computes
+  // on a chunk's first use. A session on each catalog runs by-ID DELETEs
+  // and UPDATEs at once, so both first scans compute the same chunks'
+  // synopses; each catalog must then end as the plain Torp replay of its
+  // own statements, whose lambda filters test every row.
+  const uint64_t seed = GetParam();
+  ONGOINGDB_FUZZ_SEED_TRACE(seed);
+  constexpr size_t kRows = 16 * TupleStore::kChunkSize + 9;
+  constexpr int kStatementsPerCatalog = 30;
+  Rng base_rng(seed);
+  const OngoingRelation base = MakeBase(base_rng, "T_", kRows);
+
+  struct Statement {
+    bool update = false;
+    int64_t id = 0;
+    TimePoint tc = 0;
+    std::string replacement;
+    size_t changed = 0;  // rows the served statement changed
+  };
+  constexpr size_t kCatalogs = 2;
+  Catalog catalogs[kCatalogs];
+  std::vector<Statement> statements[kCatalogs];
+  for (size_t c = 0; c < kCatalogs; ++c) {
+    ASSERT_TRUE(catalogs[c].RegisterTable("T", base).ok());
+    Rng rng(seed * 3000 + c);
+    for (int i = 0; i < kStatementsPerCatalog; ++i) {
+      Statement st;
+      st.update = rng.Bernoulli(0.5);
+      st.id = rng.Uniform(0, static_cast<int64_t>(kRows) + 10);
+      st.tc = rng.Uniform(0, 100);
+      st.replacement = StringPool()[static_cast<size_t>(rng.Uniform(0, 3))];
+      statements[c].push_back(std::move(st));
+    }
+  }
+
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < kCatalogs; ++c) {
+    threads.emplace_back([&, c] {
+      SessionManager manager(&catalogs[c]);
+      auto session = manager.CreateSession();
+      for (Statement& st : statements[c]) {
+        const std::string where = " WHERE T_ID = " + std::to_string(st.id) +
+                                  " AT DATE '" + FormatTimePoint(st.tc) + "'";
+        auto result = session->Execute(
+            st.update ? "UPDATE T SET T_S = '" + st.replacement + "'" + where
+                      : "DELETE FROM T" + where);
+        ASSERT_TRUE(result.ok()) << result.status();
+        st.changed = result->result.affected;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (size_t c = 0; c < kCatalogs; ++c) {
+    SCOPED_TRACE("catalog " + std::to_string(c));
+    EXPECT_TRUE(
+        std::any_of(statements[c].begin(), statements[c].end(),
+                    [](const Statement& st) { return st.changed > 0; }));
+    OngoingRelation replay = base;
+    for (const Statement& st : statements[c]) {
+      auto by_id = [id = st.id](const Tuple& t) {
+        return t.value(0).AsInt64() == id;
+      };
+      Result<size_t> changed =
+          st.update ? TemporalUpdate(&replay, kVtIndex, st.tc, by_id,
+                                     ReplaceS(st.replacement))
+                    : TemporalDelete(&replay, kVtIndex, st.tc, by_id);
+      ASSERT_TRUE(changed.ok()) << changed.status();
+      EXPECT_EQ(*changed, st.changed);
+    }
+    auto served = catalogs[c].PinSnapshot().Get("T");
+    ASSERT_TRUE(served.ok()) << served.status();
+    EXPECT_EQ(Fingerprint(**served), Fingerprint(replay));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConcurrentServingTest,

@@ -5,14 +5,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/operations.h"
+#include "expr/expr.h"
+#include "sql/statement.h"
+#include "testing/plan_fuzz.h"
 
 namespace ongoingdb {
 namespace {
+
+using plan_fuzz::Fingerprint;
 
 Schema ContractSchema() {
   return Schema({{"ID", ValueType::kInt64},
@@ -312,6 +320,289 @@ TEST(ModificationsTest, RowsAlreadyClosedAtTcAreLeftAlone) {
   EXPECT_EQ(log->next_seq(), logged);
   EXPECT_EQ(r.tuple(0).value(kVt).AsOngoingInterval().ToString(),
             "[01/01, +03/01)");
+}
+
+// --- chunk skipping ---------------------------------------------------------
+
+// The table of the chunk-skip tests: ID, then a STRING column, so that
+// `Name = 1` fails with a TypeError on any row it is tested on.
+Schema NamedSchema() {
+  return Schema({{"ID", ValueType::kInt64},
+                 {"Name", ValueType::kString},
+                 {"VT", ValueType::kOngoingInterval}});
+}
+
+constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+constexpr TimePoint kSkipTc = 100;
+constexpr size_t kTailRows = 37;
+
+// Row i opens at i % 150: one row in three opens at or after kSkipTc,
+// so a DELETE or UPDATE at kSkipTc swap-removes it (its closed valid
+// time is always empty), and the others close in place.
+void AddRow(OngoingRelation* r, size_t i, int64_t id) {
+  ASSERT_TRUE(r->Insert({Value::Int64(id),
+                         Value::String(i % 2 == 0 ? "even" : "odd"),
+                         Value::Ongoing(OngoingInterval::SinceUntilNow(
+                             static_cast<TimePoint>(i % 150)))})
+                  .ok());
+}
+
+// Four full chunks and a tail, IDs chosen so that each chunk's range has
+// its own shape: chunk 0 holds 0..255 ascending, chunk 1 holds 1000 in
+// every row, chunk 2 holds 2255..2000 descending, chunk 3 holds
+// 3000..3253 plus the INT64 extremes, and the tail 5000..5036.
+OngoingRelation ChunkedTable() {
+  constexpr size_t kChunk = TupleStore::kChunkSize;
+  OngoingRelation r(NamedSchema());
+  size_t i = 0;
+  for (size_t k = 0; k < kChunk; ++k, ++i) {
+    AddRow(&r, i, static_cast<int64_t>(k));
+  }
+  for (size_t k = 0; k < kChunk; ++k, ++i) AddRow(&r, i, 1000);
+  for (size_t k = 0; k < kChunk; ++k, ++i) {
+    AddRow(&r, i, 2255 - static_cast<int64_t>(k));
+  }
+  for (size_t k = 0; k < kChunk; ++k, ++i) {
+    const int64_t id = k == 17    ? kMin
+                       : k == 200 ? kMax
+                                  : 3000 + static_cast<int64_t>(k);
+    AddRow(&r, i, id);
+  }
+  for (size_t k = 0; k < kTailRows; ++k, ++i) {
+    AddRow(&r, i, 5000 + static_cast<int64_t>(k));
+  }
+  EXPECT_EQ(r.tuples().num_full_chunks(), 4u);
+  return r;
+}
+
+std::vector<Value> Rename(const Tuple& t) {
+  std::vector<Value> values = t.values();
+  values[1] = Value::String("renamed");
+  return values;
+}
+
+// Runs one DELETE or UPDATE at kSkipTc on a copy of `table` with the
+// SQL-built filter of `where`, and on another copy with the same tuple
+// test as a plain lambda, which has no chunk test and so tests every
+// row; both must agree on the changed-row count, the resulting table
+// (tuple by tuple, in order, since both edit the same matches) and the
+// Status. Returns how many tuples the SQL-built filter tested.
+size_t ExpectSkipIsExact(const OngoingRelation& table, const ExprPtr& where,
+                         bool update) {
+  SCOPED_TRACE(where->ToString() + (update ? " (UPDATE)" : " (DELETE)"));
+  const ModificationFilter built =
+      sql::MakeModificationFilter(where, table.schema());
+  EXPECT_TRUE(built.chunk_test());
+  size_t tested = 0;
+  const ModificationFilter counted(
+      [&tested, built](const Tuple& t) {
+        ++tested;
+        return built(t);
+      },
+      built.chunk_test());
+  const ModificationFilter plain = [built](const Tuple& t) {
+    return built(t);
+  };
+  auto run = [&](const ModificationFilter& filter, OngoingRelation* r) {
+    return update ? TemporalUpdate(r, kVt, kSkipTc, filter, Rename)
+                  : TemporalDelete(r, kVt, kSkipTc, filter);
+  };
+  OngoingRelation skipped = table;
+  OngoingRelation every_row = table;
+  const Result<size_t> got = run(counted, &skipped);
+  const Result<size_t> want = run(plain, &every_row);
+  EXPECT_EQ(got.status().code(), want.status().code());
+  EXPECT_EQ(got.status().message(), want.status().message());
+  if (got.ok() && want.ok()) {
+    EXPECT_EQ(*got, *want);
+  }
+  EXPECT_TRUE(std::equal(skipped.tuples().begin(), skipped.tuples().end(),
+                         every_row.tuples().begin(), every_row.tuples().end()));
+  return tested;
+}
+
+// Every operator, in both orientations, against the literals that sit
+// on and around `table`'s chunk boundaries and the INT64 extremes.
+void ExpectEveryComparisonIsExact(const OngoingRelation& table) {
+  const int64_t literals[] = {
+      kMin, kMin + 1, -1,   0,    1,    254,  255,  256,  999,      1000,
+      1001, 1999,     2000, 2255, 2256, 2500, 3000, 3253, 5000,     5036,
+      kMax - 1, kMax};
+  const CompareOp ops[] = {CompareOp::kLt, CompareOp::kLe, CompareOp::kEq,
+                           CompareOp::kNe, CompareOp::kGe, CompareOp::kGt};
+  for (const int64_t x : literals) {
+    for (const CompareOp op : ops) {
+      for (const bool update : {false, true}) {
+        ExpectSkipIsExact(table, Compare(op, Col("ID"), Lit(x)), update);
+        ExpectSkipIsExact(table, Compare(op, Lit(x), Col("ID")), update);
+      }
+    }
+  }
+}
+
+TEST(ModificationsTest, ChunkSkipIsExactForEveryComparison) {
+  const OngoingRelation table = ChunkedTable();
+  ExpectEveryComparisonIsExact(table);
+  // The skip happens. Chunk 3 spans the whole INT64 range, so only a
+  // literal beyond an extreme rules it out: ID = 10 tests chunks 0 and
+  // 3 and the tail, a != on the constant chunk's value passes over that
+  // chunk alone, and ID < INT64_MIN tests the tail alone.
+  EXPECT_EQ(ExpectSkipIsExact(table, Eq(Col("ID"), Lit(int64_t{10})), false),
+            2 * TupleStore::kChunkSize + kTailRows);
+  EXPECT_EQ(ExpectSkipIsExact(table,
+                              Compare(CompareOp::kNe, Col("ID"),
+                                      Lit(int64_t{1000})),
+                              false),
+            table.size() - TupleStore::kChunkSize);
+  EXPECT_EQ(ExpectSkipIsExact(table, Lt(Col("ID"), Lit(kMin)), false),
+            kTailRows);
+}
+
+TEST(ModificationsTest, ChunkSkipStopsAtAnAtomThatCanFail) {
+  const OngoingRelation table = ChunkedTable();
+  OngoingRelation no_tail(NamedSchema());
+  for (size_t i = 0; i < 2 * TupleStore::kChunkSize; ++i) {
+    AddRow(&no_tail, i, static_cast<int64_t>(i));
+  }
+  const ExprPtr name_is_int = Eq(Col("Name"), Lit(int64_t{1}));
+  for (const bool update : {false, true}) {
+    // Name = 1 runs first and fails on the first row, though ID = -5
+    // rules out every chunk of a table without a tail.
+    EXPECT_EQ(ExpectSkipIsExact(
+                  no_tail, And(name_is_int, Eq(Col("ID"), Lit(int64_t{-5}))),
+                  update),
+              1u);
+    // After the INT64 atom it is never reached on a ruled-out chunk
+    // (all but chunk 3, which spans the INT64 range), and a row the
+    // INT64 atom holds on fails it.
+    EXPECT_EQ(ExpectSkipIsExact(
+                  table, And(Eq(Col("ID"), Lit(int64_t{-5})), name_is_int),
+                  update),
+              TupleStore::kChunkSize + kTailRows);
+    ExpectSkipIsExact(table, And(Eq(Col("ID"), Lit(int64_t{7})), name_is_int),
+                      update);
+    // Any other atom kind ends the run too: a column-to-column
+    // comparison, then one on a column that is not INT64.
+    ExpectSkipIsExact(
+        table, And(Lt(Col("ID"), Col("ID")), Eq(Col("ID"), Lit(int64_t{-5}))),
+        update);
+    ExpectSkipIsExact(
+        table,
+        And(Eq(Col("Name"), Lit("odd")), Eq(Col("ID"), Lit(int64_t{-5}))),
+        update);
+    // A run of several INT64 atoms rules a chunk out by any of them:
+    // the second rules out chunks 0 and 1.
+    EXPECT_EQ(ExpectSkipIsExact(table,
+                                And(Compare(CompareOp::kGe, Col("ID"),
+                                            Lit(int64_t{0})),
+                                    Lt(Lit(int64_t{2100}), Col("ID"))),
+                                update),
+              2 * TupleStore::kChunkSize + kTailRows);
+  }
+}
+
+TEST(ModificationsTest, ChunkSkipIsExactOnRewrittenChunks) {
+  // Rewrite the table through SQL-built filters, so that the synopses of
+  // the chunks involved are computed before the rewrite. ID 100 opens at
+  // 100 = kSkipTc, so its DELETE swap-removes it and moves the tail's
+  // last row (ID 5036) into chunk 0; the UPDATE of every ID up to 2255
+  // closes or swap-removes the rows of chunks 0 to 2 (and ID INT64_MIN)
+  // and appends their new versions, which fill new chunks.
+  OngoingRelation table = ChunkedTable();
+  ASSERT_EQ(table.tuple(100).value(kVt).AsOngoingInterval().ToString(),
+            OngoingInterval::SinceUntilNow(kSkipTc).ToString());
+  auto deleted = TemporalDelete(
+      &table, kVt, kSkipTc,
+      sql::MakeModificationFilter(Eq(Col("ID"), Lit(int64_t{100})),
+                                  table.schema()));
+  ASSERT_TRUE(deleted.ok()) << deleted.status();
+  ASSERT_EQ(*deleted, 1u);
+  ASSERT_EQ(table.tuple(100).value(0).AsInt64(), 5036);
+  auto updated = TemporalUpdate(
+      &table, kVt, kSkipTc,
+      sql::MakeModificationFilter(
+          Compare(CompareOp::kLe, Col("ID"), Lit(int64_t{2255})),
+          table.schema()),
+      Rename);
+  ASSERT_TRUE(updated.ok()) << updated.status();
+  ASSERT_EQ(*updated, 3 * TupleStore::kChunkSize);
+  ASSERT_GT(table.tuples().num_full_chunks(), 4u);
+  ExpectEveryComparisonIsExact(table);
+
+  // A swap-remove while the tail is empty makes the last full chunk the
+  // tail. Row 400 opens at 400 % 150 = kSkipTc, so its DELETE removes
+  // it.
+  OngoingRelation full_chunks_only(NamedSchema());
+  for (size_t i = 0; i < 2 * TupleStore::kChunkSize; ++i) {
+    AddRow(&full_chunks_only, i, static_cast<int64_t>(i));
+  }
+  ASSERT_EQ(ExpectSkipIsExact(full_chunks_only,
+                              Eq(Col("ID"), Lit(int64_t{0})), false),
+            TupleStore::kChunkSize);
+  auto emptied = TemporalDelete(
+      &full_chunks_only, kVt, kSkipTc,
+      sql::MakeModificationFilter(
+          Eq(Col("ID"), Lit(int64_t{400})),
+          full_chunks_only.schema()));
+  ASSERT_TRUE(emptied.ok()) << emptied.status();
+  ASSERT_EQ(*emptied, 1u);
+  ASSERT_EQ(full_chunks_only.tuples().num_full_chunks(), 1u);
+  ExpectEveryComparisonIsExact(full_chunks_only);
+}
+
+TEST(ModificationsTest, ChunkSkipIsExactOnATailOrAnEmptyTable) {
+  OngoingRelation tail_only(NamedSchema());
+  for (size_t i = 0; i < kTailRows; ++i) {
+    AddRow(&tail_only, i, static_cast<int64_t>(i));
+  }
+  ASSERT_EQ(tail_only.tuples().num_full_chunks(), 0u);
+  ExpectEveryComparisonIsExact(tail_only);
+  ExpectEveryComparisonIsExact(OngoingRelation(NamedSchema()));
+}
+
+TEST(ModificationsTest, PinnedVersionKeepsItsChunkSynopses) {
+  // An older version shares its chunks, and their synopses, with a newer
+  // copy until the newer one edits them: the edit copies a chunk, and
+  // the copy starts with no synopsis of its own.
+  const OngoingRelation older = ChunkedTable();
+  auto ranges = [](const OngoingRelation& r) {
+    std::vector<std::pair<int64_t, int64_t>> out;
+    for (size_t c = 0; c < r.tuples().num_full_chunks(); ++c) {
+      const ChunkSynopsis::Int64Range* range =
+          r.tuples().synopsis(c).Int64At(0);
+      EXPECT_NE(range, nullptr);
+      if (range != nullptr) out.emplace_back(range->min, range->max);
+      // Name is STRING and VT a PERIOD, so neither has a range.
+      EXPECT_EQ(r.tuples().synopsis(c).Int64At(1), nullptr);
+      EXPECT_EQ(r.tuples().synopsis(c).Int64At(2), nullptr);
+    }
+    return out;
+  };
+  const std::vector<std::pair<int64_t, int64_t>> expected = {
+      {0, 255}, {1000, 1000}, {2000, 2255}, {kMin, kMax}};
+  ASSERT_EQ(ranges(older), expected);
+  const auto rows = Fingerprint(older);
+
+  OngoingRelation newer = older;
+  ASSERT_TRUE(TemporalDelete(&newer, kVt, kSkipTc,
+                             sql::MakeModificationFilter(
+                                 Eq(Col("ID"), Lit(int64_t{100})),
+                                 newer.schema()))
+                  .ok());
+  ASSERT_TRUE(TemporalUpdate(&newer, kVt, kSkipTc,
+                             sql::MakeModificationFilter(
+                                 Compare(CompareOp::kNe, Col("ID"),
+                                         Lit(int64_t{3})),
+                                 newer.schema()),
+                             Rename)
+                  .ok());
+  // Chunk 0 of the newer version now holds ID 5036, moved in by the
+  // swap-remove of ID 100; the older version's chunk 0 does not.
+  EXPECT_EQ(ranges(newer).front(), (std::pair<int64_t, int64_t>{0, 5036}));
+  EXPECT_EQ(ranges(older), expected);
+  EXPECT_EQ(Fingerprint(older), rows);
+  ExpectEveryComparisonIsExact(older);
 }
 
 TEST(ModificationsTest, ValidationErrors) {

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "expr/expr.h"
 #include "query/executor.h"
 #include "relation/modifications.h"
 #include "server/catalog.h"
@@ -472,27 +473,36 @@ TEST(ServerCatalogTest, WritesThatChangeNoRowPublishNothing) {
   EXPECT_EQ(catalog.commit_seq(), 3u);
 }
 
+// The large table of the per-commit cost tests: kLargeRows rows whose
+// BID is their position, so each full chunk holds a range of 256 BIDs.
+constexpr int64_t kLargeRows = 200000;
+
+OngoingRelation LargeBugs() {
+  OngoingRelation data(BugsSchema());
+  data.Reserve(kLargeRows);
+  for (int64_t i = 0; i < kLargeRows; ++i) {
+    EXPECT_TRUE(data.Insert(BugRow(i, "c", i % 100)).ok());
+  }
+  return data;
+}
+
+std::vector<Value> Recomponent(const Tuple& t) {
+  std::vector<Value> values = t.values();
+  values[1] = Value::String("d");
+  return values;
+}
+
 TEST(ServerCatalogTest, CommitsAllocateTheirDeltaNotTheTable) {
   // A commit copies the current version and edits the copy. Versions
   // share their full chunks, so a one-row write allocates about a chunk
   // and the chunk pointers, far below one copy of a 200k-row table
   // (which is about 47 MB).
-  constexpr int64_t kRows = 200000;
+  constexpr int64_t kRows = kLargeRows;
   constexpr uint64_t kDeltaBytes = 1 << 20;
-  OngoingRelation data(BugsSchema());
-  data.Reserve(kRows);
-  for (int64_t i = 0; i < kRows; ++i) {
-    ASSERT_TRUE(data.Insert(BugRow(i, "c", i % 100)).ok());
-  }
   Catalog catalog;
-  ASSERT_TRUE(catalog.RegisterTable("Bugs", data).ok());
+  ASSERT_TRUE(catalog.RegisterTable("Bugs", LargeBugs()).ok());
   auto by_bid = [](int64_t bid) -> ModificationFilter {
     return [bid](const Tuple& t) { return t.value(0).AsInt64() == bid; };
-  };
-  auto recomponent = [](const Tuple& t) {
-    std::vector<Value> values = t.values();
-    values[1] = Value::String("d");
-    return values;
   };
 
   {
@@ -514,7 +524,7 @@ TEST(ServerCatalogTest, CommitsAllocateTheirDeltaNotTheTable) {
     size_t updated = 0;
     ASSERT_TRUE(catalog
                     .TemporalUpdateWhere("Bugs", 150, by_bid(kRows / 3),
-                                         recomponent, &updated)
+                                         Recomponent, &updated)
                     .ok());
     EXPECT_EQ(updated, 1u);
     EXPECT_LT(scope.bytes(), kDeltaBytes) << "UPDATE by ID";
@@ -533,6 +543,48 @@ TEST(ServerCatalogTest, CommitsAllocateTheirDeltaNotTheTable) {
     EXPECT_EQ(deleted, static_cast<size_t>(kRows));
     EXPECT_LE(scope.count(), 3 * deleted) << "DELETE matching every row";
   }
+}
+
+TEST(ServerCatalogTest, ByIdCommitsTestOneChunkAndTheTail) {
+  // On the table above, a by-ID DELETE or UPDATE through the SQL-built
+  // WHERE (sql::MakeModificationFilter) tests the tuples of the one full
+  // chunk whose BID range holds the literal and of the tail: every other
+  // chunk's synopsis rules it out. The table holds 200,001 rows, 781
+  // full chunks and a 65-row tail, so each statement tests 321 tuples,
+  // where a walk of every row tests 200,001.
+  constexpr int64_t kRows = kLargeRows;
+  constexpr size_t kTail = (kRows + 1) % TupleStore::kChunkSize;
+  static_assert(kTail == 65);
+  Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterTable("Bugs", LargeBugs()).ok());
+  ASSERT_TRUE(catalog.Insert("Bugs", BugRow(kRows, "c", 5)).ok());
+  size_t tested = 0;
+  auto by_bid = [&tested](int64_t bid) {
+    const ModificationFilter where = sql::MakeModificationFilter(
+        Eq(Col("BID"), Lit(bid)), BugsSchema());
+    return ModificationFilter(
+        [&tested, where](const Tuple& t) {
+          ++tested;
+          return where(t);
+        },
+        where.chunk_test());
+  };
+
+  size_t deleted = 0;
+  ASSERT_TRUE(
+      catalog.TemporalDeleteWhere("Bugs", 150, by_bid(kRows / 2), &deleted)
+          .ok());
+  EXPECT_EQ(deleted, 1u);
+  EXPECT_EQ(tested, TupleStore::kChunkSize + kTail) << "DELETE by ID";
+
+  tested = 0;
+  size_t updated = 0;
+  ASSERT_TRUE(catalog
+                  .TemporalUpdateWhere("Bugs", 150, by_bid(kRows / 3),
+                                       Recomponent, &updated)
+                  .ok());
+  EXPECT_EQ(updated, 1u);
+  EXPECT_EQ(tested, TupleStore::kChunkSize + kTail) << "UPDATE by ID";
 }
 
 TEST(ServerCatalogTest, SnapshotViewIsReadOnly) {
